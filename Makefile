@@ -43,6 +43,7 @@ bench:
 	$(GO) run ./cmd/benchjson -scaling -scaling-out BENCH_sweepscale.json -threshold -1 < .bench_sweep.txt
 	@rm -f .bench_sweep.txt
 	$(GO) test -bench=PlanCache -benchmem -run='^$$' ./internal/experiment/ > .bench_plancache.txt
+	$(GO) test -bench=AlphaBetaFamily -benchmem -run='^$$' ./internal/estimate/ >> .bench_plancache.txt
 	$(GO) run ./cmd/benchjson < .bench_plancache.txt > BENCH_plancache.json
 	@rm -f .bench_plancache.txt
 	@echo "wrote BENCH_sched.json, BENCH_replay.json, BENCH_sweepscale.json and BENCH_plancache.json"
@@ -64,9 +65,10 @@ bench:
 #     degrades to the 0.8× anti-regression floor, because no amount of
 #     scheduling can conjure parallel speedup out of one core.
 #
-# The plan-cache breakdown (scheduler vs capture vs rebind per point) is
-# gated against its own record, so a rebind-path slowdown cannot hide
-# inside the sweep aggregate.
+# The plan-cache breakdown (scheduler vs capture vs rebind per point, and
+# one extended family's calibration with templates off and on) is gated
+# against its own record, so a rebind-path slowdown cannot hide inside
+# the sweep aggregate.
 BASELINE ?= BENCH_sched.json
 PLANCACHE_BASELINE ?= BENCH_plancache.json
 SCALING_THRESHOLD ?= 0.5
@@ -77,6 +79,7 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -scaling -threshold $(SCALING_THRESHOLD) -min-speedup $(SCALING_MIN_SPEEDUP) < .bench_diff.txt
 	@rm -f .bench_diff.txt
 	$(GO) test -bench=PlanCache -benchmem -run='^$$' ./internal/experiment/ > .bench_pc_diff.txt
+	$(GO) test -bench=AlphaBetaFamily -benchmem -run='^$$' ./internal/estimate/ >> .bench_pc_diff.txt
 	$(GO) run ./cmd/benchjson -baseline $(PLANCACHE_BASELINE) < .bench_pc_diff.txt
 	@rm -f .bench_pc_diff.txt
 
@@ -84,11 +87,11 @@ benchdiff:
 benchpaper:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of every scheduler/replay/sweep benchmark: catches
+# One iteration of every scheduler/replay/sweep/estimation benchmark: catches
 # benchmarks that no longer compile or crash without paying for stable
 # timings.
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./internal/mpi/ ./internal/experiment/
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./internal/mpi/ ./internal/experiment/ ./internal/estimate/
 
 # Run the fuzz targets over their seed corpus only (no fuzzing time):
 # each f.Add seed must keep the replay and scheduler engines

@@ -153,30 +153,18 @@ func (s *Selector) BestFor(op string, P, m int) (OpChoice, error) {
 // CalibrateExtendedOp fits the named extended collective family ("gather",
 // "allreduce", ... — see estimate.AllSpecFamilies) on the selector's
 // platform, reusing the already-estimated γ, and attaches the result so
-// BestFor can answer queries for it. The per-spec estimations check ctx
-// between specs, so a cancelled context stops the calibration at the next
-// algorithm boundary.
+// BestFor can answer queries for it. The family is measured as one sweep
+// (estimate.AlphaBetaFamily) under cfg's Workers, Cache, Progress and
+// Metrics; a cancelled ctx stops it within one chunk of grid points,
+// leaving the selector unchanged.
 func (s *Selector) CalibrateExtendedOp(ctx context.Context, op string, cfg estimate.AlphaBetaConfig) error {
 	specs, ok := estimate.AllSpecFamilies()[op]
 	if !ok {
 		return fmt.Errorf("core: unknown collective family %q", op)
 	}
-	sel := &selection.ExtendedSelector{
-		Cluster: s.Profile.Name,
-		SegSize: s.Profile.SegmentSize,
-		Gamma:   s.Models.Gamma,
-		Specs:   specs,
-		Params:  make([]model.Hockney, len(specs)),
-	}
-	for i, spec := range specs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := estimate.AlphaBetaCollective(s.Profile, spec, s.Models.Gamma, cfg)
-		if err != nil {
-			return fmt.Errorf("core: calibrating %s: %w", spec.Name, err)
-		}
-		sel.Params[i] = res.Params
+	sel, _, err := selection.CalibrateExtendedCtx(ctx, s.Profile, specs, s.Models.Gamma, cfg)
+	if err != nil {
+		return fmt.Errorf("core: calibrating %s: %w", op, err)
 	}
 	if s.Extended == nil {
 		s.Extended = make(map[string]*selection.ExtendedSelector)

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/estimate"
+	"mpicollperf/internal/experiment"
+	"mpicollperf/internal/model"
+	"mpicollperf/internal/obs"
 )
 
 // TestBestForBcast pins that the collective-generic query agrees with the
@@ -96,6 +100,66 @@ func TestBestForExtended(t *testing.T) {
 		t.Fatalf("cancelled calibration: err = %v", err)
 	}
 	if _, ok := sel.Extended["reduce"]; ok {
+		t.Fatal("cancelled calibration must not attach a selector")
+	}
+}
+
+// TestCalibrateExtendedOpSharedCache checks that extended families go
+// through the measurement cache: a second calibration sharing the Cache
+// measures no point and fits bit-identical parameters.
+func TestCalibrateExtendedOpSharedCache(t *testing.T) {
+	sel := calibrateSmall(t)
+	cfg := estimate.AlphaBetaConfig{Procs: 8, Sizes: []int{4096, 65536}, Settings: fastSettings(), Cache: experiment.NewCache()}
+	var params [2][]model.Hockney
+	for i := range params {
+		reg := obs.NewRegistry()
+		cfg.Metrics = reg
+		if err := sel.CalibrateExtendedOp(context.Background(), "allreduce", cfg); err != nil {
+			t.Fatal(err)
+		}
+		params[i] = sel.Extended["allreduce"].Params
+		measured := reg.Counter("sweep_points_measured_total").Value()
+		cached := reg.Counter("sweep_points_cached_total").Value()
+		points := int64(len(params[i]) * len(cfg.Sizes))
+		if i == 0 && (measured != points || cached != 0) {
+			t.Fatalf("cold calibration: %d measured, %d cached, want %d measured", measured, cached, points)
+		}
+		if i == 1 && (measured != 0 || cached != points) {
+			t.Fatalf("warm calibration: %d measured, %d cached, want %d cached", measured, cached, points)
+		}
+	}
+	if !reflect.DeepEqual(params[0], params[1]) {
+		t.Fatalf("cached calibration fitted %v, cold %v", params[1], params[0])
+	}
+}
+
+// TestCalibrateExtendedOpCancelMidFamily cancels a family calibration
+// from its progress observer and checks that the sweep stops at once:
+// no worker starts a new point after the cancellation, and the selector
+// is left unchanged.
+func TestCalibrateExtendedOpCancelMidFamily(t *testing.T) {
+	sel := calibrateSmall(t)
+	const workers, cancelAt = 2, 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := 0
+	cfg := estimate.AlphaBetaConfig{
+		Procs: 8, Sizes: []int{4096, 16384, 65536, 262144}, Settings: fastSettings(), Workers: workers,
+		Progress: func(d, total int, _ experiment.Result) {
+			done = d
+			if d == cancelAt {
+				cancel()
+			}
+		},
+	}
+	if err := sel.CalibrateExtendedOp(ctx, "allreduce", cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Each worker may finish the one point it was measuring.
+	if done > cancelAt+workers-1 {
+		t.Fatalf("%d points completed after cancelling at %d with %d workers", done, cancelAt, workers)
+	}
+	if _, ok := sel.Extended["allreduce"]; ok {
 		t.Fatal("cancelled calibration must not attach a selector")
 	}
 }

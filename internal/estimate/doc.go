@@ -23,7 +23,7 @@
 //     α + β·(b_i/a_i) = T_i/a_i and solved with the Huber regressor.
 //
 // Models chains the two into the full offline calibration a platform
-// needs, and AlphaBetaCollective (extended.go) generalises the §4.2
+// needs, and AlphaBetaFamily (extended.go) generalises the §4.2
 // procedure to the other collective families, realising the paper's
 // future-work claim.
 //
@@ -34,6 +34,8 @@
 // AlphaBetaConfig exposes the engine's knobs (Workers, Cache, Progress);
 // Models goes furthest and submits the γ grid and all algorithms' size
 // grids as one sweep, since γ only enters the coefficient computation
-// *after* the measurements. Results are bit-identical to the serial
-// loops regardless of worker count.
+// *after* the measurements; AlphaBetaFamily likewise submits a whole
+// extended family's specs × sizes grid as one sweep, each spec's
+// ClassKey grouping its sizes into plan-template classes. Results are
+// bit-identical to the serial loops regardless of worker count.
 package estimate

@@ -240,28 +240,37 @@ func AlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cfg A
 // fitAlphaBeta solves the Fig. 4 system for one algorithm from its
 // measured §4.2 grid (measured[i] is the cfg.Sizes[i] experiment).
 func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cfg AlphaBetaConfig, measured []experiment.Result) (AlphaBetaResult, error) {
-	sp := cfg.Metrics.Span(obs.Name("estimate_fit", "alg", alg.String()))
-	defer sp.End()
-	res := AlphaBetaResult{Equations: make([]Equation, 0, len(cfg.Sizes))}
-	xs := make([]float64, 0, len(cfg.Sizes))
-	ys := make([]float64, 0, len(cfg.Sizes))
+	eqs := make([]Equation, len(cfg.Sizes))
 	for i, m := range cfg.Sizes {
 		ab, bb := model.Coefficients(alg, cfg.Procs, m, pr.SegmentSize, g)
 		ag, bg := model.GatherLinearCoefficients(cfg.Procs, cfg.GatherBytes)
-		eq := Equation{
+		eqs[i] = Equation{
 			MsgBytes:    m,
 			GatherBytes: cfg.GatherBytes,
 			A:           ab + ag,
 			B:           bb + bg,
 			T:           measured[i].Meas.Mean,
 		}
+	}
+	return solve(alg.String(), eqs, cfg.Metrics)
+}
+
+// solve fits the Hockney parameters of the named algorithm to its system
+// of equations a_i·α + b_i·β = T_i. Metrics, if non-nil, receives a fit
+// span, the Huber iteration count and the residual norm, labelled by
+// name.
+func solve(name string, eqs []Equation, metrics *obs.Registry) (AlphaBetaResult, error) {
+	sp := metrics.Span(obs.Name("estimate_fit", "alg", name))
+	defer sp.End()
+	xs := make([]float64, len(eqs))
+	ys := make([]float64, len(eqs))
+	for i, eq := range eqs {
 		if eq.A <= 0 {
-			return AlphaBetaResult{}, fmt.Errorf("estimate: degenerate coefficient a=%v for %v at m=%d", eq.A, alg, m)
+			return AlphaBetaResult{}, fmt.Errorf("estimate: degenerate coefficient a=%v for %s at m=%d", eq.A, name, eq.MsgBytes)
 		}
-		res.Equations = append(res.Equations, eq)
 		// Canonical form: α + β·(B/A) = T/A.
-		xs = append(xs, eq.B/eq.A)
-		ys = append(ys, eq.T/eq.A)
+		xs[i] = eq.B / eq.A
+		ys[i] = eq.T / eq.A
 	}
 	// Huber regression on relative residuals: the experiment times span
 	// three decades across the message grid, and relative weighting keeps
@@ -271,9 +280,8 @@ func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cf
 	if err != nil {
 		return AlphaBetaResult{}, err
 	}
-	res.Fit = fit
-	if m := cfg.Metrics; m != nil {
-		m.Gauge(obs.Name("estimate_fit_iterations", "alg", alg.String())).Set(float64(fit.Iterations))
+	if metrics != nil {
+		metrics.Gauge(obs.Name("estimate_fit_iterations", "alg", name)).Set(float64(fit.Iterations))
 		// Residual norm on the relative scale the regression minimised:
 		// sqrt(mean((r_i / y_i)^2)) over the canonical-form equations.
 		var ss float64
@@ -281,9 +289,13 @@ func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cf
 			rel := r / ys[i]
 			ss += rel * rel
 		}
-		m.Gauge(obs.Name("estimate_fit_residual_norm", "alg", alg.String())).Set(math.Sqrt(ss / float64(len(xs))))
+		metrics.Gauge(obs.Name("estimate_fit_residual_norm", "alg", name)).Set(math.Sqrt(ss / float64(len(xs))))
 	}
-	res.Params = model.Hockney{Alpha: fit.Intercept, Beta: fit.Slope}
+	res := AlphaBetaResult{
+		Equations: eqs,
+		Fit:       fit,
+		Params:    model.Hockney{Alpha: fit.Intercept, Beta: fit.Slope},
+	}
 	// Timing experiments cannot produce negative costs; clamp tiny
 	// negative intercepts that the regression may emit when α is far
 	// below the resolution of the experiments (the paper's fitted α are
@@ -349,4 +361,29 @@ func ModelsCtx(ctx context.Context, pr cluster.Profile, cfg AlphaBetaConfig) (mo
 		bm.Params[alg] = ab.Params
 	}
 	return bm, gr, nil
+}
+
+// CalibrationPoints returns the size of the measurement grids a full
+// calibration of pr under cfg runs: the ModelsCtx sweep plus one
+// AlphaBetaFamily sweep per named extended family. Progress observers
+// spanning all of those sweeps use it as their total.
+func CalibrationPoints(pr cluster.Profile, cfg AlphaBetaConfig, families []string) (int, error) {
+	cfg, err := cfg.withDefaults(pr)
+	if err != nil {
+		return 0, err
+	}
+	maxP, err := gammaMaxP(pr)
+	if err != nil {
+		return 0, err
+	}
+	specs := len(coll.BcastAlgorithms())
+	fams := AllSpecFamilies()
+	for _, name := range families {
+		f, ok := fams[name]
+		if !ok {
+			return 0, fmt.Errorf("estimate: unknown collective family %q", name)
+		}
+		specs += len(f)
+	}
+	return maxP - 1 + specs*len(cfg.Sizes), nil
 }

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 
 	"mpicollperf/internal/cluster"
@@ -8,7 +9,6 @@ import (
 	"mpicollperf/internal/experiment"
 	"mpicollperf/internal/model"
 	"mpicollperf/internal/mpi"
-	"mpicollperf/internal/stats"
 )
 
 // CollectiveSpec generalises the paper's per-algorithm estimation beyond
@@ -25,55 +25,100 @@ type CollectiveSpec struct {
 	// Run executes one instance of the operation on every rank; m is the
 	// same size parameter passed to Coefficients.
 	Run func(p *mpi.Proc, m, segSize int)
+	// ClassKey returns the operation's structure-class key at (P, m,
+	// segSize) (see experiment.Stage.ClassKey): the calibration sweep
+	// captures one plan template per key and rebinds it for every other
+	// size of the class. It describes structure only — never byte counts.
+	// nil means the spec's points are never templated; they are still
+	// measured in parallel, with bit-identical results.
+	ClassKey func(P, m, segSize int) string
+}
+
+// unsegmentedKey keys a spec whose communication structure depends on
+// the communicator size alone.
+func unsegmentedKey(name string) func(P, m, segSize int) string {
+	return func(P, _, _ int) string { return fmt.Sprintf("%s/P=%d", name, P) }
+}
+
+// segmentedKey keys a spec that pipelines its vector in segSize segments,
+// so its structure also depends on the segment count.
+func segmentedKey(name string) func(P, m, segSize int) string {
+	return func(P, m, segSize int) string {
+		return fmt.Sprintf("%s/P=%d/segs=%d", name, P, coll.NumSegments(m, segSize))
+	}
+}
+
+// allreduceKey keys an allreduce spec: the ring is unsegmented; the
+// reduce+bcast composition pipelines its broadcast, and recursive
+// doubling falls back to that composition when P is not a power of two.
+func allreduceKey(alg coll.AllreduceAlgorithm, name string) func(P, m, segSize int) string {
+	if alg == coll.AllreduceRing {
+		return unsegmentedKey(name)
+	}
+	return segmentedKey(name)
+}
+
+// reduceKey keys a reduce spec: only the pipeline segments its vector.
+func reduceKey(alg coll.ReduceAlgorithm, name string) func(P, m, segSize int) string {
+	if alg == coll.ReducePipeline {
+		return segmentedKey(name)
+	}
+	return unsegmentedKey(name)
 }
 
 // AlphaBetaCollective estimates the algorithm-specific Hockney parameters
-// for an arbitrary collective, measuring complete executions (Completion
-// mode: the operation involves every rank symmetrically, so there is no
-// root-only finish to exploit) over the configured size grid.
+// for an arbitrary collective, measuring complete executions over the
+// configured size grid. It is AlphaBetaFamily for a single spec.
 func AlphaBetaCollective(pr cluster.Profile, spec CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) (AlphaBetaResult, error) {
+	res, err := AlphaBetaFamily(context.Background(), pr, []CollectiveSpec{spec}, g, cfg)
+	if err != nil {
+		return AlphaBetaResult{}, err
+	}
+	return res[0], nil
+}
+
+// AlphaBetaFamily estimates the Hockney parameters of every spec (an
+// extended collective family, typically) in one measurement sweep: the
+// specs × sizes grid fans out over cfg.Workers, with cfg.Cache,
+// plan templates (per spec ClassKey), cfg.Progress and cfg.Metrics
+// applying as in the broadcast calibration. Every point measures a
+// complete execution in Completion mode — the operations involve every
+// rank symmetrically, so there is no root-only finish to exploit. The
+// results, indexed like specs, are bit-identical to measuring each point
+// serially on a fresh simulator. A cancelled ctx stops the sweep within
+// one chunk of points.
+func AlphaBetaFamily(ctx context.Context, pr cluster.Profile, specs []CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) ([]AlphaBetaResult, error) {
 	cfg, err := cfg.withDefaults(pr)
 	if err != nil {
-		return AlphaBetaResult{}, err
+		return nil, err
 	}
-	if spec.Coefficients == nil || spec.Run == nil {
-		return AlphaBetaResult{}, fmt.Errorf("estimate: incomplete spec %q", spec.Name)
-	}
-	res := AlphaBetaResult{Equations: make([]Equation, 0, len(cfg.Sizes))}
-	xs := make([]float64, 0, len(cfg.Sizes))
-	ys := make([]float64, 0, len(cfg.Sizes))
-	net, err := pr.Network()
-	if err != nil {
-		return AlphaBetaResult{}, err
-	}
-	for _, m := range cfg.Sizes {
-		meas, err := experiment.Measure(net, cfg.Procs, cfg.Settings, experiment.Completion, func(p *mpi.Proc) {
-			spec.Run(p, m, pr.SegmentSize)
-		})
-		if err != nil {
-			return AlphaBetaResult{}, fmt.Errorf("estimate: %s at m=%d: %w", spec.Name, m, err)
+	n := len(cfg.Sizes)
+	points := make([]experiment.Point, 0, len(specs)*n)
+	for _, spec := range specs {
+		if spec.Coefficients == nil || spec.Run == nil {
+			return nil, fmt.Errorf("estimate: incomplete spec %q", spec.Name)
 		}
-		a, b := spec.Coefficients(cfg.Procs, m, pr.SegmentSize, g)
-		if a <= 0 {
-			return AlphaBetaResult{}, fmt.Errorf("estimate: degenerate coefficient a=%v for %s at m=%d", a, spec.Name, m)
+		st := &experiment.Stage{Name: spec.Name, ClassKey: spec.ClassKey, Run: spec.Run}
+		for _, m := range cfg.Sizes {
+			points = append(points, experiment.Point{Stage: st, Procs: cfg.Procs, MsgBytes: m, SegSize: pr.SegmentSize})
 		}
-		res.Equations = append(res.Equations, Equation{MsgBytes: m, A: a, B: b, T: meas.Mean})
-		xs = append(xs, b/a)
-		ys = append(ys, meas.Mean/a)
 	}
-	fit, err := stats.RelativeHuberRegression(xs, ys)
+	measured, err := cfg.sweep(pr).Run(ctx, points)
 	if err != nil {
-		return AlphaBetaResult{}, err
+		return nil, fmt.Errorf("estimate: extended calibration: %w", err)
 	}
-	res.Fit = fit
-	res.Params = model.Hockney{Alpha: fit.Intercept, Beta: fit.Slope}
-	if res.Params.Alpha < 0 {
-		res.Params.Alpha = 0
+	out := make([]AlphaBetaResult, len(specs))
+	for i, spec := range specs {
+		eqs := make([]Equation, n)
+		for j, m := range cfg.Sizes {
+			a, b := spec.Coefficients(cfg.Procs, m, pr.SegmentSize, g)
+			eqs[j] = Equation{MsgBytes: m, A: a, B: b, T: measured[i*n+j].Meas.Mean}
+		}
+		if out[i], err = solve(spec.Name, eqs, cfg.Metrics); err != nil {
+			return nil, err
+		}
 	}
-	if res.Params.Beta < 0 {
-		res.Params.Beta = 0
-	}
-	return res, nil
+	return out, nil
 }
 
 // AllgatherSpecs returns estimation specs for every allgather algorithm;
@@ -81,15 +126,16 @@ func AlphaBetaCollective(pr cluster.Profile, spec CollectiveSpec, g model.Gamma,
 func AllgatherSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.AllgatherAlgorithms()))
 	for _, alg := range coll.AllgatherAlgorithms() {
-		alg := alg
+		name := "allgather/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "allgather/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AllgatherCoefficients(alg, P, m, segSize, g)
 			},
 			Run: func(p *mpi.Proc, m, segSize int) {
 				coll.Allgather(p, alg, coll.Synthetic(m*p.Size()), m)
 			},
+			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -100,15 +146,16 @@ func AllgatherSpecs() []CollectiveSpec {
 func AllreduceSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.AllreduceAlgorithms()))
 	for _, alg := range coll.AllreduceAlgorithms() {
-		alg := alg
+		name := "allreduce/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "allreduce/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AllreduceCoefficients(alg, P, m, segSize, g)
 			},
 			Run: func(p *mpi.Proc, m, segSize int) {
 				coll.Allreduce(p, alg, coll.Synthetic(m), nil, segSize)
 			},
+			ClassKey: allreduceKey(alg, name),
 		})
 	}
 	return specs
@@ -119,15 +166,16 @@ func AllreduceSpecs() []CollectiveSpec {
 func ReduceSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.ReduceAlgorithms()))
 	for _, alg := range coll.ReduceAlgorithms() {
-		alg := alg
+		name := "reduce/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "reduce/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceCoefficients(alg, P, m, segSize, g)
 			},
 			Run: func(p *mpi.Proc, m, segSize int) {
 				coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, segSize)
 			},
+			ClassKey: reduceKey(alg, name),
 		})
 	}
 	return specs
@@ -138,9 +186,9 @@ func ReduceSpecs() []CollectiveSpec {
 func GatherSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.GatherAlgorithms()))
 	for _, alg := range coll.GatherAlgorithms() {
-		alg := alg
+		name := "gather/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "gather/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.GatherCoefficients(alg, P, m, g)
 			},
@@ -151,6 +199,7 @@ func GatherSpecs() []CollectiveSpec {
 					coll.Gather(p, alg, 0, coll.Synthetic(m), m)
 				}
 			},
+			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -161,9 +210,9 @@ func GatherSpecs() []CollectiveSpec {
 func ScatterSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.ScatterAlgorithms()))
 	for _, alg := range coll.ScatterAlgorithms() {
-		alg := alg
+		name := "scatter/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "scatter/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ScatterCoefficients(alg, P, m, g)
 			},
@@ -174,6 +223,7 @@ func ScatterSpecs() []CollectiveSpec {
 					coll.Scatter(p, alg, 0, coll.Synthetic(m), m)
 				}
 			},
+			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -184,15 +234,16 @@ func ScatterSpecs() []CollectiveSpec {
 func ReduceScatterSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.ReduceScatterAlgorithms()))
 	for _, alg := range coll.ReduceScatterAlgorithms() {
-		alg := alg
+		name := "reduce_scatter/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "reduce_scatter/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceScatterCoefficients(alg, P, m, segSize, g)
 			},
 			Run: func(p *mpi.Proc, m, segSize int) {
 				coll.ReduceScatter(p, alg, coll.Synthetic(m*p.Size()), nil, m)
 			},
+			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -216,9 +267,9 @@ func AllSpecFamilies() map[string][]CollectiveSpec {
 func AlltoallSpecs() []CollectiveSpec {
 	specs := make([]CollectiveSpec, 0, len(coll.AlltoallAlgorithms()))
 	for _, alg := range coll.AlltoallAlgorithms() {
-		alg := alg
+		name := "alltoall/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: "alltoall/" + alg.String(),
+			Name: name,
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AlltoallCoefficients(alg, P, m, g)
 			},
@@ -226,6 +277,7 @@ func AlltoallSpecs() []CollectiveSpec {
 				n := m * p.Size()
 				coll.Alltoall(p, alg, coll.Synthetic(n), coll.Synthetic(n), m)
 			},
+			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs

@@ -21,12 +21,14 @@ import (
 // profile (including the simulator's noise seed), the normalised
 // measurement settings, and the point — so any change to any of them
 // produces a different key. Algorithms are keyed by name, keeping keys
-// stable across enum reorderings.
+// stable across enum reorderings, and a generic collective stage by its
+// name (omitted when empty, so broadcast keys predate and survive it).
 type cacheKeyBlob struct {
 	Version  int
 	Profile  cluster.Profile
 	Settings Settings
 	Kind     Kind
+	Stage    string `json:",omitempty"`
 	Alg      string
 	Procs    int
 	MsgBytes int
@@ -39,12 +41,21 @@ type cacheKeyBlob struct {
 // incompatibly; bump it on such changes.
 const cacheKeyVersion = 1
 
+// stageName is the point's Stage name, or "" for a broadcast point.
+func (pt Point) stageName() string {
+	if pt.Stage == nil {
+		return ""
+	}
+	return pt.Stage.Name
+}
+
 func cacheKey(pr cluster.Profile, pt Point, set Settings) string {
 	blob, err := json.Marshal(cacheKeyBlob{
 		Version:  cacheKeyVersion,
 		Profile:  pr,
 		Settings: set.withDefaults(),
 		Kind:     pt.Kind,
+		Stage:    pt.stageName(),
 		Alg:      pt.Alg.String(),
 		Procs:    pt.Procs,
 		MsgBytes: pt.MsgBytes,

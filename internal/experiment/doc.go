@@ -46,7 +46,10 @@
 // returns results in grid order regardless of completion order, so
 // callers are oblivious to the concurrency. Each point builds its own
 // simnet.Network, which makes the results bit-identical to a serial run;
-// the first failing point cancels the rest through the context.
+// the first failing point cancels the rest through the context. A point
+// is a broadcast experiment (Kind) or, with Stage set, any generic
+// collective measured in Completion mode — the extended-family
+// calibrations sweep those.
 //
 // Cache adds content-addressed memoisation on top: keys hash the full
 // experiment identity (cluster profile including the noise seed, the

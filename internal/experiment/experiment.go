@@ -776,6 +776,25 @@ func measureBcastOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.Bcas
 	}, cls)
 }
 
+// measureStageOn measures a generic collective point (Point.Stage) in
+// Completion mode: the operation involves every rank symmetrically, so
+// there is no root-only finish to exploit. When tmpl is non-nil and the
+// stage names a structure class, the first point of each class captures
+// and every later point rebinds the class template.
+func measureStageOn(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
+	if pt.Stage.Run == nil {
+		return Measurement{}, fmt.Errorf("experiment: stage %q has no Run", pt.Stage.Name)
+	}
+	if pt.Procs > pr.Nodes {
+		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", pt.Procs, pr.Name, pr.Nodes)
+	}
+	cls := planClass{key: pt.classKey(), store: tmpl}
+	st, m, seg := pt.Stage, pt.MsgBytes, pt.SegSize
+	return measureOnClass(r, pt.Procs, set, Completion, func(p *mpi.Proc) {
+		st.Run(p, m, seg)
+	}, cls)
+}
+
 // newProfileRunner builds a reusable Runner on a fresh network of the
 // profile's full size, so one Runner serves every communicator size the
 // profile admits. A non-nil registry is threaded into the Runner's

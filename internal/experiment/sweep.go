@@ -39,12 +39,36 @@ func (k Kind) String() string {
 	}
 }
 
+// Stage is a generic collective measured by a grid point: any operation
+// every rank executes, parameterised by the point's message size and
+// segment size. A point carrying a Stage measures it in Completion mode,
+// ignoring Kind, Alg and GatherBytes.
+type Stage struct {
+	// Name identifies the operation (e.g. "allgather/ring"). It is the
+	// stage's whole identity in measurement cache keys, so two stages of
+	// one name must run the same operation.
+	Name string
+	// ClassKey returns the operation's structure-class key at (P, m,
+	// segSize): equal keys promise identical communication structure
+	// (ranks, peers, tags, message counts), differing only in byte
+	// counts, so the sweep captures one plan template per key and rebinds
+	// it for every other point of the class. A key that is too coarse is
+	// safe (the rebind detects the divergence and recaptures). A nil
+	// ClassKey makes the stage's points class-less: never templated.
+	ClassKey func(P, m, segSize int) string
+	// Run executes one instance of the operation on every rank.
+	Run func(p *mpi.Proc, m, segSize int)
+}
+
 // Point is one cell of a measurement grid: a fully specified experiment
 // whose outcome is deterministic given the cluster profile and the
 // measurement settings.
 type Point struct {
 	// Kind selects the experiment; the zero value is PointBcast.
 	Kind Kind
+	// Stage, when non-nil, is the generic collective the point measures
+	// instead of Kind's broadcast experiment.
+	Stage *Stage
 	// Alg is the broadcast algorithm under measurement.
 	Alg coll.BcastAlgorithm
 	// Procs is the communicator size.
@@ -59,6 +83,9 @@ type Point struct {
 }
 
 func (pt Point) String() string {
+	if pt.Stage != nil {
+		return fmt.Sprintf("%s P=%d m=%d seg=%d", pt.Stage.Name, pt.Procs, pt.MsgBytes, pt.SegSize)
+	}
 	s := fmt.Sprintf("%v %v P=%d m=%d seg=%d", pt.Kind, pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
 	if pt.Kind == PointBcastThenGather {
 		s += fmt.Sprintf(" mg=%d", pt.GatherBytes)
@@ -75,8 +102,15 @@ const gatherClassSuffix = "+gatherlinear"
 // classKey is the point's structure-class key — exactly the key the
 // measure* functions register the point's plan template under, so the
 // sweep scheduler can group the grid by capture unit without running
-// anything. Unknown kinds have no class ("") and are never grouped.
+// anything. Unknown kinds and stages without a ClassKey have no class
+// ("") and are never grouped.
 func (pt Point) classKey() string {
+	if pt.Stage != nil {
+		if pt.Stage.ClassKey == nil {
+			return ""
+		}
+		return pt.Stage.ClassKey(pt.Procs, pt.MsgBytes, pt.SegSize)
+	}
 	switch pt.Kind {
 	case PointBcast:
 		return coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
@@ -447,10 +481,12 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 		return Result{}, err
 	}
 	var m Measurement
-	switch pt.Kind {
-	case PointBcast:
+	switch {
+	case pt.Stage != nil:
+		m, err = measureStageOn(runner, s.Profile, pt, s.Settings, tmpls)
+	case pt.Kind == PointBcast:
 		m, err = measureBcastOn(runner, s.Profile, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, s.Settings, tmpls)
-	case PointBcastThenGather:
+	case pt.Kind == PointBcastThenGather:
 		m, err = measureBcastThenGatherOn(runner, s.Profile, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, pt.GatherBytes, s.Settings, tmpls)
 	default:
 		err = fmt.Errorf("experiment: unknown point kind %v", pt.Kind)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,8 @@ import (
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
+	"mpicollperf/internal/mpi"
+	"mpicollperf/internal/obs"
 )
 
 func sweepTestProfile(t *testing.T) cluster.Profile {
@@ -303,5 +306,97 @@ func TestCacheKeyIdentity(t *testing.T) {
 	explicit := Settings{Confidence: 0.95, Precision: 0.025, MinReps: 5, MaxReps: 100, Warmup: 0}
 	if cacheKey(pr, pt, Settings{}) != cacheKey(pr, pt, explicit) {
 		t.Fatal("zero settings and their explicit normalised form key differently")
+	}
+}
+
+// TestCacheKeyPinned pins two broadcast-era cache keys byte for byte, so
+// an on-disk measurement cache written before generic stages existed
+// stays reachable.
+func TestCacheKeyPinned(t *testing.T) {
+	pr := cluster.Grisou()
+	for _, c := range []struct {
+		pt   Point
+		set  Settings
+		want string
+	}{
+		{Point{Kind: PointBcast, Alg: coll.BcastBinomial, Procs: 16, MsgBytes: 65536, SegSize: 8192}, DefaultSettings(),
+			"ea988683d1fc4957c2a7b3adaaa937c0b72100dde9c1a320b9aa16ae9cf03c90"},
+		{Point{Kind: PointBcastThenGather, Alg: coll.BcastSplitBinary, Procs: 45, MsgBytes: 1 << 20, SegSize: 8192, GatherBytes: 256}, Settings{},
+			"3e02fa16ebc873e8322d35858a6a2e2d48acbfead8e3b3679b80be2115954a6c"},
+	} {
+		if got := cacheKey(pr, c.pt, c.set); got != c.want {
+			t.Errorf("%v: key %s, want %s", c.pt, got, c.want)
+		}
+	}
+}
+
+// allgatherStage is a generic collective stage for the tests: the ring
+// allgather of an m-byte block per rank.
+func allgatherStage(name string) *Stage {
+	return &Stage{
+		Name:     name,
+		ClassKey: func(P, _, _ int) string { return fmt.Sprintf("%s/P=%d", name, P) },
+		Run: func(p *mpi.Proc, m, _ int) {
+			coll.Allgather(p, coll.AllgatherRing, coll.Synthetic(m*p.Size()), m)
+		},
+	}
+}
+
+// TestCacheKeyStage checks that generic-stage points key by stage name:
+// two stages at the same (P, m, seg) never share an entry, and neither
+// collides with the broadcast point of the same shape.
+func TestCacheKeyStage(t *testing.T) {
+	pr := sweepTestProfile(t)
+	set := sweepTestSettings()
+	pt := Point{Procs: 8, MsgBytes: 4096, SegSize: pr.SegmentSize}
+	a, b := pt, pt
+	a.Stage, b.Stage = allgatherStage("a"), allgatherStage("b")
+	keys := map[string]bool{cacheKey(pr, pt, set): true, cacheKey(pr, a, set): true, cacheKey(pr, b, set): true}
+	if len(keys) != 3 {
+		t.Fatalf("stage keys collide: %d distinct of 3", len(keys))
+	}
+	if cacheKey(pr, a, set) != cacheKey(pr, Point{Stage: allgatherStage("a"), Procs: 8, MsgBytes: 4096, SegSize: pr.SegmentSize}, set) {
+		t.Fatal("stage key depends on more than the stage name")
+	}
+}
+
+// TestSweepStageMatchesMeasure checks that stage points swept in parallel
+// with templates reproduce a serial Measure per point on a fresh network,
+// bit for bit, and that a stage's sizes share one captured template.
+func TestSweepStageMatchesMeasure(t *testing.T) {
+	pr := sweepTestProfile(t)
+	set := sweepTestSettings()
+	st := allgatherStage("allgather/ring")
+	var grid []Point
+	for _, m := range []int{1024, 8192, 65536} {
+		grid = append(grid, Point{Stage: st, Procs: 8, MsgBytes: m, SegSize: pr.SegmentSize})
+	}
+	reg := obs.NewRegistry()
+	res, err := Sweep{Profile: pr, Settings: set, Workers: 2, Metrics: reg}.Run(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range grid {
+		net, err := pr.Network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Measure(net, pt.Procs, set, Completion, func(p *mpi.Proc) { st.Run(p, pt.MsgBytes, pt.SegSize) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMeasurement(t, pt.String(), want, res[i].Meas)
+	}
+	if got := reg.Counter(mPlanTemplates).Value(); got != 1 {
+		t.Errorf("captures = %d, want 1 (one class)", got)
+	}
+	if got := reg.Counter(mPlanRebinds).Value(); got != int64(len(grid)-1) {
+		t.Errorf("rebinds = %d, want %d", got, len(grid)-1)
+	}
+	if s := grid[0].String(); s != "allgather/ring P=8 m=1024 seg="+fmt.Sprint(pr.SegmentSize) {
+		t.Errorf("String() = %q", s)
+	}
+	if _, err := (Sweep{Profile: pr, Settings: set}).Run(context.Background(), []Point{{Stage: &Stage{Name: "empty"}, Procs: 4, MsgBytes: 8}}); err == nil {
+		t.Error("a stage without Run must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // ExtendedSelector applies the paper's model-based selection to any
-// collective family calibrated through estimate.AlphaBetaCollective —
-// allgather, allreduce, alltoall — realising the paper's future-work
+// collective family calibrated through estimate.AlphaBetaFamily —
+// allgather, allreduce, alltoall, ... — realising the paper's future-work
 // claim that the approach generalises beyond broadcast.
 type ExtendedSelector struct {
 	// Cluster names the platform.
@@ -29,8 +30,20 @@ type ExtendedSelector struct {
 // CalibrateExtended fits per-algorithm parameters for a collective family
 // on a platform, reusing an already-estimated γ.
 func CalibrateExtended(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, error) {
+	sel, _, err := CalibrateExtendedCtx(context.Background(), pr, specs, g, cfg)
+	return sel, err
+}
+
+// CalibrateExtendedCtx is CalibrateExtended with cancellation (the family
+// is measured as one estimate.AlphaBetaFamily sweep), additionally
+// returning every spec's fitted system, indexed like specs.
+func CalibrateExtendedCtx(ctx context.Context, pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, []estimate.AlphaBetaResult, error) {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("selection: no specs to calibrate")
+		return nil, nil, fmt.Errorf("selection: no specs to calibrate")
+	}
+	res, err := estimate.AlphaBetaFamily(ctx, pr, specs, g, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	sel := &ExtendedSelector{
 		Cluster: pr.Name,
@@ -39,14 +52,10 @@ func CalibrateExtended(pr cluster.Profile, specs []estimate.CollectiveSpec, g mo
 		Specs:   specs,
 		Params:  make([]model.Hockney, len(specs)),
 	}
-	for i, spec := range specs {
-		res, err := estimate.AlphaBetaCollective(pr, spec, g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sel.Params[i] = res.Params
+	for i, r := range res {
+		sel.Params[i] = r.Params
 	}
-	return sel, nil
+	return sel, res, nil
 }
 
 // Predict returns the modelled time of spec i for (P, m).

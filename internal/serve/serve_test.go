@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mpicollperf/internal/cluster"
+	"mpicollperf/internal/coll"
 	"mpicollperf/internal/core"
 	"mpicollperf/internal/estimate"
 	"mpicollperf/internal/experiment"
@@ -516,5 +517,52 @@ func TestTableCopyOnWrite(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without StoreDir must fail")
+	}
+}
+
+// TestJobProgressSpansAllSweeps checks a job's progress across the
+// broadcast sweep and every extended family's sweep: total is the size
+// of all the grids from the first report on, done never goes backwards,
+// and the finished job reports done == total.
+func TestJobProgressSpansAllSweeps(t *testing.T) {
+	s := newTestServer(t)
+	req := wire.CalibrationRequest{Profile: "grisou", Nodes: 16, Procs: 8, Sizes: []int{8192, 65536, 524288},
+		Ops: []string{"gather", "allreduce"}, Fast: true}
+	pr, err := resolveProfile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams := estimate.AllSpecFamilies()
+	specs := len(coll.BcastAlgorithms()) + len(fams["gather"]) + len(fams["allreduce"])
+	want := int64(min(pr.MaxLinearFanout, pr.Nodes) - 1 + specs*len(req.Sizes))
+
+	j := &job{req: req}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.runJob(context.Background(), j)
+		errc <- err
+	}()
+	var last int64
+	for finished := false; !finished; {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+			time.Sleep(50 * time.Microsecond)
+		}
+		done, total := j.done.Load(), j.total.Load()
+		if total != 0 && total != want {
+			t.Fatalf("total = %d, want %d (every sweep's grid)", total, want)
+		}
+		if done < last {
+			t.Fatalf("done went backwards: %d after %d", done, last)
+		}
+		last = done
+	}
+	if done, total := j.done.Load(), j.total.Load(); done != want || total != want {
+		t.Fatalf("finished job at %d/%d, want %d/%d", done, total, want, want)
 	}
 }

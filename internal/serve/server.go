@@ -325,22 +325,36 @@ func resolveProfile(req wire.CalibrationRequest) (cluster.Profile, error) {
 	return pr, nil
 }
 
-// runJob executes one calibration job: the broadcast pipeline, any
-// requested extended families, then persistence and hot-table
-// publication. Extended-family selectors live in memory only — the
-// store's schema persists the broadcast models; a daemon restart
-// re-runs extended calibrations.
+// runJob executes one calibration job: the broadcast pipeline, then one
+// sweep per requested extended family, then persistence and hot-table
+// publication. The job's progress spans every sweep: total is the size of
+// all the grids together, fixed before the first measurement, and done
+// counts completed points across them, so it never goes backwards.
+// Extended-family selectors live in memory only — the store's schema
+// persists the broadcast models; a daemon restart re-runs extended
+// calibrations.
 func (s *Server) runJob(ctx context.Context, j *job) (string, error) {
 	pr, err := resolveProfile(j.req)
 	if err != nil {
 		return "", err
 	}
 	cfg := estimate.AlphaBetaConfig{
-		Procs:    j.req.Procs,
-		Sizes:    j.req.Sizes,
-		Workers:  s.cfg.MeasureWorkers,
-		Metrics:  s.metrics,
-		Progress: func(done, total int, _ experiment.Result) { j.progress(done, total) },
+		Procs:   j.req.Procs,
+		Sizes:   j.req.Sizes,
+		Workers: s.cfg.MeasureWorkers,
+		Metrics: s.metrics,
+	}
+	total, err := estimate.CalibrationPoints(pr, cfg, j.req.Ops)
+	if err != nil {
+		return "", err
+	}
+	// The sweeps run one after another and each serialises its Progress
+	// calls, so done needs no lock.
+	done := 0
+	j.progress(done, total)
+	cfg.Progress = func(int, int, experiment.Result) {
+		done++
+		j.progress(done, total)
 	}
 	if j.req.Fast {
 		cfg.Settings = fastServeSettings

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/estimate"
 	"mpicollperf/internal/experiment"
-	"mpicollperf/internal/mpi"
 	"mpicollperf/internal/selection"
 )
 
@@ -37,7 +37,9 @@ type ExtTable struct {
 
 // GenerateExtTable calibrates every extended collective family on the
 // platform and evaluates its model-based selection against exhaustive
-// measurement over the given sizes.
+// measurement over the given sizes. The calibration grid is the
+// evaluation grid, so each family is measured once, as one sweep: the
+// measured times are the fitted equations' right-hand sides.
 func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Settings) (ExtTable, error) {
 	if len(sizes) == 0 {
 		sizes = []int{4096, 65536, 1 << 20}
@@ -53,18 +55,15 @@ func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Set
 		"allgather", "allreduce", "alltoall", "reduce", "gather", "scatter", "reduce_scatter",
 	} {
 		specs := families[family]
-		sel, err := selection.CalibrateExtended(pr, specs, gr.Gamma, cfg)
+		sel, fits, err := selection.CalibrateExtendedCtx(context.Background(), pr, specs, gr.Gamma, cfg)
 		if err != nil {
 			return ExtTable{}, fmt.Errorf("tables: ext %s: %w", family, err)
 		}
-		for _, m := range sizes {
+		for j, m := range sizes {
 			row := ExtRow{Family: family, M: m, Times: make(map[string]float64, len(specs))}
 			best := math.Inf(1)
-			for _, spec := range specs {
-				tm, err := measureSpec(pr, spec, P, m, set)
-				if err != nil {
-					return ExtTable{}, err
-				}
+			for i, spec := range specs {
+				tm := fits[i].Equations[j].T
 				row.Times[spec.Name] = tm
 				if tm < best {
 					best = tm
@@ -77,20 +76,6 @@ func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Set
 		}
 	}
 	return out, nil
-}
-
-func measureSpec(pr cluster.Profile, spec estimate.CollectiveSpec, P, m int, set experiment.Settings) (float64, error) {
-	net, err := pr.Network()
-	if err != nil {
-		return 0, err
-	}
-	meas, err := experiment.Measure(net, P, set, experiment.Completion, func(p *mpi.Proc) {
-		spec.Run(p, m, pr.SegmentSize)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("tables: measuring %s at m=%d: %w", spec.Name, m, err)
-	}
-	return meas.Mean, nil
 }
 
 // Render formats the extension table.

@@ -111,8 +111,9 @@ type (
 	// broadcast.
 	ExtendedSelector = selection.ExtendedSelector
 	// CollectiveSpec describes one (collective, algorithm) pair of an
-	// extended family: its implementation-derived model coefficients and
-	// the operation to measure (see CollectiveSpecs).
+	// extended family: its implementation-derived model coefficients, the
+	// operation to measure, and the structure-class key that lets the
+	// calibration sweep template it (see CollectiveSpecs).
 	CollectiveSpec = estimate.CollectiveSpec
 	// Gamma is the platform's estimated γ(P) function (Models.Gamma
 	// carries the calibrated one).
@@ -241,8 +242,9 @@ func CollectiveSpecs(op string) ([]CollectiveSpec, error) {
 // collective family on a platform, reusing an already-estimated γ
 // (typically Models.Gamma of a calibrated Selector), and returns a
 // selector for that family — the generalisation of the paper's method
-// beyond broadcast. Selector.BestFor answers the same queries through the
-// bundled shape the daemon serves.
+// beyond broadcast. The family's specs × sizes grid is measured as one
+// sweep under cfg's Workers, Cache, Progress and Metrics. Selector.BestFor
+// answers the same queries through the bundled shape the daemon serves.
 func CalibrateExtended(pr Profile, specs []CollectiveSpec, g Gamma, cfg CalibrationConfig) (*ExtendedSelector, error) {
 	return selection.CalibrateExtended(pr, specs, g, cfg)
 }
