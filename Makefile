@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race doccheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
+.PHONY: ci vet build test race doccheck deadpkgcheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
 
-ci: vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck apicheck
+ci: vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck deadpkgcheck apicheck
 
 vet:
 	$(GO) vet ./...
@@ -123,6 +123,11 @@ covercheck:
 	echo "covercheck: total internal coverage $$total% (baseline $(COVER_BASELINE)%)"; \
 	awk -v t="$$total" -v b="$(COVER_BASELINE)" 'BEGIN { exit (t+0 < b+0) ? 1 : 0 }' || \
 		{ echo "covercheck: coverage dropped below baseline"; exit 1; }
+
+# Dead-package gate: every internal/* package must have a non-test
+# importer in the module. See scripts/deadpkgcheck.sh.
+deadpkgcheck:
+	GO="$(GO)" sh scripts/deadpkgcheck.sh
 
 # API surface gate: the facade's exported surface (everything `go doc
 # -all` prints for the root package, declarations and doc comments) is

@@ -12,6 +12,7 @@
 package mpicollperf
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -384,11 +385,13 @@ func BenchmarkAblationPaperBinomialFormula(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var oursSum, paperSum float64
-		for _, m := range benchSizes {
-			meas, err := experiment.MeasureBcast(pr, benchProcs, coll.BcastBinomial, m, pr.SegmentSize, benchSettings())
-			if err != nil {
-				b.Fatal(err)
-			}
+		grid := experiment.BcastGrid(benchProcs, []coll.BcastAlgorithm{coll.BcastBinomial}, benchSizes, pr.SegmentSize)
+		measured, err := experiment.Sweep{Profile: pr, Settings: benchSettings()}.Run(context.Background(), grid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, m := range benchSizes {
+			meas := measured[j].Meas
 			ours := model.Predict(coll.BcastBinomial, benchProcs, m, pr.SegmentSize, par, bm.Gamma)
 			pa, pb := model.PaperBinomialCoefficients(benchProcs, m, pr.SegmentSize, bm.Gamma)
 			paper := pa*par.Alpha + pb*par.Beta
@@ -412,15 +415,14 @@ func BenchmarkAblationSegmentSize(b *testing.B) {
 		b.Run(sizeName(seg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				grid := experiment.BcastGrid(benchProcs, coll.BcastAlgorithms(), []int{m}, seg)
+				measured, err := experiment.Sweep{Profile: pr, Settings: benchSettings()}.Run(context.Background(), grid)
+				if err != nil {
+					b.Fatal(err)
+				}
 				best := math.Inf(1)
-				for _, alg := range coll.BcastAlgorithms() {
-					meas, err := experiment.MeasureBcast(pr, benchProcs, alg, m, seg, benchSettings())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if meas.Mean < best {
-						best = meas.Mean
-					}
+				for _, r := range measured {
+					best = math.Min(best, r.Meas.Mean)
 				}
 				b.ReportMetric(best*1e3, "best_ms")
 			}

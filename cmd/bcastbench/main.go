@@ -12,7 +12,7 @@
 //	bcastbench [-cluster grisou] [-np 90] [-algs binomial,binary] \
 //	           [-min 8192] [-max 4194304] [-points 10] [-seg 8192] \
 //	           [-workers 0] [-engine auto] [-cache DIR] [-v] \
-//	           [-scaling 1,2,4,8] [-guidelinecheck] \
+//	           [-scaling 1,2,4,8] \
 //	           [-perturb SPEC] [-perturb-random ε] [-perturb-seed N] \
 //	           [-metrics metrics.json] \
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof] \
@@ -45,14 +45,6 @@
 // in-flight captures), and how many measurements fell back from the
 // replay engine to the scheduler, and why.
 //
-// -guidelinecheck replaces the measurement table with a performance-
-// guideline verification run (package guideline's registry) on the
-// configured platform: same -cluster/-np/-perturb*/-engine/-workers
-// wiring, but instead of sweeping broadcast curves the tool checks the
-// self-consistency laws and exits non-zero if any is violated. An
-// explicit -np restricts the grid to that single communicator size.
-// Mutually exclusive with -scaling, -cache and -algs.
-//
 // -metrics writes a JSON observability artifact of the sweep — points
 // measured vs cached, per-engine repetition counts, fallback tallies,
 // simulator run/transfer totals (the internal/obs snapshot schema;
@@ -81,7 +73,6 @@ import (
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/experiment"
-	"mpicollperf/internal/guideline"
 	"mpicollperf/internal/obs"
 	"mpicollperf/internal/perturb"
 	"mpicollperf/internal/profiling"
@@ -163,39 +154,6 @@ func runScaling(out io.Writer, pr cluster.Profile, set experiment.Settings, grid
 	return w.Flush()
 }
 
-// runGuidelineCheck is the -guidelinecheck mode: verify the built-in
-// guideline registry on the configured (possibly perturbed or scaled)
-// platform. It uses the same reduced measurement settings as
-// `mpicollperf verify-guidelines`, so both front-ends produce identical
-// verdicts for the same platform and grid.
-func runGuidelineCheck(out io.Writer, pr cluster.Profile, engine experiment.Engine, procs []int, workers int, metricsPath string) error {
-	set := experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1, Engine: engine}
-	h := guideline.Harness{
-		Profiles: []cluster.Profile{pr},
-		Procs:    procs,
-		Settings: set,
-		Workers:  workers,
-		Metrics:  obs.NewRegistry(),
-	}
-	rep, err := h.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	if err := rep.Render(out); err != nil {
-		return err
-	}
-	if metricsPath != "" {
-		if err := h.Metrics.WriteJSONFile(metricsPath); err != nil {
-			return err
-		}
-	}
-	if viol := rep.Violations(); len(viol) > 0 {
-		return fmt.Errorf("%d of %d guideline checks violated", len(viol), len(rep.Checks))
-	}
-	fmt.Fprintf(out, "%d checks across %d families: all guidelines hold\n", len(rep.Checks), rep.FamilyCount())
-	return nil
-}
-
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("bcastbench", flag.ContinueOnError)
 	clusterName := fs.String("cluster", "grisou", "cluster profile (grisou, gros)")
@@ -208,7 +166,6 @@ func run(args []string, out io.Writer) (err error) {
 	workers := fs.Int("workers", 0, "concurrent measurements (0 = GOMAXPROCS, 1 = serial; clamped to GOMAXPROCS)")
 	scalingFlag := fs.String("scaling", "", "comma-separated worker counts: time the sweep at each and print the scaling curve instead of the measurement table")
 	engineFlag := fs.String("engine", "auto", "execution engine: auto (replay with scheduler fallback), scheduler, replay")
-	guidelineCheck := fs.Bool("guidelinecheck", false, "verify the performance-guideline registry on the configured platform instead of sweeping")
 	perturbFlag := fs.String("perturb", "", "perturbation spec to compose onto the cluster (e.g. \"straggler:node=0,cpu=2;jitter:pareto,alpha=2\")")
 	perturbRandom := fs.Float64("perturb-random", 0, "generate a random perturbation of this intensity in (0, 1]")
 	perturbSeed := fs.Int64("perturb-seed", 1, "seed for -perturb-random")
@@ -242,7 +199,6 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	npExplicit := *np != 0
 	if *np == 0 {
 		*np = pr.Nodes
 	}
@@ -302,17 +258,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	set := experiment.DefaultSettings()
 	set.Engine = engine
-
-	if *guidelineCheck {
-		if *scalingFlag != "" || *cacheDir != "" || *algsFlag != "" {
-			return fmt.Errorf("-guidelinecheck is mutually exclusive with -scaling, -cache and -algs")
-		}
-		var procs []int
-		if npExplicit {
-			procs = []int{*np}
-		}
-		return runGuidelineCheck(out, pr, engine, procs, *workers, *metricsPath)
-	}
 
 	sw := experiment.Sweep{
 		Profile:  pr,

@@ -15,9 +15,13 @@ import (
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/experiment"
+	"mpicollperf/internal/hockney"
+	"mpicollperf/internal/model"
 	"mpicollperf/internal/mpi"
 	"mpicollperf/internal/obs"
 	"mpicollperf/internal/perturb"
+	"mpicollperf/internal/selection"
+	"mpicollperf/internal/tables"
 )
 
 // goldenProfile is Grisou restricted to a 16-node noisy cluster
@@ -184,12 +188,12 @@ func TestGoldenSweepDeterminism(t *testing.T) {
 	}
 }
 
-// goldenGridClasses counts the distinct structure classes of a bcast
-// grid — the number of scheduler captures a serial templated sweep does.
+// goldenGridClasses counts the distinct structure classes of a grid —
+// the number of scheduler captures a serial templated sweep does.
 func goldenGridClasses(grid []experiment.Point) int {
 	keys := make(map[string]bool)
 	for _, pt := range grid {
-		keys[coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)] = true
+		keys[pt.Stage.ClassKey(pt.Procs, pt.MsgBytes, pt.SegSize)] = true
 	}
 	return len(keys)
 }
@@ -273,5 +277,47 @@ func TestGoldenSweepMetricsInvariance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGoldenSweepCallers pins the measured values of the callers that
+// reach the simulator through Sweep with a single-purpose grid rather
+// than a calibration: the ping-pong Hockney estimate, one Fig. 1 row and
+// the Open MPI point of a selector comparison. All three are seed-era
+// values recorded before these callers measured through Sweep.
+func TestGoldenSweepCallers(t *testing.T) {
+	pr := goldenProfile(t)
+	set := experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1}
+
+	pp, err := hockney.EstimatePingPong(pr, []int{0, 8192, 65536, 524288, 2 << 20}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.Alpha != 0x1.8e757928e0cb3p-15 || pp.Beta != 0x1.bb28a263e6ef7p-30 {
+		t.Errorf("EstimatePingPong = {%x, %x}, golden {0x1.8e757928e0cb3p-15, 0x1.bb28a263e6ef7p-30}", pp.Alpha, pp.Beta)
+	}
+
+	fig, err := tables.GenerateFig1(pr, 16, []int{131072}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := fig.Rows[0]; r.MeasBinary != 0x1.efbf45faeadb5p-12 || r.MeasBinomial != 0x1.603c2d248cd85p-11 {
+		t.Errorf("Fig. 1 row m=128KiB measured {%x, %x}, golden {0x1.efbf45faeadb5p-12, 0x1.603c2d248cd85p-11}", r.MeasBinary, r.MeasBinomial)
+	}
+
+	g, err := model.NewGamma(map[int]float64{2: 1, 3: 1.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := selection.ModelBased{Models: model.BcastModels{
+		Cluster: pr.Name, SegSize: pr.SegmentSize, Gamma: g,
+		Params: map[coll.BcastAlgorithm]model.Hockney{coll.BcastBinomial: {Alpha: 45e-6, Beta: 1.6e-9}},
+	}}
+	cmp, err := selection.Compare(pr, sel, 16, 131072, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.OMPITime != 0x1.4055198f90b44p-11 {
+		t.Errorf("Compare(P=16, m=128KiB).OMPITime = %x (%v), golden 0x1.4055198f90b44p-11", cmp.OMPITime, cmp.OMPIChoice)
 	}
 }

@@ -187,11 +187,13 @@ func (s *Selector) PredictAll(P, m int) map[coll.BcastAlgorithm]float64 {
 // its measured mean execution time — the "ground truth" the models are
 // judged against.
 func (s *Selector) MeasureBcast(alg coll.BcastAlgorithm, P, m int, set experiment.Settings) (float64, error) {
-	meas, err := experiment.MeasureBcast(s.Profile, P, alg, m, s.Profile.SegmentSize, set)
+	res, err := experiment.Sweep{Profile: s.Profile, Settings: set}.Run(context.Background(), []experiment.Point{
+		{Stage: experiment.BcastStage(alg), Procs: P, MsgBytes: m, SegSize: s.Profile.SegmentSize},
+	})
 	if err != nil {
 		return 0, err
 	}
-	return meas.Mean, nil
+	return res[0].Meas.Mean, nil
 }
 
 // CalibrationSchemaVersion is the current calibration file schema

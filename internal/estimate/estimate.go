@@ -38,15 +38,10 @@ func gammaMaxP(pr cluster.Profile) (int, error) {
 // gammaPoints builds the §4.1 grid: the non-blocking linear broadcast of
 // one segment for P = 2..maxP.
 func gammaPoints(pr cluster.Profile, maxP int) []experiment.Point {
+	linear := experiment.BcastStage(coll.BcastLinear)
 	points := make([]experiment.Point, 0, maxP-1)
 	for p := 2; p <= maxP; p++ {
-		points = append(points, experiment.Point{
-			Kind:     experiment.PointBcast,
-			Alg:      coll.BcastLinear,
-			Procs:    p,
-			MsgBytes: pr.SegmentSize,
-			SegSize:  0,
-		})
+		points = append(points, experiment.Point{Stage: linear, Procs: p, MsgBytes: pr.SegmentSize})
 	}
 	return points
 }
@@ -207,16 +202,10 @@ type AlphaBetaResult struct {
 // alphaBetaPoints builds the §4.2 grid for one algorithm: the modelled
 // broadcast followed by the small gather, one point per message size.
 func alphaBetaPoints(pr cluster.Profile, alg coll.BcastAlgorithm, cfg AlphaBetaConfig) []experiment.Point {
+	st := experiment.BcastThenGatherStage(alg, cfg.GatherBytes)
 	points := make([]experiment.Point, 0, len(cfg.Sizes))
 	for _, m := range cfg.Sizes {
-		points = append(points, experiment.Point{
-			Kind:        experiment.PointBcastThenGather,
-			Alg:         alg,
-			Procs:       cfg.Procs,
-			MsgBytes:    m,
-			SegSize:     pr.SegmentSize,
-			GatherBytes: cfg.GatherBytes,
-		})
+		points = append(points, experiment.Point{Stage: st, Procs: cfg.Procs, MsgBytes: m, SegSize: pr.SegmentSize})
 	}
 	return points
 }

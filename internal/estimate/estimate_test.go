@@ -117,10 +117,12 @@ func TestAlphaBetaProducesUsableParameters(t *testing.T) {
 	// a closed form over a contended network.)
 	const unseen = 262144
 	pred := model.Predict(coll.BcastBinomial, cfg.Procs, unseen, pr.SegmentSize, res.Params, gr.Gamma)
-	meas, err := experiment.MeasureBcast(pr, cfg.Procs, coll.BcastBinomial, unseen, pr.SegmentSize, fastSettings())
+	measured, err := experiment.Sweep{Profile: pr, Settings: fastSettings()}.Run(context.Background(),
+		experiment.BcastGrid(cfg.Procs, []coll.BcastAlgorithm{coll.BcastBinomial}, []int{unseen}, pr.SegmentSize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	meas := measured[0].Meas
 	relErr := math.Abs(pred-meas.Mean) / meas.Mean
 	if relErr > 0.40 {
 		t.Fatalf("prediction %v vs measured %v: relative error %.0f%%", pred, meas.Mean, relErr*100)
@@ -156,11 +158,13 @@ func TestModelsFullPipeline(t *testing.T) {
 	// every algorithm's prediction should land within 50% of measurement
 	// (the selection experiments in package selection check the sharper
 	// property — that the *ranking* is right).
-	for _, alg := range coll.BcastAlgorithms() {
-		meas, err := experiment.MeasureBcast(pr, 10, alg, 131072, pr.SegmentSize, fastSettings())
-		if err != nil {
-			t.Fatal(err)
-		}
+	measured, err := experiment.Sweep{Profile: pr, Settings: fastSettings()}.Run(context.Background(),
+		experiment.BcastGrid(10, coll.BcastAlgorithms(), []int{131072}, pr.SegmentSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, alg := range coll.BcastAlgorithms() {
+		meas := measured[i].Meas
 		pred, _ := bm.Predict(alg, 10, 131072)
 		relErr := math.Abs(pred-meas.Mean) / meas.Mean
 		if relErr > 0.50 {

@@ -15,23 +15,19 @@ import (
 // broadcast: any collective whose implementation-derived model is linear
 // in (α, β) can be calibrated by measuring it over a size grid and solving
 // the resulting system — the extension the paper's conclusion projects.
+//
+// The embedded Stage is what the calibration sweep measures: Name
+// identifies the (collective, algorithm) pair, e.g. "allgather/ring"; Run
+// executes one instance on every rank, with m the same size parameter
+// passed to Coefficients; ClassKey (structure only, never byte counts)
+// lets the sweep capture one plan template per class and rebind it for
+// every other size, and nil means the spec's points are never templated.
+// The spec's points are measured in Completion mode, the zero Mode.
 type CollectiveSpec struct {
-	// Name identifies the (collective, algorithm) pair, e.g.
-	// "allgather/ring".
-	Name string
+	experiment.Stage
 	// Coefficients returns the (a, b) of T = a·α + b·β for the operation
 	// at the given process count and size parameter.
 	Coefficients func(P, m, segSize int, g model.Gamma) (a, b float64)
-	// Run executes one instance of the operation on every rank; m is the
-	// same size parameter passed to Coefficients.
-	Run func(p *mpi.Proc, m, segSize int)
-	// ClassKey returns the operation's structure-class key at (P, m,
-	// segSize) (see experiment.Stage.ClassKey): the calibration sweep
-	// captures one plan template per key and rebinds it for every other
-	// size of the class. It describes structure only — never byte counts.
-	// nil means the spec's points are never templated; they are still
-	// measured in parallel, with bit-identical results.
-	ClassKey func(P, m, segSize int) string
 }
 
 // unsegmentedKey keys a spec whose communication structure depends on
@@ -94,11 +90,11 @@ func AlphaBetaFamily(ctx context.Context, pr cluster.Profile, specs []Collective
 	}
 	n := len(cfg.Sizes)
 	points := make([]experiment.Point, 0, len(specs)*n)
-	for _, spec := range specs {
+	for i, spec := range specs {
 		if spec.Coefficients == nil || spec.Run == nil {
 			return nil, fmt.Errorf("estimate: incomplete spec %q", spec.Name)
 		}
-		st := &experiment.Stage{Name: spec.Name, ClassKey: spec.ClassKey, Run: spec.Run}
+		st := &specs[i].Stage
 		for _, m := range cfg.Sizes {
 			points = append(points, experiment.Point{Stage: st, Procs: cfg.Procs, MsgBytes: m, SegSize: pr.SegmentSize})
 		}
@@ -128,14 +124,16 @@ func AllgatherSpecs() []CollectiveSpec {
 	for _, alg := range coll.AllgatherAlgorithms() {
 		name := "allgather/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					coll.Allgather(p, alg, coll.Synthetic(m*p.Size()), m)
+				},
+				ClassKey: unsegmentedKey(name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AllgatherCoefficients(alg, P, m, segSize, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				coll.Allgather(p, alg, coll.Synthetic(m*p.Size()), m)
-			},
-			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -148,14 +146,16 @@ func AllreduceSpecs() []CollectiveSpec {
 	for _, alg := range coll.AllreduceAlgorithms() {
 		name := "allreduce/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					coll.Allreduce(p, alg, coll.Synthetic(m), nil, segSize)
+				},
+				ClassKey: allreduceKey(alg, name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AllreduceCoefficients(alg, P, m, segSize, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				coll.Allreduce(p, alg, coll.Synthetic(m), nil, segSize)
-			},
-			ClassKey: allreduceKey(alg, name),
 		})
 	}
 	return specs
@@ -168,14 +168,16 @@ func ReduceSpecs() []CollectiveSpec {
 	for _, alg := range coll.ReduceAlgorithms() {
 		name := "reduce/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, segSize)
+				},
+				ClassKey: reduceKey(alg, name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceCoefficients(alg, P, m, segSize, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, segSize)
-			},
-			ClassKey: reduceKey(alg, name),
 		})
 	}
 	return specs
@@ -188,18 +190,20 @@ func GatherSpecs() []CollectiveSpec {
 	for _, alg := range coll.GatherAlgorithms() {
 		name := "gather/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					if p.Rank() == 0 {
+						coll.Gather(p, alg, 0, coll.Synthetic(m*p.Size()), m)
+					} else {
+						coll.Gather(p, alg, 0, coll.Synthetic(m), m)
+					}
+				},
+				ClassKey: unsegmentedKey(name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.GatherCoefficients(alg, P, m, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				if p.Rank() == 0 {
-					coll.Gather(p, alg, 0, coll.Synthetic(m*p.Size()), m)
-				} else {
-					coll.Gather(p, alg, 0, coll.Synthetic(m), m)
-				}
-			},
-			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -212,18 +216,20 @@ func ScatterSpecs() []CollectiveSpec {
 	for _, alg := range coll.ScatterAlgorithms() {
 		name := "scatter/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					if p.Rank() == 0 {
+						coll.Scatter(p, alg, 0, coll.Synthetic(m*p.Size()), m)
+					} else {
+						coll.Scatter(p, alg, 0, coll.Synthetic(m), m)
+					}
+				},
+				ClassKey: unsegmentedKey(name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ScatterCoefficients(alg, P, m, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				if p.Rank() == 0 {
-					coll.Scatter(p, alg, 0, coll.Synthetic(m*p.Size()), m)
-				} else {
-					coll.Scatter(p, alg, 0, coll.Synthetic(m), m)
-				}
-			},
-			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -236,14 +242,16 @@ func ReduceScatterSpecs() []CollectiveSpec {
 	for _, alg := range coll.ReduceScatterAlgorithms() {
 		name := "reduce_scatter/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					coll.ReduceScatter(p, alg, coll.Synthetic(m*p.Size()), nil, m)
+				},
+				ClassKey: unsegmentedKey(name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceScatterCoefficients(alg, P, m, segSize, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				coll.ReduceScatter(p, alg, coll.Synthetic(m*p.Size()), nil, m)
-			},
-			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs
@@ -269,15 +277,17 @@ func AlltoallSpecs() []CollectiveSpec {
 	for _, alg := range coll.AlltoallAlgorithms() {
 		name := "alltoall/" + alg.String()
 		specs = append(specs, CollectiveSpec{
-			Name: name,
+			Stage: experiment.Stage{
+				Name: name,
+				Run: func(p *mpi.Proc, m, segSize int) {
+					n := m * p.Size()
+					coll.Alltoall(p, alg, coll.Synthetic(n), coll.Synthetic(n), m)
+				},
+				ClassKey: unsegmentedKey(name),
+			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AlltoallCoefficients(alg, P, m, g)
 			},
-			Run: func(p *mpi.Proc, m, segSize int) {
-				n := m * p.Size()
-				coll.Alltoall(p, alg, coll.Synthetic(n), coll.Synthetic(n), m)
-			},
-			ClassKey: unsegmentedKey(name),
 		})
 	}
 	return specs

@@ -131,7 +131,7 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 	pr, _ := cluster.Grisou().WithNodes(8)
 	g := model.UnitGamma()
 	good := AllgatherSpecs()[0]
-	if _, err := AlphaBetaCollective(pr, CollectiveSpec{Name: "nil"}, g,
+	if _, err := AlphaBetaCollective(pr, CollectiveSpec{Stage: experiment.Stage{Name: "nil"}}, g,
 		AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("nil spec members should fail")
 	}
@@ -141,9 +141,8 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 	}
 	// Degenerate coefficients (P forced to 1 via spec) are rejected.
 	degenerate := CollectiveSpec{
-		Name:         "degenerate",
+		Stage:        experiment.Stage{Name: "degenerate", Run: good.Run},
 		Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) { return 0, 0 },
-		Run:          good.Run,
 	}
 	if _, err := AlphaBetaCollective(pr, degenerate, g,
 		AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {

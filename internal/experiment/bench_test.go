@@ -100,9 +100,10 @@ func BenchmarkPlanCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pt := Point{Stage: BcastStage(coll.BcastBinomial), Procs: pr.Nodes, MsgBytes: m, SegSize: pr.SegmentSize}
 	point := func(b *testing.B, set Settings, store *mpi.TemplateStore) {
 		b.Helper()
-		if _, err := measureBcastOn(reuse, pr, pr.Nodes, coll.BcastBinomial, m, pr.SegmentSize, set, store); err != nil {
+		if _, err := measurePoint(reuse, pr, pt, set, store); err != nil {
 			b.Fatal(err)
 		}
 	}

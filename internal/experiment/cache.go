@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,48 +20,34 @@ import (
 // cacheKeyBlob is the canonical serialisation hashed into a cache key. It
 // spells out every input that determines a measurement — the full cluster
 // profile (including the simulator's noise seed), the normalised
-// measurement settings, and the point — so any change to any of them
-// produces a different key. Algorithms are keyed by name, keeping keys
-// stable across enum reorderings, and a generic collective stage by its
-// name (omitted when empty, so broadcast keys predate and survive it).
+// measurement settings, and the point (its stage by name and timing
+// mode) — so any change to any of them produces a different key.
 type cacheKeyBlob struct {
 	Version  int
 	Profile  cluster.Profile
 	Settings Settings
-	Kind     Kind
-	Stage    string `json:",omitempty"`
-	Alg      string
+	Stage    string
+	Mode     Mode
 	Procs    int
 	MsgBytes int
 	SegSize  int
-	Gather   int
 }
 
 // cacheKeyVersion invalidates every existing cache entry when the
-// measurement methodology or the simulator's timing model changes
-// incompatibly; bump it on such changes.
-const cacheKeyVersion = 1
-
-// stageName is the point's Stage name, or "" for a broadcast point.
-func (pt Point) stageName() string {
-	if pt.Stage == nil {
-		return ""
-	}
-	return pt.Stage.Name
-}
+// measurement methodology, the simulator's timing model or the key blob
+// changes incompatibly; bump it on such changes.
+const cacheKeyVersion = 2
 
 func cacheKey(pr cluster.Profile, pt Point, set Settings) string {
 	blob, err := json.Marshal(cacheKeyBlob{
 		Version:  cacheKeyVersion,
 		Profile:  pr,
 		Settings: set.withDefaults(),
-		Kind:     pt.Kind,
-		Stage:    pt.stageName(),
-		Alg:      pt.Alg.String(),
+		Stage:    pt.Stage.Name,
+		Mode:     pt.Stage.Mode,
 		Procs:    pt.Procs,
 		MsgBytes: pt.MsgBytes,
 		SegSize:  pt.SegSize,
-		Gather:   pt.GatherBytes,
 	})
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail on them.
@@ -154,13 +141,20 @@ func (c *Cache) get(key string) (Measurement, bool) {
 		return Measurement{}, false
 	}
 	var m Measurement
-	if err := json.Unmarshal(data, &m); err != nil {
-		// A truncated or foreign file is treated as a miss; the fresh
-		// measurement will overwrite it.
+	if err := json.Unmarshal(data, &m); err != nil || !m.valid() {
+		// A truncated, foreign or corrupt file is treated as a miss; the
+		// fresh measurement will overwrite it.
 		return Measurement{}, false
 	}
 	s.mem[key] = m
 	return m, true
+}
+
+// valid reports whether a decoded disk entry is a measurement at all: one
+// with samples, a repetition count that matches them, and a finite mean.
+// JSON that merely decodes ({} or {"Mean":1}) is not.
+func (m Measurement) valid() bool {
+	return m.Reps > 0 && m.Reps == len(m.Samples) && !math.IsNaN(m.Mean) && !math.IsInf(m.Mean, 0)
 }
 
 func (c *Cache) put(key string, m Measurement) {

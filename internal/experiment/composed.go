@@ -25,35 +25,18 @@ func Composed(stages ...Op) Op {
 	}
 }
 
-// MeasureComposed measures the chained stages on a fresh Runner built from
-// pr: one adaptive measurement of the whole chain in the given mode. At
-// least one stage is required.
-func MeasureComposed(pr cluster.Profile, nprocs int, set Settings, mode Mode, stages ...Op) (Measurement, error) {
-	r, err := newProfileRunner(pr, nil)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return MeasureComposedOn(r, pr, nprocs, set, mode, stages...)
-}
-
-// MeasureComposedOn is MeasureComposed on a reusable Runner built from pr
-// (see newProfileRunner); callers measuring many compositions on the same
-// platform keep one warm Runner instead of rebuilding scheduler state per
-// measurement.
-func MeasureComposedOn(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, stages ...Op) (Measurement, error) {
-	return MeasureComposedClass(r, pr, nprocs, set, mode, "", nil, stages...)
-}
-
-// MeasureComposedClass is MeasureComposedOn with an optional plan-template
-// structure class attached: when classKey is non-empty and tmpl is
-// non-nil, the first measured composition of the class captures its plan
-// under the scheduler and publishes it to tmpl, and every later
-// measurement of the class rebinds that template goroutine-free
-// (mpi.Runner.Rebind) — with bit-identical samples either way. The class
-// key must identify the composition's communication *structure* (ranks,
-// peers, tags, segment counts), never its byte counts, which the rebind
-// harvests per point; a too-coarse key is safe (the rebind detects
-// divergence and falls back to a fresh capture) but wastes the fast path.
+// MeasureComposedClass measures the chained stages on a reusable Runner
+// built from pr (see NewRunnerPool): one adaptive measurement of the whole
+// chain in the given mode. At least one stage is required. When classKey
+// is non-empty and tmpl is non-nil, the first measured composition of the
+// class captures its plan under the scheduler and publishes it to tmpl,
+// and every later measurement of the class rebinds that template
+// goroutine-free (mpi.Runner.Rebind) — with bit-identical samples either
+// way. The class key must identify the composition's communication
+// *structure* (ranks, peers, tags, segment counts), never its byte
+// counts, which the rebind harvests per point; a too-coarse key is safe
+// (the rebind detects divergence and falls back to a fresh capture) but
+// wastes the fast path.
 func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, classKey string, tmpl *mpi.TemplateStore, stages ...Op) (Measurement, error) {
 	if len(stages) == 0 {
 		return Measurement{}, fmt.Errorf("experiment: composed measurement needs at least one stage")

@@ -8,10 +8,10 @@ import (
 	"mpicollperf/internal/mpi"
 )
 
-// TestMeasureComposedMatchesBcastThenGather pins the shim contract: the
-// old bespoke bcast+gather helper and an explicit MeasureComposed of the
-// same two stages are the same measurement, bit for bit, with and without
-// a template store attached.
+// TestMeasureComposedMatchesBcastThenGather pins the composition
+// contract: the §4.2 bcast+gather stage swept as a grid point and an
+// explicit MeasureComposedClass of the same two operations are the same
+// measurement, bit for bit, with and without a template store attached.
 func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 	pr, err := cluster.Grisou().WithNodes(8)
 	if err != nil {
@@ -36,22 +36,22 @@ func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 		},
 	}
 
-	want, err := MeasureBcastThenGather(pr, nprocs, coll.BcastBinomial, m, pr.SegmentSize, mg, set)
+	want, err := measureOne(pr, Point{Stage: BcastThenGatherStage(coll.BcastBinomial, mg), Procs: nprocs, MsgBytes: m, SegSize: pr.SegmentSize}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MeasureComposed(pr, nprocs, set, RootTime, stages...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMeasurement(t, "composed vs bespoke", want, got)
-
-	// Template fast path: the first composed measurement of a class
-	// captures, the second rebinds — both bit-identical to the shim.
 	r, err := newProfileRunner(pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, "", nil, stages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMeasurement(t, "composed vs stage", want, got)
+
+	// Template fast path: the first composed measurement of a class
+	// captures, the second rebinds — both bit-identical to the stage.
 	tmpl := mpi.NewTemplateStore()
 	key := "test/bcast+gather/P=8/segs=8"
 	for pass, label := range []string{"capture", "rebind"} {
@@ -71,10 +71,14 @@ func TestMeasureComposedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureComposed(pr, 4, fastSettings(), Completion); err == nil {
-		t.Error("MeasureComposed accepted an empty stage list")
+	r, err := newProfileRunner(pr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := MeasureComposed(pr, 8, fastSettings(), Completion, func(p *mpi.Proc) {}); err == nil {
-		t.Error("MeasureComposed accepted more procs than the profile has nodes")
+	if _, err := MeasureComposedClass(r, pr, 4, fastSettings(), Completion, "", nil); err == nil {
+		t.Error("MeasureComposedClass accepted an empty stage list")
+	}
+	if _, err := MeasureComposedClass(r, pr, 8, fastSettings(), Completion, "", nil, func(p *mpi.Proc) {}); err == nil {
+		t.Error("MeasureComposedClass accepted more procs than the profile has nodes")
 	}
 }

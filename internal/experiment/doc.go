@@ -28,28 +28,33 @@
 //     is a small refinement over the paper's T1(P,N)/N description that
 //     keeps barrier cost out of the γ estimate.
 //
-// # Canned experiments (paper §4)
+// # Measurement points
 //
-// MeasureBcast times one (algorithm, P, m, segment) broadcast
-// configuration in Completion mode — one point of the paper's comparison
-// figures. MeasureLinearBcast is the §4.1 γ(P) experiment (non-blocking
-// linear broadcast of a single segment), and MeasureBcastThenGather the
-// §4.2 estimation experiment (the modelled broadcast followed by a small
-// linear gather, timed on the root).
+// Everything the reproduction measures is a Point: a Stage (the
+// operation every rank runs, its timing Mode and its structure-class
+// key) at a communicator size, message size and segment size. The paper's
+// experiments are Stage values: BcastStage times one (algorithm, P, m,
+// segment) broadcast in Completion mode — one point of the comparison
+// figures, and with the linear algorithm at one unsegmented segment the
+// §4.1 γ(P) experiment — and BcastThenGatherStage is the §4.2 estimation
+// experiment (the modelled broadcast followed by a small linear gather,
+// timed on the root). The extended-collective calibrations and the
+// ping-pong baseline build their own stages.
 //
 // # Sweep engine
 //
 // Every evaluation in the paper walks a grid — algorithms × communicator
 // sizes × message sizes — and each grid point is an independent,
-// deterministic simulation. Sweep exploits that: Run measures a []Point
-// grid over a bounded worker pool (Workers, default GOMAXPROCS) and
-// returns results in grid order regardless of completion order, so
-// callers are oblivious to the concurrency. Each point builds its own
-// simnet.Network, which makes the results bit-identical to a serial run;
-// the first failing point cancels the rest through the context. A point
-// is a broadcast experiment (Kind) or, with Stage set, any generic
-// collective measured in Completion mode — the extended-family
-// calibrations sweep those.
+// deterministic simulation. Sweep is the one measurement orchestrator:
+// Run measures a []Point grid over a bounded worker pool (Workers,
+// default GOMAXPROCS) and returns results in grid order regardless of
+// completion order, so callers are oblivious to the concurrency. Each
+// worker's simulator is reset between points, which makes the results
+// bit-identical to a serial run on fresh simulators; the first failing
+// point cancels the rest through the context. Points of one structure
+// class capture one plan template and rebind it for the rest.
+// Measure and MeasureComposedClass remain for callers that time an
+// arbitrary Op (or chain of Ops) outside a grid.
 //
 // Cache adds content-addressed memoisation on top: keys hash the full
 // experiment identity (cluster profile including the noise seed, the

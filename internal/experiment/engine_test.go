@@ -36,11 +36,11 @@ func sameMeasurement(t *testing.T, label string, a, b Measurement) {
 func TestEngineReplayBitIdentical(t *testing.T) {
 	pr := cluster.Grisou()
 	for _, alg := range coll.BcastAlgorithms() {
-		ms, err := MeasureBcast(pr, 16, alg, 65536, 8192, Settings{Engine: EngineScheduler})
+		ms, err := measureOne(pr, bcastPoint(alg, 16, 65536, 8192), Settings{Engine: EngineScheduler})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mr, err := MeasureBcast(pr, 16, alg, 65536, 8192, Settings{Engine: EngineReplay})
+		mr, err := measureOne(pr, bcastPoint(alg, 16, 65536, 8192), Settings{Engine: EngineReplay})
 		if err != nil {
 			t.Fatalf("%v: replay: %v", alg, err)
 		}
@@ -285,7 +285,7 @@ func TestPerturbedReplayMatchesScheduler(t *testing.T) {
 			run := func(e Engine) Measurement {
 				set := fastSettings()
 				set.Engine = e
-				m, err := MeasureBcast(pr, 12, coll.BcastSplitBinary, 65536, 8192, set)
+				m, err := measureOne(pr, bcastPoint(coll.BcastSplitBinary, 12, 65536, 8192), set)
 				if err != nil {
 					t.Fatalf("seed %d intensity %g engine %v: %v", seed, intensity, e, err)
 				}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mpicollperf/internal/cluster"
-	"mpicollperf/internal/coll"
 	"mpicollperf/internal/mpi"
 	"mpicollperf/internal/obs"
 	"mpicollperf/internal/simnet"
@@ -16,10 +15,10 @@ import (
 type Mode int
 
 const (
-	// RootTime samples the root's local duration of the operation.
-	RootTime Mode = iota
 	// Completion samples the barrier-compensated global completion time.
-	Completion
+	Completion Mode = iota
+	// RootTime samples the root's local duration of the operation.
+	RootTime
 )
 
 // Engine selects how the repetitions of a measurement are executed.
@@ -341,6 +340,52 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 	return meas, err
 }
 
+// sampler is the adaptive stop rule every engine shares: it counts
+// repetitions, keeps the samples of those past the warmup, and stops once
+// the CI half-width meets the precision target or MaxReps samples are in.
+// Its Samples buffer is sized for MaxReps once, so the hot loop's appends
+// never regrow it.
+type sampler struct {
+	set  Settings
+	rep  int // repetitions added so far, warmup included
+	meas Measurement
+	done bool
+}
+
+func newSampler(set Settings) *sampler {
+	return &sampler{set: set, meas: Measurement{Samples: make([]float64, 0, set.MaxReps)}}
+}
+
+// add records the next repetition's sample and reports whether the
+// measurement is complete.
+func (s *sampler) add(sample float64) bool {
+	s.rep++
+	if s.rep <= s.set.Warmup {
+		return false
+	}
+	s.meas.Samples = append(s.meas.Samples, sample)
+	if n := len(s.meas.Samples); n >= s.set.MinReps {
+		ci, err := stats.MeanCI(s.meas.Samples, s.set.Confidence)
+		converged := err == nil && ci.RelativeError() <= s.set.Precision
+		if converged || n >= s.set.MaxReps {
+			s.meas.CI = ci
+			s.meas.Converged = converged
+			s.done = true
+		}
+	}
+	return s.done
+}
+
+// result summarises the collected samples.
+func (s *sampler) result() Measurement {
+	meas := s.meas
+	meas.Mean = stats.Mean(meas.Samples)
+	meas.Reps = len(meas.Samples)
+	_, meas.NormalityP = stats.JarqueBera(meas.Samples)
+	meas.Lag1 = stats.Lag1Autocorrelation(meas.Samples)
+	return meas
+}
+
 // measureScheduler is the full-scheduler repetition loop: one simulated
 // MPI program whose root collects samples and decides whether to
 // continue; the decision is shared with the other ranks through a flag
@@ -348,14 +393,8 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 // strictly after (the runtime's scheduler provides the necessary
 // happens-before edges).
 func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, error) {
-	var (
-		meas Measurement
-		stop bool
-	)
-	// Size the sample buffer for the worst case up front: the append in
-	// the hot loop then never regrows, and a sweep's measurement loop
-	// allocates one slice per point instead of a regrowth ladder.
-	meas.Samples = make([]float64, 0, set.MaxReps)
+	smp := newSampler(set)
+	stop := false
 	_, err := r.Run(nprocs, func(p *mpi.Proc) error {
 		root := p.Rank() == 0
 		// Calibrate the (deterministic) barrier cost.
@@ -364,7 +403,7 @@ func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op)
 		p.Barrier()
 		barrierCost := p.Now() - t0
 
-		for rep := 0; ; rep++ {
+		for {
 			p.Barrier() // open: align all ranks
 			start := p.Now()
 			op(p)
@@ -376,18 +415,8 @@ func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op)
 			default:
 				sample = p.Now() - start
 			}
-			if root && rep >= set.Warmup {
-				meas.Samples = append(meas.Samples, sample)
-				n := len(meas.Samples)
-				if n >= set.MinReps {
-					ci, err := stats.MeanCI(meas.Samples, set.Confidence)
-					converged := err == nil && ci.RelativeError() <= set.Precision
-					if converged || n >= set.MaxReps {
-						meas.CI = ci
-						meas.Converged = converged
-						stop = true
-					}
-				}
+			if root {
+				stop = smp.add(sample)
 			}
 			p.Barrier() // decide: publish the root's stop flag
 			if stop {
@@ -398,21 +427,47 @@ func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op)
 	if err != nil {
 		return Measurement{}, err
 	}
-	return finishMeasurement(meas), nil
-}
-
-func finishMeasurement(meas Measurement) Measurement {
-	meas.Mean = stats.Mean(meas.Samples)
-	meas.Reps = len(meas.Samples)
-	_, meas.NormalityP = stats.JarqueBera(meas.Samples)
-	meas.Lag1 = stats.Lag1Autocorrelation(meas.Samples)
-	return meas
+	return smp.result(), nil
 }
 
 // replayLanes bounds how many repetitions one replay batch re-times; the
 // jitter for the whole batch is drawn up front and the mark buffers are
 // lane-major (see mpi.Replayer).
 const replayLanes = 8
+
+// replayUntilDone re-times repetitions with rp until smp stops.
+// Repetitions up to the first possible convergence decision are batched
+// (at most lanes per Replay); after that each repetition may be the last
+// and is replayed alone. Each repetition's sample is the span between its
+// two marks, less the barrier cost bc in Completion mode. It fails when
+// the repetition budget runs out before a decision or the plan does not
+// close over a repetition.
+func replayUntilDone(rp *mpi.Replayer, smp *sampler, lanes int, mode Mode, bc float64) error {
+	set := smp.set
+	firstDecision := set.Warmup + set.MinReps - 1
+	for !smp.done {
+		k := 1
+		if smp.rep <= firstDecision {
+			k = firstDecision - smp.rep + 1
+		}
+		k = min(k, lanes, set.Warmup+set.MaxReps-smp.rep)
+		if k < 1 {
+			return fmt.Errorf("experiment: replay budget exhausted before a decision")
+		}
+		marks, ok := rp.Replay(k)
+		if !ok {
+			return fmt.Errorf("experiment: plan does not close over a repetition")
+		}
+		for l := 0; l < k && !smp.done; l++ {
+			sample := marks[l*2+1] - marks[l*2]
+			if mode == Completion {
+				sample -= bc
+			}
+			smp.add(sample)
+		}
+	}
+	return nil
+}
 
 // measureReplay is the capture-then-replay repetition loop. It executes
 // repetition 0 under the scheduler in a capturing program whose root
@@ -434,7 +489,7 @@ const replayLanes = 8
 // When a structure class is attached, the plan is published to the
 // class's template store once the echo run has validated it, so later
 // points of the class rebind it instead of capturing.
-func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (meas Measurement, reason FallbackReason, err error) {
+func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, FallbackReason, error) {
 	var (
 		captured    float64
 		barrierCost float64
@@ -496,124 +551,66 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cl
 	}
 
 	// Replicate the adaptive decision of the scheduler loop's root over
-	// the sample sequence, captured then replayed. As in measureScheduler,
-	// the sample buffer is sized for MaxReps once.
-	meas.Samples = make([]float64, 0, set.MaxReps)
-	stop := false
-	push := func(sample float64) {
-		meas.Samples = append(meas.Samples, sample)
-		n := len(meas.Samples)
-		if n >= set.MinReps {
-			ci, err := stats.MeanCI(meas.Samples, set.Confidence)
-			converged := err == nil && ci.RelativeError() <= set.Precision
-			if converged || n >= set.MaxReps {
-				meas.CI = ci
-				meas.Converged = converged
-				stop = true
-			}
-		}
+	// the sample sequence, captured then replayed. Settings are
+	// normalised (MinReps >= 2), so one sample never decides and
+	// repetition 1 is always replayed.
+	smp := newSampler(set)
+	smp.add(captured)
+	lanes := min(replayLanes, set.Warmup+set.MaxReps-smp.rep)
+	// The Runner's recycled replayer: bit-identical to a fresh
+	// mpi.NewReplayer, without rebuilding the lane buffers per point.
+	rp, err := r.NewReplayer(plan, res.FinishTimes, lanes)
+	if err != nil {
+		return Measurement{}, FallbackNone, err
 	}
-	if set.Warmup == 0 {
-		push(captured)
+	// Replay repetition 1 alone, then echo-validate the plan against its
+	// clocks before trusting any replayed sample.
+	marks, ok := rp.Replay(1)
+	if !ok {
+		return Measurement{}, FallbackPlan, nil
 	}
-	rep := 1
-	if !stop {
-		lanes := replayLanes
-		if rem := set.Warmup + set.MaxReps - rep; rem < lanes {
-			lanes = rem
+	eerr := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, func(p *mpi.Proc) error {
+		root := p.Rank() == 0
+		p.Barrier()
+		if root {
+			p.Mark()
 		}
-		if lanes < 1 {
-			// The scheduler loop would already have stopped; defensive.
-			return Measurement{}, FallbackPlan, nil
-		}
-		// The Runner's recycled replayer: bit-identical to a fresh
-		// mpi.NewReplayer, without rebuilding the lane buffers per point.
-		rp, rerr := r.NewReplayer(plan, res.FinishTimes, lanes)
-		if rerr != nil {
-			return Measurement{}, FallbackNone, rerr
-		}
-		// Replay repetition 1 alone, then echo-validate the plan against
-		// its clocks before trusting any replayed sample.
-		marks, mok := rp.Replay(1)
-		if !mok {
-			return Measurement{}, FallbackPlan, nil
-		}
-		eerr := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, func(p *mpi.Proc) error {
-			root := p.Rank() == 0
-			p.Barrier()
-			if root {
-				p.Mark()
-			}
-			op(p)
-			if mode == Completion {
-				p.Barrier()
-			}
-			if root {
-				p.Mark()
-			}
-			p.Barrier()
-			return nil
-		})
-		if eerr != nil {
-			return Measurement{}, FallbackEchoDivergence, nil
-		}
-		// The plan is validated; later repetitions need no echo clocks.
-		rp.DiscardEchoClocks()
-		// Publish the validated plan as its structure class's template
-		// (Put clones, so the Runner's recycled plan buffer is safe to
-		// keep using below).
-		if cls.enabled() {
-			cls.store.Put(cls.key, plan)
-			r.Metrics().Counter(mPlanTemplates).Inc()
-		}
-		sample := marks[1] - marks[0]
+		op(p)
 		if mode == Completion {
-			sample -= barrierCost
+			p.Barrier()
 		}
-		if rep >= set.Warmup {
-			push(sample)
+		if root {
+			p.Mark()
 		}
-		rep++
-		// Repetitions up to the first possible convergence decision can be
-		// batched; after that, each repetition may be the last.
-		firstDecision := set.Warmup + set.MinReps - 1
-		for !stop {
-			need := 1
-			if rep <= firstDecision {
-				need = firstDecision - rep + 1
-			}
-			k := need
-			if k > lanes {
-				k = lanes
-			}
-			if rem := set.Warmup + set.MaxReps - rep; rem < k {
-				k = rem
-			}
-			if k < 1 {
-				return Measurement{}, FallbackPlan, nil
-			}
-			marks, mok := rp.Replay(k)
-			if !mok {
-				return Measurement{}, FallbackPlan, nil
-			}
-			for l := 0; l < k && !stop; l++ {
-				sample := marks[l*2+1] - marks[l*2]
-				if mode == Completion {
-					sample -= barrierCost
-				}
-				if rep >= set.Warmup {
-					push(sample)
-				}
-				rep++
-			}
-		}
+		p.Barrier()
+		return nil
+	})
+	if eerr != nil {
+		return Measurement{}, FallbackEchoDivergence, nil
 	}
-	if m := r.Metrics(); m != nil && rep > 1 {
+	// The plan is validated; later repetitions need no echo clocks.
+	rp.DiscardEchoClocks()
+	// Publish the validated plan as its structure class's template (Put
+	// clones, so the Runner's recycled plan buffer is safe to keep using
+	// below).
+	if cls.enabled() {
+		cls.store.Put(cls.key, plan)
+		r.Metrics().Counter(mPlanTemplates).Inc()
+	}
+	sample := marks[1] - marks[0]
+	if mode == Completion {
+		sample -= barrierCost
+	}
+	smp.add(sample)
+	if replayUntilDone(rp, smp, lanes, mode, barrierCost) != nil {
+		return Measurement{}, FallbackPlan, nil
+	}
+	if m := r.Metrics(); m != nil {
 		// Repetitions 1..rep-1 were re-timed by the replayer, bypassing the
 		// scheduler; each walks the plan's send events once.
-		m.Counter(mReplayTransfers).Add(int64(rep-1) * int64(plan.Sends()))
+		m.Counter(mReplayTransfers).Add(int64(smp.rep-1) * int64(plan.Sends()))
 	}
-	return finishMeasurement(meas), FallbackNone, nil
+	return smp.result(), FallbackNone, nil
 }
 
 // measureRebound is the plan-template fast path: the point's repetition
@@ -671,29 +668,8 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 		start[i] = bc + bc
 	}
 
-	var meas Measurement
-	meas.Samples = make([]float64, 0, set.MaxReps)
-	stop := false
-	push := func(sample float64) {
-		meas.Samples = append(meas.Samples, sample)
-		n := len(meas.Samples)
-		if n >= set.MinReps {
-			ci, err := stats.MeanCI(meas.Samples, set.Confidence)
-			converged := err == nil && ci.RelativeError() <= set.Precision
-			if converged || n >= set.MaxReps {
-				meas.CI = ci
-				meas.Converged = converged
-				stop = true
-			}
-		}
-	}
-	lanes := replayLanes
-	if rem := set.Warmup + set.MaxReps; rem < lanes {
-		lanes = rem
-	}
-	if lanes < 1 {
-		return Measurement{}, fmt.Errorf("experiment: rebind: no repetitions to replay")
-	}
+	smp := newSampler(set)
+	lanes := min(replayLanes, set.Warmup+set.MaxReps-smp.rep)
 	rp, err := r.NewReplayer(plan, start, lanes)
 	if err != nil {
 		return Measurement{}, err
@@ -701,98 +677,28 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 	// The template was echo-validated when it was captured; no echo run is
 	// needed for a structurally identical rebind.
 	rp.DiscardEchoClocks()
-	rep := 0
-	firstDecision := set.Warmup + set.MinReps - 1
-	for !stop {
-		need := 1
-		if rep <= firstDecision {
-			need = firstDecision - rep + 1
-		}
-		k := need
-		if k > lanes {
-			k = lanes
-		}
-		if rem := set.Warmup + set.MaxReps - rep; rem < k {
-			k = rem
-		}
-		if k < 1 {
-			return Measurement{}, fmt.Errorf("experiment: rebind: replay budget exhausted before a decision")
-		}
-		marks, mok := rp.Replay(k)
-		if !mok {
-			return Measurement{}, fmt.Errorf("experiment: rebind: rebound plan does not close over a repetition")
-		}
-		for l := 0; l < k && !stop; l++ {
-			sample := marks[l*2+1] - marks[l*2]
-			if mode == Completion {
-				sample -= bc
-			}
-			if rep >= set.Warmup {
-				push(sample)
-			}
-			rep++
-		}
+	if err := replayUntilDone(rp, smp, lanes, mode, bc); err != nil {
+		return Measurement{}, fmt.Errorf("experiment: rebind: %w", err)
 	}
 	if m := r.Metrics(); m != nil {
 		// Every repetition was re-timed by the replayer.
-		m.Counter(mReplayTransfers).Add(int64(rep) * int64(plan.Sends()))
+		m.Counter(mReplayTransfers).Add(int64(smp.rep) * int64(plan.Sends()))
 	}
-	return finishMeasurement(meas), nil
+	return smp.result(), nil
 }
 
-// MeasureBcast measures one broadcast configuration on a cluster profile:
-// algorithm alg broadcasting m bytes from rank 0 to nprocs ranks with the
-// given segment size, in Completion mode (the time until every rank holds
-// the message, which is what the paper's comparison figures plot).
-func MeasureBcast(pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize int, set Settings) (Measurement, error) {
-	r, err := newProfileRunner(pr, nil)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return MeasureBcastOn(r, pr, nprocs, alg, m, segSize, set)
-}
-
-// MeasureBcastOn is MeasureBcast on a reusable Runner built from pr (see
-// newProfileRunner); the sweep engine keeps one warm Runner per worker.
-func MeasureBcastOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize int, set Settings) (Measurement, error) {
-	return measureBcastOn(r, pr, nprocs, alg, m, segSize, set, nil)
-}
-
-// measureBcastOn is MeasureBcastOn with an optional plan-template store:
-// when tmpl is non-nil the point carries its structure-class key
-// (coll.BcastClassKey), so the first point of each (algorithm,
-// communicator, segment-count) class captures under the scheduler and
-// every later point rebinds that class's template goroutine-free.
-func measureBcastOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize int, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
-	if nprocs > pr.Nodes {
-		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", nprocs, pr.Name, pr.Nodes)
-	}
-	cls := planClass{}
-	if tmpl != nil {
-		cls = planClass{key: coll.BcastClassKey(alg, nprocs, m, segSize), store: tmpl}
-	}
-	return measureOnClass(r, nprocs, set, Completion, func(p *mpi.Proc) {
-		coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
-	}, cls)
-}
-
-// measureStageOn measures a generic collective point (Point.Stage) in
-// Completion mode: the operation involves every rank symmetrically, so
-// there is no root-only finish to exploit. When tmpl is non-nil and the
-// stage names a structure class, the first point of each class captures
-// and every later point rebinds the class template.
-func measureStageOn(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
-	if pt.Stage.Run == nil {
-		return Measurement{}, fmt.Errorf("experiment: stage %q has no Run", pt.Stage.Name)
-	}
+// measurePoint measures one grid point on a Runner built from pr (see
+// newProfileRunner). When tmpl is non-nil and the point's stage names a
+// structure class, the first point of each class captures and every later
+// point rebinds the class template.
+func measurePoint(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
 	if pt.Procs > pr.Nodes {
 		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", pt.Procs, pr.Name, pr.Nodes)
 	}
-	cls := planClass{key: pt.classKey(), store: tmpl}
 	st, m, seg := pt.Stage, pt.MsgBytes, pt.SegSize
-	return measureOnClass(r, pt.Procs, set, Completion, func(p *mpi.Proc) {
+	return measureOnClass(r, pt.Procs, set, st.Mode, func(p *mpi.Proc) {
 		st.Run(p, m, seg)
-	}, cls)
+	}, planClass{key: pt.classKey(), store: tmpl})
 }
 
 // newProfileRunner builds a reusable Runner on a fresh network of the
@@ -805,54 +711,4 @@ func newProfileRunner(pr cluster.Profile, m *obs.Registry) (*mpi.Runner, error) 
 		return nil, err
 	}
 	return mpi.NewRunnerOn(net, mpi.Options{Metrics: m}), nil
-}
-
-// MeasureBcastThenGather measures the paper's §4.2 communication
-// experiment: the modelled broadcast of m bytes followed by a
-// linear-without-synchronisation gather of mg bytes per rank onto the
-// root, timed on the root (the experiment starts and finishes there).
-func MeasureBcastThenGather(pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize, mg int, set Settings) (Measurement, error) {
-	r, err := newProfileRunner(pr, nil)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return MeasureBcastThenGatherOn(r, pr, nprocs, alg, m, segSize, mg, set)
-}
-
-// MeasureBcastThenGatherOn is MeasureBcastThenGather on a reusable Runner
-// built from pr.
-func MeasureBcastThenGatherOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize, mg int, set Settings) (Measurement, error) {
-	return measureBcastThenGatherOn(r, pr, nprocs, alg, m, segSize, mg, set, nil)
-}
-
-// measureBcastThenGatherOn is MeasureBcastThenGatherOn with an optional
-// plan-template store — a shim over the general MeasureComposedClass, kept
-// because the §4.2 experiment is the sweep engine's PointBcastThenGather
-// kind. The linear-without-synchronisation gather's structure is a
-// function of the communicator size alone (its per-rank bytes are
-// harvested by the rebind), so the class key is the broadcast's with a
-// gather suffix.
-func measureBcastThenGatherOn(r *mpi.Runner, pr cluster.Profile, nprocs int, alg coll.BcastAlgorithm, m, segSize, mg int, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
-	key := ""
-	if tmpl != nil {
-		key = coll.BcastClassKey(alg, nprocs, m, segSize) + gatherClassSuffix
-	}
-	return MeasureComposedClass(r, pr, nprocs, set, RootTime, key, tmpl,
-		func(p *mpi.Proc) {
-			coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
-		},
-		func(p *mpi.Proc) {
-			if p.Rank() == 0 {
-				coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg*p.Size()), mg)
-			} else {
-				coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg), mg)
-			}
-		})
-}
-
-// MeasureLinearBcast measures the non-blocking linear broadcast of one
-// segment to nprocs ranks in Completion mode — the T2(P) of the paper's
-// γ(P) estimation procedure (§4.1).
-func MeasureLinearBcast(pr cluster.Profile, nprocs, segSize int, set Settings) (Measurement, error) {
-	return MeasureBcast(pr, nprocs, coll.BcastLinear, segSize, 0, set)
 }

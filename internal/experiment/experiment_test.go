@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -167,19 +168,35 @@ func TestSettingsDefaults(t *testing.T) {
 	}
 }
 
+// measureOne measures a single point through a serial, untemplated
+// Sweep: one fresh simulator, the reference the engine and template tests
+// compare against.
+func measureOne(pr cluster.Profile, pt Point, set Settings) (Measurement, error) {
+	res, err := Sweep{Profile: pr, Settings: set, Workers: 1, DisableTemplates: true}.Run(context.Background(), []Point{pt})
+	if err != nil {
+		return Measurement{}, err
+	}
+	return res[0].Meas, nil
+}
+
+// bcastPoint is the broadcast grid point of alg at (procs, m, segSize).
+func bcastPoint(alg coll.BcastAlgorithm, procs, m, segSize int) Point {
+	return Point{Stage: BcastStage(alg), Procs: procs, MsgBytes: m, SegSize: segSize}
+}
+
 func TestMeasureBcastOnProfile(t *testing.T) {
 	pr, err := cluster.Grisou().WithNodes(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := MeasureBcast(pr, 12, coll.BcastBinomial, 65536, 8192, fastSettings())
+	meas, err := measureOne(pr, bcastPoint(coll.BcastBinomial, 12, 65536, 8192), fastSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meas.Mean <= 0 || !meas.Converged {
 		t.Fatalf("measurement = %+v", meas)
 	}
-	if _, err := MeasureBcast(pr, 99, coll.BcastBinomial, 65536, 8192, fastSettings()); err == nil {
+	if _, err := measureOne(pr, bcastPoint(coll.BcastBinomial, 99, 65536, 8192), fastSettings()); err == nil {
 		t.Fatal("too many procs should fail")
 	}
 }
@@ -189,21 +206,18 @@ func TestMeasureBcastThenGatherEndsOnRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := MeasureBcastThenGather(pr, 10, coll.BcastBinomial, 81920, 8192, 1024, fastSettings())
+	st := BcastThenGatherStage(coll.BcastBinomial, 1024)
+	if st.Mode != RootTime {
+		t.Fatalf("bcast+gather stage mode = %v, want RootTime", st.Mode)
+	}
+	meas, err := measureOne(pr, Point{Stage: st, Procs: 10, MsgBytes: 81920, SegSize: 8192}, fastSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meas.Mean <= 0 {
 		t.Fatalf("mean = %v", meas.Mean)
 	}
-	// The gather adds P-1 inbound transfers; the experiment must take
-	// longer than the broadcast alone measured at the root.
-	bOnly, err := MeasureBcast(pr, 10, coll.BcastBinomial, 81920, 8192, fastSettings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = bOnly // completion vs root-time are not directly comparable; just sanity-check both ran
-	if _, err := MeasureBcastThenGather(pr, 999, coll.BcastBinomial, 81920, 8192, 1024, fastSettings()); err == nil {
+	if _, err := measureOne(pr, Point{Stage: st, Procs: 999, MsgBytes: 81920, SegSize: 8192}, fastSettings()); err == nil {
 		t.Fatal("too many procs should fail")
 	}
 }
@@ -213,7 +227,7 @@ func TestMeasureLinearBcastGammaGrowth(t *testing.T) {
 	pr := cluster.Grisou()
 	var prev float64
 	for p := 2; p <= 7; p++ {
-		meas, err := MeasureLinearBcast(pr, p, pr.SegmentSize, fastSettings())
+		meas, err := measureOne(pr, bcastPoint(coll.BcastLinear, p, pr.SegmentSize, 0), fastSettings())
 		if err != nil {
 			t.Fatal(err)
 		}

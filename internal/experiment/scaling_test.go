@@ -172,7 +172,7 @@ func TestCacheShardSpread(t *testing.T) {
 	c := NewCache()
 	seen := make(map[*cacheShard]bool)
 	for m := 1; m <= 64; m++ {
-		key := cacheKey(pr, Point{Alg: coll.BcastAlgorithms()[0], Procs: 8, MsgBytes: m * 1024}, Settings{})
+		key := cacheKey(pr, bcastPoint(coll.BcastAlgorithms()[0], 8, m*1024, 0), Settings{})
 		seen[c.shard(key)] = true
 	}
 	if len(seen) < cacheShards/2 {

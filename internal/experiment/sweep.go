@@ -13,41 +13,17 @@ import (
 	"mpicollperf/internal/obs"
 )
 
-// Kind selects which measurement a grid point runs.
-type Kind int
-
-const (
-	// PointBcast measures a broadcast in Completion mode (MeasureBcast).
-	// The non-blocking linear broadcast of the γ(P) procedure is the
-	// special case Alg = coll.BcastLinear, SegSize = 0.
-	PointBcast Kind = iota
-	// PointBcastThenGather measures the §4.2 estimation experiment — the
-	// modelled broadcast followed by a linear-without-synchronisation
-	// gather of GatherBytes per rank, timed on the root
-	// (MeasureBcastThenGather).
-	PointBcastThenGather
-)
-
-func (k Kind) String() string {
-	switch k {
-	case PointBcast:
-		return "bcast"
-	case PointBcastThenGather:
-		return "bcast+gather"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Stage is a generic collective measured by a grid point: any operation
-// every rank executes, parameterised by the point's message size and
-// segment size. A point carrying a Stage measures it in Completion mode,
-// ignoring Kind, Alg and GatherBytes.
+// Stage is the operation a grid point measures: any collective every
+// rank executes, parameterised by the point's message size and segment
+// size, together with how its repetitions are timed.
 type Stage struct {
-	// Name identifies the operation (e.g. "allgather/ring"). It is the
-	// stage's whole identity in measurement cache keys, so two stages of
-	// one name must run the same operation.
+	// Name identifies the operation (e.g. "allgather/ring"). Together
+	// with Mode it is the stage's whole identity in measurement cache
+	// keys, so two stages of one name must run the same operation.
 	Name string
+	// Mode selects what a repetition's sample measures; the zero value
+	// is Completion.
+	Mode Mode
 	// ClassKey returns the operation's structure-class key at (P, m,
 	// segSize): equal keys promise identical communication structure
 	// (ranks, peers, tags, message counts), differing only in byte
@@ -60,64 +36,78 @@ type Stage struct {
 	Run func(p *mpi.Proc, m, segSize int)
 }
 
+// BcastStage is a broadcast of the point's m bytes from rank 0 with
+// algorithm alg, in Completion mode (the time until every rank holds the
+// message) — one point of the paper's comparison figures. The §4.1 γ(P)
+// experiment is BcastStage(coll.BcastLinear) at SegSize 0.
+func BcastStage(alg coll.BcastAlgorithm) *Stage {
+	return &Stage{
+		Name: "bcast/" + alg.String(),
+		ClassKey: func(P, m, segSize int) string {
+			return coll.BcastClassKey(alg, P, m, segSize)
+		},
+		Run: func(p *mpi.Proc, m, segSize int) {
+			coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
+		},
+	}
+}
+
+// BcastThenGatherStage is the paper's §4.2 estimation experiment: the
+// broadcast of BcastStage(alg) followed by a linear-without-
+// synchronisation gather of mg bytes per rank onto the root, timed on the
+// root (the experiment starts and finishes there). The gather's structure
+// is a function of the communicator size alone (its per-rank bytes are
+// harvested by the rebind), so the class key is the broadcast's with a
+// gather suffix.
+func BcastThenGatherStage(alg coll.BcastAlgorithm, mg int) *Stage {
+	return &Stage{
+		Name: fmt.Sprintf("bcast/%v+gatherlinear/mg=%d", alg, mg),
+		Mode: RootTime,
+		ClassKey: func(P, m, segSize int) string {
+			return coll.BcastClassKey(alg, P, m, segSize) + "+gatherlinear"
+		},
+		Run: func(p *mpi.Proc, m, segSize int) {
+			coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
+			if p.Rank() == 0 {
+				coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg*p.Size()), mg)
+			} else {
+				coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg), mg)
+			}
+		},
+	}
+}
+
 // Point is one cell of a measurement grid: a fully specified experiment
 // whose outcome is deterministic given the cluster profile and the
 // measurement settings.
 type Point struct {
-	// Kind selects the experiment; the zero value is PointBcast.
-	Kind Kind
-	// Stage, when non-nil, is the generic collective the point measures
-	// instead of Kind's broadcast experiment.
+	// Stage is the operation under measurement; it is required.
 	Stage *Stage
-	// Alg is the broadcast algorithm under measurement.
-	Alg coll.BcastAlgorithm
 	// Procs is the communicator size.
 	Procs int
-	// MsgBytes is the broadcast message size m.
+	// MsgBytes is the stage's message size m.
 	MsgBytes int
-	// SegSize is the broadcast segment size (0 = unsegmented).
+	// SegSize is the stage's segment size (0 = unsegmented).
 	SegSize int
-	// GatherBytes is the per-rank gather size m_g (PointBcastThenGather
-	// only).
-	GatherBytes int
 }
 
 func (pt Point) String() string {
+	name := "<no stage>"
 	if pt.Stage != nil {
-		return fmt.Sprintf("%s P=%d m=%d seg=%d", pt.Stage.Name, pt.Procs, pt.MsgBytes, pt.SegSize)
+		name = pt.Stage.Name
 	}
-	s := fmt.Sprintf("%v %v P=%d m=%d seg=%d", pt.Kind, pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
-	if pt.Kind == PointBcastThenGather {
-		s += fmt.Sprintf(" mg=%d", pt.GatherBytes)
-	}
-	return s
+	return fmt.Sprintf("%s P=%d m=%d seg=%d", name, pt.Procs, pt.MsgBytes, pt.SegSize)
 }
 
-// gatherClassSuffix distinguishes the bcast+gather experiment's structure
-// class from the plain broadcast's: the trailing linear gather's
-// structure is a function of the communicator size alone (its per-rank
-// bytes are harvested by the rebind), so the suffix alone suffices.
-const gatherClassSuffix = "+gatherlinear"
-
 // classKey is the point's structure-class key — exactly the key the
-// measure* functions register the point's plan template under, so the
-// sweep scheduler can group the grid by capture unit without running
-// anything. Unknown kinds and stages without a ClassKey have no class
-// ("") and are never grouped.
+// point's plan template is registered under, so the sweep scheduler can
+// group the grid by capture unit without running anything. Stages
+// without a ClassKey have no class ("") and are never grouped.
 func (pt Point) classKey() string {
-	if pt.Stage != nil {
-		if pt.Stage.ClassKey == nil {
-			return ""
-		}
-		return pt.Stage.ClassKey(pt.Procs, pt.MsgBytes, pt.SegSize)
+	if pt.Stage.ClassKey == nil {
+		return ""
 	}
-	switch pt.Kind {
-	case PointBcast:
-		return coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
-	case PointBcastThenGather:
-		return coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize) + gatherClassSuffix
-	}
-	return ""
+	return pt.Stage.ClassKey(pt.Procs, pt.MsgBytes, pt.SegSize)
 }
 
 // Result pairs a grid point with its measurement.
@@ -176,7 +166,7 @@ type Sweep struct {
 	Profile cluster.Profile
 	// Settings drive the adaptive measurement of every point; the zero
 	// value is normalised exactly as Measure normalises it, so a Sweep
-	// and direct Measure* calls with the same Settings agree.
+	// and direct Measure calls with the same Settings agree.
 	Settings Settings
 	// Workers bounds the number of concurrently measured points.
 	// 0 (or negative) means runtime.GOMAXPROCS(0); 1 reproduces the
@@ -265,6 +255,11 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	}
 	if len(points) == 0 {
 		return nil, nil
+	}
+	for i, pt := range points {
+		if pt.Stage == nil || pt.Stage.Run == nil {
+			return nil, fmt.Errorf("sweep point %d (%v): no stage to run", i, pt)
+		}
 	}
 	workers := s.Workers
 	if workers <= 0 {
@@ -480,17 +475,7 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 	if err != nil {
 		return Result{}, err
 	}
-	var m Measurement
-	switch {
-	case pt.Stage != nil:
-		m, err = measureStageOn(runner, s.Profile, pt, s.Settings, tmpls)
-	case pt.Kind == PointBcast:
-		m, err = measureBcastOn(runner, s.Profile, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, s.Settings, tmpls)
-	case pt.Kind == PointBcastThenGather:
-		m, err = measureBcastThenGatherOn(runner, s.Profile, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, pt.GatherBytes, s.Settings, tmpls)
-	default:
-		err = fmt.Errorf("experiment: unknown point kind %v", pt.Kind)
-	}
+	m, err := measurePoint(runner, s.Profile, pt, s.Settings, tmpls)
 	if err != nil {
 		return Result{}, err
 	}
@@ -505,10 +490,14 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 // communicator and segment size, sizes-major: all algorithms of sizes[0]
 // first, matching how the sweep tables are printed.
 func BcastGrid(procs int, algs []coll.BcastAlgorithm, sizes []int, segSize int) []Point {
+	stages := make([]*Stage, len(algs))
+	for j, alg := range algs {
+		stages[j] = BcastStage(alg)
+	}
 	points := make([]Point, 0, len(sizes)*len(algs))
 	for _, m := range sizes {
-		for _, alg := range algs {
-			points = append(points, Point{Kind: PointBcast, Alg: alg, Procs: procs, MsgBytes: m, SegSize: segSize})
+		for j := range algs {
+			points = append(points, Point{Stage: stages[j], Procs: procs, MsgBytes: m, SegSize: segSize})
 		}
 	}
 	return points

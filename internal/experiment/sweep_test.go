@@ -51,8 +51,8 @@ func marshalMeasurements(t *testing.T, res []Result) []byte {
 }
 
 // TestSweepMatchesSerial asserts the tentpole invariant: a concurrent
-// sweep is byte-identical to calling the Measure* functions one point at
-// a time, because every point runs on its own simulator.
+// sweep is byte-identical to measuring the grid one point at a time on a
+// fresh simulator, because every point runs on its own simulator.
 func TestSweepMatchesSerial(t *testing.T) {
 	pr := sweepTestProfile(t)
 	set := sweepTestSettings()
@@ -60,7 +60,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 
 	var serial []Result
 	for _, pt := range grid {
-		meas, err := MeasureBcast(pr, pt.Procs, pt.Alg, pt.MsgBytes, pt.SegSize, set)
+		meas, err := measureOne(pr, pt, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestSweepGridOrder(t *testing.T) {
 func TestSweepPropagatesFirstError(t *testing.T) {
 	pr := sweepTestProfile(t)
 	grid := sweepTestGrid(pr)
-	bad := Point{Kind: PointBcast, Alg: coll.BcastBinomial, Procs: pr.Nodes + 1, MsgBytes: 4096, SegSize: pr.SegmentSize}
+	bad := bcastPoint(coll.BcastBinomial, pr.Nodes+1, 4096, pr.SegmentSize)
 	grid[len(grid)/2] = bad
 
 	sw := Sweep{Profile: pr, Settings: sweepTestSettings(), Workers: 4}
@@ -271,13 +271,49 @@ func TestSweepDiskCache(t *testing.T) {
 	}
 }
 
+// TestDiskCacheRejectsCorruptEntries: a <key>.json that decodes but is not
+// a measurement ({} or {"Mean":1}), or does not decode at all, must be a
+// miss — never a zero-mean hit fed to the fit. A valid entry still hits.
+func TestDiskCacheRejectsCorruptEntries(t *testing.T) {
+	dir := t.TempDir()
+	valid, err := json.Marshal(Measurement{Mean: 2, Reps: 2, Samples: []float64{1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string][]byte{
+		"empty":     []byte(`{}`),
+		"mean-only": []byte(`{"Mean":1}`),
+		"reps":      []byte(`{"Mean":1,"Reps":3,"Samples":[1,1]}`),
+		"truncated": valid[:len(valid)/2],
+		"valid":     valid,
+	}
+	for key, data := range entries {
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range entries {
+		m, ok := c.get(key)
+		if want := key == "valid"; ok != want {
+			t.Errorf("%s entry: hit = %v, want %v (%+v)", key, ok, want, m)
+		}
+	}
+	if m, _ := c.get("valid"); m.Mean != 2 || m.Reps != 2 {
+		t.Errorf("valid entry decoded as %+v", m)
+	}
+}
+
 // TestCacheKeyIdentity pins down what the content-addressed key covers:
 // equal inputs collide, any changed input — point, settings, profile,
 // noise seed — does not.
 func TestCacheKeyIdentity(t *testing.T) {
 	pr := sweepTestProfile(t)
 	set := sweepTestSettings()
-	pt := Point{Kind: PointBcast, Alg: coll.BcastBinomial, Procs: 8, MsgBytes: 4096, SegSize: pr.SegmentSize}
+	pt := bcastPoint(coll.BcastBinomial, 8, 4096, pr.SegmentSize)
 
 	base := cacheKey(pr, pt, set)
 	if base != cacheKey(pr, pt, set) {
@@ -309,9 +345,9 @@ func TestCacheKeyIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheKeyPinned pins two broadcast-era cache keys byte for byte, so
-// an on-disk measurement cache written before generic stages existed
-// stays reachable.
+// TestCacheKeyPinned pins a broadcast and a broadcast+gather cache key
+// (key version 2) byte for byte, so an on-disk measurement cache stays
+// reachable until cacheKeyVersion is bumped on purpose.
 func TestCacheKeyPinned(t *testing.T) {
 	pr := cluster.Grisou()
 	for _, c := range []struct {
@@ -319,10 +355,10 @@ func TestCacheKeyPinned(t *testing.T) {
 		set  Settings
 		want string
 	}{
-		{Point{Kind: PointBcast, Alg: coll.BcastBinomial, Procs: 16, MsgBytes: 65536, SegSize: 8192}, DefaultSettings(),
-			"ea988683d1fc4957c2a7b3adaaa937c0b72100dde9c1a320b9aa16ae9cf03c90"},
-		{Point{Kind: PointBcastThenGather, Alg: coll.BcastSplitBinary, Procs: 45, MsgBytes: 1 << 20, SegSize: 8192, GatherBytes: 256}, Settings{},
-			"3e02fa16ebc873e8322d35858a6a2e2d48acbfead8e3b3679b80be2115954a6c"},
+		{bcastPoint(coll.BcastBinomial, 16, 65536, 8192), DefaultSettings(),
+			"6967a31b261cfd0e556a3aec9280fb0eea48e0cee02dc31430c5d3d7c5cfc583"},
+		{Point{Stage: BcastThenGatherStage(coll.BcastSplitBinary, 256), Procs: 45, MsgBytes: 1 << 20, SegSize: 8192}, Settings{},
+			"161a513d85a0df5fe2d4334e78045a0ae362cfe43af89de5b080648e2e1e32e2"},
 	} {
 		if got := cacheKey(pr, c.pt, c.set); got != c.want {
 			t.Errorf("%v: key %s, want %s", c.pt, got, c.want)
@@ -342,13 +378,14 @@ func allgatherStage(name string) *Stage {
 	}
 }
 
-// TestCacheKeyStage checks that generic-stage points key by stage name:
-// two stages at the same (P, m, seg) never share an entry, and neither
-// collides with the broadcast point of the same shape.
+// TestCacheKeyStage checks that points key by stage name and mode: two
+// stages at the same (P, m, seg) never share an entry, neither collides
+// with the broadcast point of the same shape, and a stage timed in
+// another mode is another measurement.
 func TestCacheKeyStage(t *testing.T) {
 	pr := sweepTestProfile(t)
 	set := sweepTestSettings()
-	pt := Point{Procs: 8, MsgBytes: 4096, SegSize: pr.SegmentSize}
+	pt := bcastPoint(coll.BcastBinomial, 8, 4096, pr.SegmentSize)
 	a, b := pt, pt
 	a.Stage, b.Stage = allgatherStage("a"), allgatherStage("b")
 	keys := map[string]bool{cacheKey(pr, pt, set): true, cacheKey(pr, a, set): true, cacheKey(pr, b, set): true}
@@ -357,6 +394,11 @@ func TestCacheKeyStage(t *testing.T) {
 	}
 	if cacheKey(pr, a, set) != cacheKey(pr, Point{Stage: allgatherStage("a"), Procs: 8, MsgBytes: 4096, SegSize: pr.SegmentSize}, set) {
 		t.Fatal("stage key depends on more than the stage name")
+	}
+	rooted := allgatherStage("a")
+	rooted.Mode = RootTime
+	if cacheKey(pr, a, set) == cacheKey(pr, Point{Stage: rooted, Procs: 8, MsgBytes: 4096, SegSize: pr.SegmentSize}, set) {
+		t.Fatal("stage key ignores the timing mode")
 	}
 }
 

@@ -34,7 +34,7 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 		// algorithm (same segment count at seg 8192, and unsegmented
 		// algorithms share one class per size anyway).
 		for _, m := range []int{65536, 65528} {
-			want, err := MeasureBcast(pr, 16, alg, m, 8192, Settings{Engine: EngineScheduler, Confidence: set.Confidence, Precision: set.Precision, MinReps: set.MinReps, MaxReps: set.MaxReps, Warmup: set.Warmup})
+			want, err := measureOne(pr, bcastPoint(alg, 16, m, 8192), Settings{Engine: EngineScheduler, Confidence: set.Confidence, Precision: set.Precision, MinReps: set.MinReps, MaxReps: set.MaxReps, Warmup: set.Warmup})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 			}
 			store := mpi.NewTemplateStore()
 			// First measurement captures and publishes the template...
-			first, err := measureBcastOn(r, pr, 16, alg, 65536, 8192, set, store)
+			first, err := measurePoint(r, pr, bcastPoint(alg, 16, 65536, 8192), set, store)
 			if err != nil {
 				t.Fatalf("%v: capture: %v", alg, err)
 			}
@@ -56,7 +56,7 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 				t.Fatalf("%v: %d templates published, want 1", alg, got)
 			}
 			// ...and the point under test rebinds it.
-			got, err := measureBcastOn(r, pr, 16, alg, m, 8192, set, store)
+			got, err := measurePoint(r, pr, bcastPoint(alg, 16, m, 8192), set, store)
 			if err != nil {
 				t.Fatalf("%v m=%d: rebind: %v", alg, m, err)
 			}
@@ -83,7 +83,7 @@ func TestRebindDivergenceFallsBackToCapture(t *testing.T) {
 	opBinary := func(p *mpi.Proc) { coll.Bcast(p, coll.BcastBinary, 0, coll.Synthetic(65536), 8192) }
 	opChain := func(p *mpi.Proc) { coll.Bcast(p, coll.BcastChain, 0, coll.Synthetic(65536), 8192) }
 
-	want, err := MeasureBcast(pr, 16, coll.BcastChain, 65536, 8192, Settings{Engine: EngineScheduler, Confidence: set.Confidence, Precision: set.Precision, MinReps: set.MinReps, MaxReps: set.MaxReps, Warmup: set.Warmup})
+	want, err := measureOne(pr, bcastPoint(coll.BcastChain, 16, 65536, 8192), Settings{Engine: EngineScheduler, Confidence: set.Confidence, Precision: set.Precision, MinReps: set.MinReps, MaxReps: set.MaxReps, Warmup: set.Warmup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +125,11 @@ func TestRebindDivergenceFallsBackToCapture(t *testing.T) {
 	}
 }
 
-// distinctClasses counts the structure classes of a bcast grid.
+// distinctClasses counts the structure classes of a grid.
 func distinctClasses(points []Point) int {
 	keys := make(map[string]bool)
 	for _, pt := range points {
-		key := coll.BcastClassKey(pt.Alg, pt.Procs, pt.MsgBytes, pt.SegSize)
-		if pt.Kind == PointBcastThenGather {
-			key += "+gatherlinear"
-		}
-		keys[key] = true
+		keys[pt.classKey()] = true
 	}
 	return len(keys)
 }
@@ -148,7 +144,7 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 	set := fastSettings()
 	grid := BcastGrid(16, coll.BcastAlgorithms(), []int{8192, 131072, 1 << 20}, pr.SegmentSize)
 	for _, mg := range []int{64, 4096} {
-		grid = append(grid, Point{Kind: PointBcastThenGather, Alg: coll.BcastBinomial, Procs: 16, MsgBytes: 131072, SegSize: pr.SegmentSize, GatherBytes: mg})
+		grid = append(grid, Point{Stage: BcastThenGatherStage(coll.BcastBinomial, mg), Procs: 16, MsgBytes: 131072, SegSize: pr.SegmentSize})
 	}
 	classes := distinctClasses(grid)
 	if classes >= len(grid) {

@@ -16,6 +16,7 @@
 package hockney
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -36,6 +37,22 @@ type Params struct {
 // P2P returns the modelled point-to-point time for an m-byte message.
 func (p Params) P2P(m int) float64 { return p.Alpha + p.Beta*float64(m) }
 
+// pingPong is the round trip of an m-byte message between ranks 0 and 1,
+// timed on rank 0.
+var pingPong = &experiment.Stage{
+	Name: "pingpong",
+	Mode: experiment.RootTime,
+	Run: func(p *mpi.Proc, m, _ int) {
+		if p.Rank() == 0 {
+			p.Send(1, 0, nil, m)
+			p.Recv(1, 1, nil)
+		} else {
+			p.Recv(0, 0, nil)
+			p.Send(0, 1, nil, m)
+		}
+	},
+}
+
 // EstimatePingPong measures Params the traditional way: round-trip
 // ping-pong experiments between two processes over the given message
 // sizes, halving each round trip and fitting α + β·m by least squares.
@@ -43,30 +60,22 @@ func EstimatePingPong(pr cluster.Profile, sizes []int, set experiment.Settings) 
 	if len(sizes) < 2 {
 		return Params{}, fmt.Errorf("hockney: need at least 2 message sizes, got %d", len(sizes))
 	}
-	xs := make([]float64, 0, len(sizes))
-	ys := make([]float64, 0, len(sizes))
-	for _, m := range sizes {
+	points := make([]experiment.Point, len(sizes))
+	for i, m := range sizes {
 		if m < 0 {
 			return Params{}, fmt.Errorf("hockney: negative message size %d", m)
 		}
-		net, err := pr.Network()
-		if err != nil {
-			return Params{}, err
-		}
-		meas, err := experiment.Measure(net, 2, set, experiment.RootTime, func(p *mpi.Proc) {
-			if p.Rank() == 0 {
-				p.Send(1, 0, nil, m)
-				p.Recv(1, 1, nil)
-			} else {
-				p.Recv(0, 0, nil)
-				p.Send(0, 1, nil, m)
-			}
-		})
-		if err != nil {
-			return Params{}, err
-		}
-		xs = append(xs, float64(m))
-		ys = append(ys, meas.Mean/2)
+		points[i] = experiment.Point{Stage: pingPong, Procs: 2, MsgBytes: m}
+	}
+	measured, err := experiment.Sweep{Profile: pr, Settings: set}.Run(context.Background(), points)
+	if err != nil {
+		return Params{}, err
+	}
+	xs := make([]float64, len(sizes))
+	ys := make([]float64, len(sizes))
+	for i, m := range sizes {
+		xs[i] = float64(m)
+		ys[i] = measured[i].Meas.Mean / 2
 	}
 	fit, err := stats.OLS(xs, ys)
 	if err != nil {

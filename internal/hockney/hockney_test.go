@@ -1,6 +1,7 @@
 package hockney
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,10 +100,12 @@ func TestTraditionalUnderestimatesMeasuredBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 1 << 20
-	meas, err := experiment.MeasureBcast(pr, 24, coll.BcastBinary, m, pr.SegmentSize, fastSettings())
+	measured, err := experiment.Sweep{Profile: pr, Settings: fastSettings()}.Run(context.Background(),
+		experiment.BcastGrid(24, []coll.BcastAlgorithm{coll.BcastBinary}, []int{m}, pr.SegmentSize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	meas := measured[0].Meas
 	pred := TraditionalBcast(coll.BcastBinary, par, 24, m, pr.SegmentSize)
 	relErr := math.Abs(pred-meas.Mean) / meas.Mean
 	if relErr < 0.10 {

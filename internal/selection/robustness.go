@@ -117,7 +117,7 @@ func Robustness(ctx context.Context, pr cluster.Profile, sel ModelBased, cfg Rob
 			oc := OpenMPIFixed(cfg.P, m)
 			ompiAt[i] = len(points)
 			points = append(points, experiment.Point{
-				Kind: experiment.PointBcast, Alg: oc.Alg, Procs: cfg.P, MsgBytes: m, SegSize: oc.SegSize,
+				Stage: experiment.BcastStage(oc.Alg), Procs: cfg.P, MsgBytes: m, SegSize: oc.SegSize,
 			})
 		}
 		sw := experiment.Sweep{Profile: prp, Settings: cfg.Settings, Workers: cfg.Workers, Cache: cfg.Cache, Metrics: cfg.Metrics}

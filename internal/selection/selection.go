@@ -214,11 +214,13 @@ func Compare(pr cluster.Profile, sel ModelBased, P, m int, set experiment.Settin
 
 	oc := OpenMPIFixed(P, m)
 	cmp.OMPIChoice = oc
-	meas, err := experiment.MeasureBcast(pr, P, oc.Alg, m, oc.SegSize, set)
+	ompi, err := experiment.Sweep{Profile: pr, Settings: set}.Run(context.Background(), []experiment.Point{
+		{Stage: experiment.BcastStage(oc.Alg), Procs: P, MsgBytes: m, SegSize: oc.SegSize},
+	})
 	if err != nil {
 		return Comparison{}, err
 	}
-	cmp.OMPITime = meas.Mean
+	cmp.OMPITime = ompi[0].Meas.Mean
 	// Open MPI's pick can even beat the fixed-segment oracle when its
 	// segment size is better; degradation is still reported against the
 	// oracle, like the paper.

@@ -16,6 +16,7 @@
 package tables
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -73,22 +74,22 @@ func GenerateFig1(pr cluster.Profile, P int, sizes []int, set experiment.Setting
 	if err != nil {
 		return Fig1{}, err
 	}
+	algs := []coll.BcastAlgorithm{coll.BcastBinary, coll.BcastBinomial}
+	grid := experiment.BcastGrid(P, algs, sizes, pr.SegmentSize)
+	measured, err := experiment.Sweep{Profile: pr, Settings: set}.Run(context.Background(), grid)
+	if err != nil {
+		return Fig1{}, err
+	}
 	fig := Fig1{Cluster: pr.Name, P: P, PingPong: pp}
-	for _, m := range sizes {
-		row := Fig1Row{M: m}
-		row.TradBinary = hockney.TraditionalBcast(coll.BcastBinary, pp, P, m, pr.SegmentSize)
-		row.TradBinomial = hockney.TraditionalBcast(coll.BcastBinomial, pp, P, m, pr.SegmentSize)
-		mb, err := experiment.MeasureBcast(pr, P, coll.BcastBinary, m, pr.SegmentSize, set)
-		if err != nil {
-			return Fig1{}, err
-		}
-		row.MeasBinary = mb.Mean
-		mn, err := experiment.MeasureBcast(pr, P, coll.BcastBinomial, m, pr.SegmentSize, set)
-		if err != nil {
-			return Fig1{}, err
-		}
-		row.MeasBinomial = mn.Mean
-		fig.Rows = append(fig.Rows, row)
+	for i, m := range sizes {
+		fig.Rows = append(fig.Rows, Fig1Row{
+			M:            m,
+			TradBinary:   hockney.TraditionalBcast(coll.BcastBinary, pp, P, m, pr.SegmentSize),
+			TradBinomial: hockney.TraditionalBcast(coll.BcastBinomial, pp, P, m, pr.SegmentSize),
+			// BcastGrid is sizes-major: binary then binomial per size.
+			MeasBinary:   measured[2*i].Meas.Mean,
+			MeasBinomial: measured[2*i+1].Meas.Mean,
+		})
 	}
 	return fig, nil
 }
