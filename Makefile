@@ -94,10 +94,12 @@ benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./internal/mpi/ ./internal/experiment/ ./internal/estimate/
 
 # Run the fuzz targets over their seed corpus only (no fuzzing time):
-# each f.Add seed must keep the replay and scheduler engines
-# bit-identical (experiment) and both selectors total (selection).
+# each f.Add seed must keep the replay, compile and scheduler engines
+# bit-identical (experiment), both selectors total (selection), the
+# guideline verdicts stable (guideline), and the select parser's accept
+# set inside encoding/json's (wire).
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/experiment/ ./internal/selection/ ./internal/guideline/
+	$(GO) test -run='^Fuzz' ./internal/experiment/ ./internal/selection/ ./internal/guideline/ ./internal/serve/wire/
 
 # Performance-guideline smoke gate: verify the self-consistency registry
 # on a reduced grid (one cluster, one random perturbation, small P × m

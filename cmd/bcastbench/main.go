@@ -28,21 +28,19 @@
 // printed. Mutually exclusive with -cache (cached points would make
 // every count after the first trivially fast).
 //
-// -engine selects how repetitions execute: auto (the default) captures
-// each point's execution plan and re-times repetitions with the replay
-// engine, falling back to the full scheduler when the structure is not
-// plan-stable; scheduler forces the slow path; replay forbids the
-// fallback. All three produce bit-identical measurements.
+// -engine selects how repetitions execute: auto (the default) compiles
+// each point's execution plan goroutine-free and re-times repetitions
+// with the replay engine, falling back to the full scheduler when the
+// program cannot be replayed; scheduler forces the slow path; replay
+// forbids the fallback. All three produce bit-identical measurements.
 //
 // -perturb composes a deterministic fault scenario onto the cluster
 // before sweeping (package perturb's spec syntax, e.g.
 // "straggler:node=0,cpu=2;link:src=0,dst=1,bw=4"); -perturb-random
 // generates one from an intensity in (0,1] and -perturb-seed. -v reports
-// the plan-template cache's work split (plans captured per structure
-// class vs grid points rebound from a cached template, plus any rebind
-// divergences), the class-aware scheduler's shape (structure-class
-// groups, duplicate captures avoided by single-flight election, waits on
-// in-flight captures), and how many measurements fell back from the
+// the plan work split (points compiled, templates published per
+// structure class, grid points rebound from a published template, plus
+// any rebind divergences), and how many measurements fell back from the
 // replay engine to the scheduler, and why.
 //
 // -metrics writes a JSON observability artifact of the sweep — points
@@ -310,18 +308,11 @@ func run(args []string, out io.Writer) (err error) {
 
 	fmt.Fprintf(out, "broadcast sweep on %s, P=%d, segment=%d B\n", pr.Name, *np, *seg)
 	if *verbose {
-		captured := sw.Metrics.Counter("experiment_plan_templates_total").Value()
+		compiled := sw.Metrics.Counter("experiment_plan_compiles_total").Value()
+		published := sw.Metrics.Counter("experiment_plan_templates_total").Value()
 		rebound := sw.Metrics.Counter("experiment_plan_rebinds_total").Value()
 		diverged := sw.Metrics.Counter(obs.Name("experiment_fallbacks_total", "reason", "rebind-divergence")).Value()
-		fmt.Fprintf(out, "plan templates: %d captured, %d points rebound, %d rebind divergences\n", captured, rebound, diverged)
-		classes := int64(sw.Metrics.Gauge("experiment_sweep_class_groups").Value())
-		dedup := sw.Metrics.Counter("experiment_sweep_capture_dedup_total").Value()
-		wait := sw.Metrics.Histogram("experiment_sweep_singleflight_wait_seconds")
-		line := fmt.Sprintf("class scheduling: %d class groups, %d duplicate captures avoided", classes, dedup)
-		if n := wait.Count(); n > 0 {
-			line += fmt.Sprintf(", %d single-flight waits (mean %.1f ms)", n, wait.Mean()*1e3)
-		}
-		fmt.Fprintln(out, line)
+		fmt.Fprintf(out, "plans: %d compiled, %d templates published, %d points rebound, %d rebind divergences\n", compiled, published, rebound, diverged)
 		if counts := experiment.CountFallbacks(results); len(counts) == 0 {
 			fmt.Fprintln(out, "engine fallbacks: none")
 		} else {

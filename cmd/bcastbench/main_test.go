@@ -150,11 +150,10 @@ func TestScalingFlagMetrics(t *testing.T) {
 	}
 }
 
-// TestVerboseClassScheduling: -v reports the class-aware scheduler's
-// shape alongside the plan-template work split. A serial 2-size × 1-alg
-// grid has 2 structure classes (linear pins segs=1, but the two sizes
-// still share one class only for unsegmented algorithms — binomial
-// segments, so each size is its own class) and no duplicate captures.
+// TestVerboseClassScheduling: -v reports the plan work split. A serial
+// 2-size × 1-alg grid has 2 structure classes (unsegmented algorithms
+// share one class across sizes, but binomial segments, so each size is
+// its own class): both points compile and publish, none rebinds.
 func TestVerboseClassScheduling(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
@@ -165,11 +164,8 @@ func TestVerboseClassScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "class scheduling: 2 class groups, 0 duplicate captures avoided") {
-		t.Errorf("-v output missing the class-scheduling line:\n%s", got)
-	}
-	if !strings.Contains(got, "plan templates: 2 captured, 0 points rebound") {
-		t.Errorf("-v output missing the plan-template line:\n%s", got)
+	if !strings.Contains(got, "plans: 2 compiled, 2 templates published, 0 points rebound, 0 rebind divergences") {
+		t.Errorf("-v output missing the plan line:\n%s", got)
 	}
 }
 

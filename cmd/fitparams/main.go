@@ -18,7 +18,7 @@
 //
 // -engine selects the measurement execution engine (auto, scheduler,
 // replay); all three produce bit-identical calibrations, with auto
-// re-timing repetitions from captured execution plans for speed.
+// re-timing repetitions from compiled execution plans for speed.
 //
 // -metrics writes a JSON observability artifact of the calibration —
 // sweep and engine counters plus per-algorithm fit durations, Huber

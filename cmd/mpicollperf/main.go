@@ -28,8 +28,7 @@
 // observability registry attached (see internal/obs) and emits the
 // collected counters, gauges, and span histograms — sweep points measured
 // vs cached, per-engine repetition counts, simulator run/transfer totals,
-// class-aware scheduler statistics (structure-class groups, duplicate
-// captures avoided, single-flight wait times), per-algorithm fit
+// plan compile, template and rebind counts, per-algorithm fit
 // statistics, and the guideline-verification counters
 // (guideline_checks_total, guideline_violations_total, per-guideline
 // ratio histograms) from a small invariant check. The calibration runs

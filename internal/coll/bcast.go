@@ -90,7 +90,7 @@ func (a BcastAlgorithm) Segmented() bool { return a != BcastLinear }
 // the segment count n_s = NumSegments(size, segSize); unsegmented
 // algorithms ignore the segment size entirely, so their key pins segs=1
 // and every message size shares one class. The replay engine's template
-// cache captures one plan per class and rebinds it for every other point
+// cache compiles one plan per class and rebinds it for every other point
 // of the class (mpi.TemplateStore, Runner.Rebind).
 func BcastClassKey(alg BcastAlgorithm, procs, size, segSize int) string {
 	segs := 1

@@ -123,11 +123,11 @@ type AlphaBetaConfig struct {
 	// the same settings skip their measurements entirely.
 	Cache *experiment.Cache
 	// DisablePlanTemplates switches off the calibration sweep's
-	// plan-template fast path (capture one execution plan per structure
-	// class, rebind it goroutine-free for every other grid point); every
-	// replay-eligible point then captures its own plan. Fitted parameters
-	// are bit-identical either way; the switch exists for benchmarking
-	// and debugging.
+	// plan-template store (compile one execution plan per structure
+	// class, rebind it for every other grid point); every point then
+	// compiles its own plan, still goroutine-free. Fitted parameters are
+	// bit-identical either way; the switch exists for benchmarking and
+	// debugging.
 	DisablePlanTemplates bool
 	// Progress, if non-nil, observes every completed measurement.
 	Progress experiment.Progress

@@ -20,8 +20,10 @@ import (
 // identifies the (collective, algorithm) pair, e.g. "allgather/ring"; Run
 // executes one instance on every rank, with m the same size parameter
 // passed to Coefficients; ClassKey (structure only, never byte counts)
-// lets the sweep capture one plan template per class and rebind it for
-// every other size, and nil means the spec's points are never templated.
+// declares the spec timing-independent, so its points are compiled
+// goroutine-free and the sweep keeps one plan template per class to
+// rebind for every other size; nil means the spec's points are captured
+// under the scheduler and never templated.
 // The spec's points are measured in Completion mode, the zero Mode.
 type CollectiveSpec struct {
 	experiment.Stage

@@ -85,10 +85,12 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkPlanCache breaks one grid point's cost down by measurement
 // path: the full scheduler loop, the replay engine's capture (scheduler
-// repetition + echo validation + replay), and the template fast path
-// (goroutine-free rebind + replay). The rebind line is what every point
-// after the first of a structure class costs; BENCH_plancache.json
-// records the three side by side.
+// repetition + echo validation + replay, the path of class-less
+// operations), the goroutine-free compile + replay (what a structure
+// class's first point, or any class-keyed point with templates off,
+// costs), and the template rebind + replay (every later point of a
+// class). BENCH_plancache.json records the four side by side; the
+// compile/rebind ratio says what templates still save.
 func BenchmarkPlanCache(b *testing.B) {
 	pr, err := cluster.Grisou().WithNodes(32)
 	if err != nil {
@@ -119,6 +121,18 @@ func BenchmarkPlanCache(b *testing.B) {
 		b.ReportAllocs()
 		set := set
 		set.Engine = EngineReplay
+		// A class-less measurement of the same operation: a real capture.
+		op := func(p *mpi.Proc) { pt.Stage.Run(p, pt.MsgBytes, pt.SegSize) }
+		for i := 0; i < b.N; i++ {
+			if _, err := MeasureOn(reuse, pt.Procs, set, Completion, op); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("path=compile", func(b *testing.B) {
+		b.ReportAllocs()
+		set := set
+		set.Engine = EngineReplay
 		for i := 0; i < b.N; i++ {
 			point(b, set, nil)
 		}
@@ -128,7 +142,7 @@ func BenchmarkPlanCache(b *testing.B) {
 		set := set
 		set.Engine = EngineReplay
 		store := mpi.NewTemplateStore()
-		point(b, set, store) // capture the class template once
+		point(b, set, store) // compile the class template once
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			point(b, set, store)

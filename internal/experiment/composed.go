@@ -27,16 +27,18 @@ func Composed(stages ...Op) Op {
 
 // MeasureComposedClass measures the chained stages on a reusable Runner
 // built from pr (see NewRunnerPool): one adaptive measurement of the whole
-// chain in the given mode. At least one stage is required. When classKey
-// is non-empty and tmpl is non-nil, the first measured composition of the
-// class captures its plan under the scheduler and publishes it to tmpl,
-// and every later measurement of the class rebinds that template
-// goroutine-free (mpi.Runner.Rebind) — with bit-identical samples either
-// way. The class key must identify the composition's communication
-// *structure* (ranks, peers, tags, segment counts), never its byte
-// counts, which the rebind harvests per point; a too-coarse key is safe
-// (the rebind detects divergence and falls back to a fresh capture) but
-// wastes the fast path.
+// chain in the given mode. At least one stage is required. A non-empty
+// classKey declares the composition timing-independent: it is compiled
+// goroutine-free (mpi.Runner.Compile) instead of captured under the
+// scheduler, and when tmpl is non-nil the first measured composition of
+// the class publishes its plan to tmpl and every later measurement of the
+// class rebinds that template (mpi.Runner.Rebind) — with bit-identical
+// samples on every path. The class key must identify the composition's
+// communication *structure* (ranks, peers, tags, segment counts), never
+// its byte counts, which the rebind harvests per point; a too-coarse key
+// is safe (the rebind detects divergence and the point is compiled
+// afresh) but wastes the rebind. An empty classKey captures and
+// echo-validates, as MeasureOn does.
 func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, classKey string, tmpl *mpi.TemplateStore, stages ...Op) (Measurement, error) {
 	if len(stages) == 0 {
 		return Measurement{}, fmt.Errorf("experiment: composed measurement needs at least one stage")
@@ -44,9 +46,5 @@ func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Set
 	if nprocs > pr.Nodes {
 		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", nprocs, pr.Name, pr.Nodes)
 	}
-	cls := planClass{}
-	if tmpl != nil && classKey != "" {
-		cls = planClass{key: classKey, store: tmpl}
-	}
-	return measureOnClass(r, nprocs, set, mode, Composed(stages...), cls)
+	return measureOnClass(r, nprocs, set, mode, Composed(stages...), planClass{key: classKey, store: tmpl})
 }

@@ -51,8 +51,10 @@
 // completion order, so callers are oblivious to the concurrency. Each
 // worker's simulator is reset between points, which makes the results
 // bit-identical to a serial run on fresh simulators; the first failing
-// point cancels the rest through the context. Points of one structure
-// class capture one plan template and rebind it for the rest.
+// point cancels the rest through the context. Points whose stage declares
+// a structure class are compiled into plans goroutine-free, with no
+// scheduler run; the first point of a class publishes its plan as the
+// class template and the rest rebind it.
 // Measure and MeasureComposedClass remain for callers that time an
 // arbitrary Op (or chain of Ops) outside a grid.
 //

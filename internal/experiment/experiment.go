@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/mpi"
@@ -25,13 +24,15 @@ const (
 type Engine int
 
 const (
-	// EngineAuto (the default) captures the first repetition under the
-	// full scheduler, validates the captured plan with an echo run (the
-	// program re-executed against replayed clocks, its operation stream
-	// byte-compared to the plan), and re-times the remaining repetitions
-	// with the plan-replay engine, falling back to the scheduler when the
-	// structure diverges. Results are bit-identical to EngineScheduler
-	// either way.
+	// EngineAuto (the default) re-times repetitions with the plan-replay
+	// engine. A point whose stage declares a structure class is compiled
+	// into its plan goroutine-free (or rebinds its class's template), with
+	// no scheduler run at all. Any other measurement captures its first
+	// repetition under the full scheduler and validates the captured plan
+	// with an echo run (the program re-executed against replayed clocks,
+	// its operation stream byte-compared to the plan). Measurements that
+	// cannot be replayed fall back to the scheduler. Results are
+	// bit-identical to EngineScheduler either way.
 	EngineAuto Engine = iota
 	// EngineScheduler runs every repetition under the full MPI scheduler.
 	EngineScheduler
@@ -95,11 +96,17 @@ const (
 	FallbackTimeVarying FallbackReason = "time-varying-perturbation"
 	// FallbackRebindDivergence: the point's operation stream diverged from
 	// its structure class's plan template during a rebind pass
-	// (mpi.Runner.Rebind); the point was re-measured through the full
-	// capture path. The measurement still ran on the replay engine, so
-	// this reason appears only in the metrics registry, never on a
-	// Measurement.
+	// (mpi.Runner.Rebind); the point was compiled afresh, which also
+	// refreshes the template. The measurement still ran on the replay
+	// engine, so this reason appears only in the metrics registry, never
+	// on a Measurement.
 	FallbackRebindDivergence FallbackReason = "rebind-divergence"
+	// FallbackCompile: a class-keyed point could not be compiled
+	// goroutine-free (mpi.Runner.Compile), or its compiled plan did not
+	// replay to completion; the point was re-measured through the capture
+	// path, which reproduces whatever error the program has. Like
+	// FallbackRebindDivergence it appears only in the metrics registry.
+	FallbackCompile FallbackReason = "compile"
 )
 
 // Settings controls the adaptive repetition loop.
@@ -185,25 +192,17 @@ type Op func(p *mpi.Proc)
 // (mpi.Options.Metrics). Labelled names are precomputed so the hot path
 // never rebuilds them.
 var (
-	mRepsReplay      = obs.Name("experiment_reps_total", "engine", "replay")
-	mRepsScheduler   = obs.Name("experiment_reps_total", "engine", "scheduler")
-	mReplayTransfers = "experiment_replay_transfers_total"
-	mPlanTemplates   = "experiment_plan_templates_total"
-	mPlanRebinds     = "experiment_plan_rebinds_total"
-	// mCaptureDedup counts captures avoided by single-flight election: a
-	// worker that blocked on another worker's in-flight capture of the
-	// same structure class and came back holding the published template.
-	// Without the single-flight layer each of those would have been a
-	// duplicate scheduler capture (≈3.3× the rebind cost it pays instead).
-	mCaptureDedup = "experiment_sweep_capture_dedup_total"
-	// mSingleFlightWait times how long blocked workers waited on an
-	// in-flight capture (obs.Registry.Span naming: _seconds histogram).
-	mSingleFlightWait = "experiment_sweep_singleflight_wait_seconds"
+	mRepsReplay       = obs.Name("experiment_reps_total", "engine", "replay")
+	mRepsScheduler    = obs.Name("experiment_reps_total", "engine", "scheduler")
+	mReplayTransfers  = "experiment_replay_transfers_total"
+	mPlanCompiles     = "experiment_plan_compiles_total"
+	mPlanTemplates    = "experiment_plan_templates_total"
+	mPlanRebinds      = "experiment_plan_rebinds_total"
 	mFallbacksByWhy   = map[FallbackReason]string{}
 	fallbackReasonSet = []FallbackReason{
 		FallbackPayload, FallbackMarkInOp, FallbackPlan,
 		FallbackEchoDivergence, FallbackTimeVarying,
-		FallbackRebindDivergence,
+		FallbackRebindDivergence, FallbackCompile,
 	}
 )
 
@@ -225,21 +224,21 @@ func Measure(net *simnet.Network, nprocs int, set Settings, mode Mode, op Op) (M
 	return MeasureOn(mpi.NewRunnerOn(net, mpi.Options{}), nprocs, set, mode, op)
 }
 
-// planClass identifies a measurement's structure class for the plan
-// template cache: key is the class key (e.g. coll.BcastClassKey) and
-// store is where the class's template lives. The zero value disables
-// templating: MeasureOn captures and replays as before. With a class
-// attached, the first measured point of a class publishes its validated
-// plan as the class template, and every later point of the class rebinds
-// the template goroutine-free (mpi.Runner.Rebind) instead of capturing
-// under the scheduler — with bit-identical samples either way.
+// planClass identifies a measurement's structure class: key is the
+// class key (e.g. coll.BcastClassKey) and store, which may be nil, is the
+// plan-template store. A class-keyed measurement on a replay-invariant
+// network is compiled goroutine-free (mpi.Runner.Compile) and replayed
+// with no scheduler run; with a store attached, the first compiled point
+// of a class publishes its plan as the class template and every later
+// point rebinds it (mpi.Runner.Rebind), which skips message matching.
+// The zero value is a class-less measurement: it captures under the
+// scheduler and echo-validates, which is what catches a program whose
+// structure changes across invocations. Samples are bit-identical on
+// every path.
 type planClass struct {
 	key   string
 	store *mpi.TemplateStore
 }
-
-// enabled reports whether the class can consult a template store.
-func (c planClass) enabled() bool { return c.store != nil && c.key != "" }
 
 // MeasureOn is Measure on a reusable Runner: callers measuring many
 // points on the same platform (the sweep engine, the calibration loops)
@@ -258,7 +257,7 @@ func MeasureOn(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measu
 }
 
 // measureOnClass is MeasureOn with an optional structure class attached
-// (the plan-template fast path; see planClass).
+// (the compile and template fast paths; see planClass).
 func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, error) {
 	set = set.withDefaults()
 	m := r.Metrics()
@@ -271,44 +270,13 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 	}
 	why := FallbackNone
 	if r.Network().ReplayInvariant() {
-		var release func() // non-nil iff this call leads its class's capture flight
-		if cls.enabled() {
-			// Single-flight template resolution: either the class's
-			// template is published (rebind it), or this call is elected
-			// its capture leader (fall through to the capture path, whose
-			// Put completes the flight), or another worker is capturing it
-			// right now (block until it publishes, then rebind). release
-			// is non-nil exactly for the leader; deferring it guarantees
-			// the waiters are unblocked on every exit path — it is a no-op
-			// once the template is published.
-			var tpl *mpi.Plan
-			var waited time.Duration
-			tpl, release, waited = cls.store.Acquire(cls.key)
-			if release != nil {
-				defer release()
-			}
-			if waited > 0 {
-				m.Histogram(mSingleFlightWait).Observe(waited.Seconds())
-				if tpl != nil {
-					m.Counter(mCaptureDedup).Inc()
-				}
-			}
-			if tpl != nil {
-				meas, rerr := measureRebound(r, nprocs, set, mode, op, tpl)
-				if rerr == nil {
-					m.Counter(mPlanRebinds).Inc()
-					m.Counter(mRepsReplay).Add(int64(meas.Reps))
-					return meas, nil
-				}
-				// The point's structure diverged from its class template
-				// (or the template no longer fits the network): re-measure
-				// through the full capture path, which also refreshes the
-				// template. Replay is still used, so this fallback is a
-				// metrics-only event.
-				m.Counter(mFallbacksByWhy[FallbackRebindDivergence]).Inc()
+		if cls.key != "" {
+			if meas, ok := measureClass(r, nprocs, set, mode, op, cls); ok {
+				m.Counter(mRepsReplay).Add(int64(meas.Reps))
+				return meas, nil
 			}
 		}
-		meas, reason, err := measureReplay(r, nprocs, set, mode, op, cls)
+		meas, reason, err := measureReplay(r, nprocs, set, mode, op)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -317,12 +285,6 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 			return meas, nil
 		}
 		why = reason
-		if release != nil {
-			// The class cannot be templated (payload, marks, plan shape):
-			// abandon the flight now, before the slow scheduler rerun
-			// below, so same-class waiters don't stall behind it.
-			release()
-		}
 	} else {
 		// A time-windowed perturbation makes the effective timing depend on
 		// virtual time; don't even capture.
@@ -338,6 +300,79 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 		m.Counter(mRepsScheduler).Add(int64(meas.Reps))
 	}
 	return meas, err
+}
+
+// measureClass measures a class-keyed point with no scheduler run: it
+// rebinds the class's published template when there is one, and
+// otherwise compiles the point's repetition goroutine-free and publishes
+// the plan as the class template. ok is false when neither path produced
+// a measurement — the point does not compile, or its plan does not
+// replay to completion — and the caller measures it through the capture
+// path instead, so errors surface exactly as the scheduler reports them.
+func measureClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, bool) {
+	m := r.Metrics()
+	rep := repetition(op, mode)
+	// Reset first: the replay below must consume the noise stream from
+	// the exact position a capturing run would have.
+	r.Network().Reset()
+	refresh := false
+	if cls.store != nil {
+		if tpl := cls.store.Get(cls.key); tpl != nil {
+			if tpl.Procs() == nprocs {
+				if plan, err := r.Rebind(tpl, rep); err == nil {
+					if meas, err := replayPoint(r, nprocs, set, mode, plan); err == nil {
+						m.Counter(mPlanRebinds).Inc()
+						return meas, true
+					}
+				}
+			}
+			// The point's structure diverged from its class template (the
+			// key is too coarse): compile it, which also refreshes the
+			// template. This fallback is a metrics-only event.
+			m.Counter(mFallbacksByWhy[FallbackRebindDivergence]).Inc()
+			refresh = true
+			r.Network().Reset()
+		}
+	}
+	plan, err := r.Compile(nprocs, rep)
+	if err == nil {
+		var meas Measurement
+		if meas, err = replayPoint(r, nprocs, set, mode, plan); err == nil {
+			m.Counter(mPlanCompiles).Inc()
+			// Put clones, so the Runner's recycled plan buffer is safe to
+			// reuse. A class another worker published concurrently is not
+			// a new template.
+			if cls.store != nil && (cls.store.Put(cls.key, plan) || refresh) {
+				m.Counter(mPlanTemplates).Inc()
+			}
+			return meas, true
+		}
+	}
+	m.Counter(mFallbacksByWhy[FallbackCompile]).Inc()
+	return Measurement{}, false
+}
+
+// repetition is one repetition of op as a replayable plan spans it: the
+// open barrier, the sample marks around op, the close barrier in
+// Completion mode, and the decide barrier that chains repetitions —
+// everything a capturing run records after its boundary mark.
+func repetition(op Op, mode Mode) func(*mpi.Proc) error {
+	return func(p *mpi.Proc) error {
+		root := p.Rank() == 0
+		p.Barrier() // open: align all ranks
+		if root {
+			p.Mark() // sample start
+		}
+		op(p)
+		if mode == Completion {
+			p.Barrier() // close: wait for global completion
+		}
+		if root {
+			p.Mark() // sample end
+		}
+		p.Barrier() // decide (chains repetitions exactly as captured)
+		return nil
+	}
 }
 
 // sampler is the adaptive stop rule every engine shares: it counts
@@ -485,11 +520,7 @@ func replayUntilDone(rp *mpi.Replayer, smp *sampler, lanes int, mode Mode, bc fl
 // engine — the echo detected structural divergence, the program carries
 // payload bytes (which an echo cannot deliver), or the plan does not
 // close over a repetition — and the caller reruns it there.
-//
-// When a structure class is attached, the plan is published to the
-// class's template store once the echo run has validated it, so later
-// points of the class rebind it instead of capturing.
-func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, FallbackReason, error) {
+func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, FallbackReason, error) {
 	var (
 		captured    float64
 		barrierCost float64
@@ -569,34 +600,11 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cl
 	if !ok {
 		return Measurement{}, FallbackPlan, nil
 	}
-	eerr := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, func(p *mpi.Proc) error {
-		root := p.Rank() == 0
-		p.Barrier()
-		if root {
-			p.Mark()
-		}
-		op(p)
-		if mode == Completion {
-			p.Barrier()
-		}
-		if root {
-			p.Mark()
-		}
-		p.Barrier()
-		return nil
-	})
-	if eerr != nil {
+	if r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, repetition(op, mode)) != nil {
 		return Measurement{}, FallbackEchoDivergence, nil
 	}
 	// The plan is validated; later repetitions need no echo clocks.
 	rp.DiscardEchoClocks()
-	// Publish the validated plan as its structure class's template (Put
-	// clones, so the Runner's recycled plan buffer is safe to keep using
-	// below).
-	if cls.enabled() {
-		cls.store.Put(cls.key, plan)
-		r.Metrics().Counter(mPlanTemplates).Inc()
-	}
 	sample := marks[1] - marks[0]
 	if mode == Completion {
 		sample -= barrierCost
@@ -613,53 +621,23 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cl
 	return smp.result(), FallbackNone, nil
 }
 
-// measureRebound is the plan-template fast path: the point's repetition
-// closures are rebound onto its structure class's template
-// (mpi.Runner.Rebind) — a goroutine-free structural pass that harvests
-// the new byte counts and recomputes link timings — and then *every*
-// repetition, including the first, is re-timed by the Replayer. No
-// scheduler run happens at all.
+// replayPoint re-times every repetition of a compiled or rebound plan,
+// the first included, with no scheduler run at all.
 //
 // Bit-identicality with the capture path: a capturing run's preamble (two
 // calibration barriers from clock zero) consumes no jitter and leaves
 // every rank's clock at exactly twice the analytical barrier cost, so
-// replaying the rebound plan from those clocks, idle ports, and a freshly
-// reseeded noise stream performs literally the same floating-point
-// arithmetic as the scheduler run of repetition 0 — and the chained lanes
-// reproduce repetitions 1..N exactly as the capture path replays them.
-// The sample sequence, and hence the Measurement, is bit-identical to
-// both other engines.
+// replaying the plan from those clocks, idle ports, and a freshly
+// reseeded noise stream (the caller resets the network) performs
+// literally the same floating-point arithmetic as the scheduler run of
+// repetition 0 — and the chained lanes reproduce repetitions 1..N exactly
+// as the capture path replays them. The sample sequence, and hence the
+// Measurement, is bit-identical to both other engines.
 //
-// An error means the point diverged from its template (or the template
-// does not fit the Runner's network); the caller falls back to the full
-// capture path, which re-publishes a fresh template.
-func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, tpl *mpi.Plan) (Measurement, error) {
-	if tpl.Procs() != nprocs {
-		return Measurement{}, fmt.Errorf("experiment: rebind: template spans %d ranks, point has %d", tpl.Procs(), nprocs)
-	}
-	// Reset first: the rebind pass recomputes link timings from the
-	// network's quiet state, and the replay below must consume the noise
-	// stream from the exact position a capturing run would have.
-	r.Network().Reset()
-	plan, err := r.Rebind(tpl, func(p *mpi.Proc) error {
-		root := p.Rank() == 0
-		p.Barrier() // open: align all ranks
-		if root {
-			p.Mark() // sample start
-		}
-		op(p)
-		if mode == Completion {
-			p.Barrier() // close: wait for global completion
-		}
-		if root {
-			p.Mark() // sample end
-		}
-		p.Barrier() // decide (chains repetitions exactly as captured)
-		return nil
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
+// An error means the plan does not replay to completion (a deadlocking
+// program, or a plan that does not fit the Runner's network); the caller
+// falls back to the capture path.
+func replayPoint(r *mpi.Runner, nprocs int, set Settings, mode Mode, plan *mpi.Plan) (Measurement, error) {
 	// The capturing preamble's two calibration barriers release all ranks
 	// at exactly bc and then bc+bc; start the replay from those clocks.
 	bc := plan.BarrierCost()
@@ -667,18 +645,17 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 	for i := range start {
 		start[i] = bc + bc
 	}
-
 	smp := newSampler(set)
 	lanes := min(replayLanes, set.Warmup+set.MaxReps-smp.rep)
 	rp, err := r.NewReplayer(plan, start, lanes)
 	if err != nil {
 		return Measurement{}, err
 	}
-	// The template was echo-validated when it was captured; no echo run is
-	// needed for a structurally identical rebind.
+	// Compiled and rebound plans come from declared stages; there is no
+	// echo run to feed.
 	rp.DiscardEchoClocks()
 	if err := replayUntilDone(rp, smp, lanes, mode, bc); err != nil {
-		return Measurement{}, fmt.Errorf("experiment: rebind: %w", err)
+		return Measurement{}, err
 	}
 	if m := r.Metrics(); m != nil {
 		// Every repetition was re-timed by the replayer.
@@ -688,9 +665,9 @@ func measureRebound(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, t
 }
 
 // measurePoint measures one grid point on a Runner built from pr (see
-// newProfileRunner). When tmpl is non-nil and the point's stage names a
-// structure class, the first point of each class captures and every later
-// point rebinds the class template.
+// newProfileRunner). A point whose stage names a structure class is
+// compiled goroutine-free; when tmpl is non-nil, the first point of each
+// class publishes its plan and every later point rebinds it.
 func measurePoint(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
 	if pt.Procs > pr.Nodes {
 		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", pt.Procs, pr.Name, pr.Nodes)

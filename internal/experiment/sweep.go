@@ -25,12 +25,17 @@ type Stage struct {
 	// is Completion.
 	Mode Mode
 	// ClassKey returns the operation's structure-class key at (P, m,
-	// segSize): equal keys promise identical communication structure
-	// (ranks, peers, tags, message counts), differing only in byte
-	// counts, so the sweep captures one plan template per key and rebinds
-	// it for every other point of the class. A key that is too coarse is
-	// safe (the rebind detects the divergence and recaptures). A nil
-	// ClassKey makes the stage's points class-less: never templated.
+	// segSize). A non-nil ClassKey declares the operation
+	// timing-independent — it never reads Proc.Now or received sizes, and
+	// carries no payload — so its points are compiled goroutine-free
+	// (mpi.Runner.Compile) with no scheduler run. Equal keys promise
+	// identical communication structure (ranks, peers, tags, message
+	// counts), differing only in byte counts, so the sweep compiles one
+	// plan template per key and rebinds it for every other point of the
+	// class. A key that is too coarse is safe (the rebind detects the
+	// divergence and the point is compiled afresh). A nil ClassKey makes
+	// the stage's points class-less: captured under the scheduler and
+	// echo-validated.
 	ClassKey func(P, m, segSize int) string
 	// Run executes one instance of the operation on every rank.
 	Run func(p *mpi.Proc, m, segSize int)
@@ -100,9 +105,8 @@ func (pt Point) String() string {
 }
 
 // classKey is the point's structure-class key — exactly the key the
-// point's plan template is registered under, so the sweep scheduler can
-// group the grid by capture unit without running anything. Stages
-// without a ClassKey have no class ("") and are never grouped.
+// point's plan template is registered under. Stages without a ClassKey
+// have no class ("").
 func (pt Point) classKey() string {
 	if pt.Stage.ClassKey == nil {
 		return ""
@@ -185,16 +189,17 @@ type Sweep struct {
 	// lending a pool across different profiles is a programming error.
 	Pool *mpi.RunnerPool
 	// Templates, if non-nil, is the plan-template store the replay engine
-	// uses to capture each structure class once and rebind every other
-	// point of the class goroutine-free (mpi.Runner.Rebind). When nil and
-	// templating is not disabled, Run uses the Pool's store (which
-	// persists across sweeps) or, pool-less, a store scoped to the Run.
-	// Templates are keyed by structure class within one platform, so a
-	// store must not be shared across Profiles; samples are bit-identical
-	// with templating on, off, or partially warm.
+	// uses to compile each structure class once and rebind every other
+	// point of the class (mpi.Runner.Rebind), skipping message matching.
+	// When nil and templating is not disabled, Run uses the Pool's store
+	// (which persists across sweeps) or, pool-less, a store scoped to the
+	// Run. Templates are keyed by structure class within one platform, so
+	// a store must not be shared across Profiles; samples are
+	// bit-identical with templating on, off, or partially warm.
 	Templates *mpi.TemplateStore
-	// DisableTemplates switches the plan-template fast path off: every
-	// point captures under the scheduler as in the pre-template engine.
+	// DisableTemplates switches the plan-template store off: every
+	// class-keyed point is compiled goroutine-free on its own
+	// (mpi.Runner.Compile) instead of rebinding its class's template.
 	// Results are bit-identical either way; the switch exists for
 	// benchmarking and for pinning that equivalence in tests.
 	DisableTemplates bool
@@ -279,7 +284,7 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	}
 	// Resolve the plan-template store: an explicit one wins, then the
 	// pool's (persistent across sweeps), then a Run-scoped store so that
-	// structure classes recurring within this grid still capture once.
+	// structure classes recurring within this grid still compile once.
 	// The scheduler engine never consults templates.
 	tmpls := s.Templates
 	if tmpls == nil && !s.DisableTemplates && s.Settings.Engine != EngineScheduler {
@@ -293,45 +298,7 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 		tmpls = nil
 	}
 
-	// Class-aware scheduling: group the grid by structure class so each
-	// class's expensive template capture (≈3.3× a rebind) runs exactly
-	// once, as early as possible, and never twice concurrently. leaders
-	// holds the grid index of each class's first point in grid order —
-	// the exact points a serial templated sweep would capture — and rest
-	// holds everything else (later points of known classes, plus any
-	// class-less points). Workers drain leaders one point at a time (one
-	// claim = one capture), then fan out over rest in contiguous chunks;
-	// a worker that reaches a class whose capture is still in flight
-	// blocks briefly on the template future inside the measurement
-	// (mpi.TemplateStore.Acquire) instead of duplicating the capture.
-	// Untemplated sweeps skip the grouping: leaders stays empty and rest
-	// is the whole grid in order, the plain chunked distribution.
-	var leaders, rest []int
-	if tmpls != nil {
-		seen := make(map[string]struct{}, len(points))
-		rest = make([]int, 0, len(points))
-		for i, pt := range points {
-			key := pt.classKey()
-			if key == "" {
-				rest = append(rest, i)
-				continue
-			}
-			if _, ok := seen[key]; ok {
-				rest = append(rest, i)
-			} else {
-				seen[key] = struct{}{}
-				leaders = append(leaders, i)
-			}
-		}
-	} else {
-		rest = make([]int, len(points))
-		for i := range rest {
-			rest[i] = i
-		}
-	}
-
 	s.Metrics.Gauge("sweep_workers").Set(float64(workers))
-	s.Metrics.Gauge("experiment_sweep_class_groups").Set(float64(len(leaders)))
 	pending := s.Metrics.Gauge("sweep_points_pending")
 	pending.Set(float64(len(points)))
 	chunks := s.Metrics.Counter("sweep_chunks_total")
@@ -347,14 +314,13 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	defer cancel()
 
 	var (
-		results    = make([]Result, len(points))
-		nextLeader atomic.Int64 // cursor over leaders: one claim = one capture
-		next       atomic.Int64 // cursor: index of the first unclaimed rest entry
-		chunk      = int64(sweepChunk(len(rest), workers))
-		wg         sync.WaitGroup
-		mu         sync.Mutex // guards firstErr, done, and serialises Progress
-		firstErr   error
-		done       int
+		results  = make([]Result, len(points))
+		next     atomic.Int64 // cursor: index of the first unclaimed point
+		chunk    = int64(sweepChunk(len(points), workers))
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards firstErr, done, and serialises Progress
+		firstErr error
+		done     int
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -413,35 +379,22 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 				pending.Add(-1)
 				return true
 			}
-			// Phase 1: capture leaders, one class per claim.
-			for {
-				li := nextLeader.Add(1) - 1
-				if li >= int64(len(leaders)) {
-					break
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if !work(leaders[li]) {
-					return
-				}
-			}
-			// Phase 2: fan the remaining points out in contiguous chunks.
+			// Claim contiguous chunks of the grid until it is exhausted.
 			for {
 				end := next.Add(chunk)
 				start := end - chunk
-				if start >= int64(len(rest)) {
+				if start >= int64(len(points)) {
 					return
 				}
-				if end > int64(len(rest)) {
-					end = int64(len(rest))
+				if end > int64(len(points)) {
+					end = int64(len(points))
 				}
 				chunks.Inc()
 				for i := start; i < end; i++ {
 					if ctx.Err() != nil {
 						return
 					}
-					if !work(rest[i]) {
+					if !work(int(i)) {
 						return
 					}
 				}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"mpicollperf/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"mpicollperf/internal/mpi"
 	"mpicollperf/internal/obs"
 	"mpicollperf/internal/simnet"
+	"mpicollperf/internal/stats"
 )
 
 // templateProfile is the noisy 16-node platform the template tests
@@ -44,13 +46,13 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := mpi.NewTemplateStore()
-			// First measurement captures and publishes the template...
+			// First measurement compiles and publishes the template...
 			first, err := measurePoint(r, pr, bcastPoint(alg, 16, 65536, 8192), set, store)
 			if err != nil {
-				t.Fatalf("%v: capture: %v", alg, err)
+				t.Fatalf("%v: compile: %v", alg, err)
 			}
 			if m == 65536 {
-				sameMeasurement(t, alg.String()+" capture", want, first)
+				sameMeasurement(t, alg.String()+" compile", want, first)
 			}
 			if got := reg.Counter("experiment_plan_templates_total").Value(); got != 1 {
 				t.Fatalf("%v: %d templates published, want 1", alg, got)
@@ -73,10 +75,10 @@ func TestMeasureReboundBitIdentical(t *testing.T) {
 
 // TestRebindDivergenceFallsBackToCapture: a template published under a
 // class key that a later point's structure does not match must be
-// detected by the rebind pass; the point is then measured through the
-// full capture path (still on the replay engine, bit-identically),
-// the divergence is counted, and the refreshed template serves the
-// class from then on.
+// detected by the rebind pass; the point is then compiled afresh (still
+// on the replay engine, bit-identically, with no scheduler run), the
+// divergence is counted, and the refreshed template serves the class
+// from then on.
 func TestRebindDivergenceFallsBackToCapture(t *testing.T) {
 	pr := templateProfile(t)
 	set := fastSettings()
@@ -112,7 +114,7 @@ func TestRebindDivergenceFallsBackToCapture(t *testing.T) {
 		t.Fatalf("%d rebind-divergence fallbacks counted, want 1", n)
 	}
 	if n := reg.Counter("experiment_plan_templates_total").Value(); n != 2 {
-		t.Fatalf("%d templates published, want 2 (capture refreshed the class)", n)
+		t.Fatalf("%d templates published, want 2 (the compile refreshed the class)", n)
 	}
 	// The refreshed template now matches: the next chain point rebinds.
 	got, err = measureOnClass(r, 16, set, Completion, opChain, cls)
@@ -185,25 +187,29 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 						}
 					}
 				}
-				tpls := reg.Counter("experiment_plan_templates_total").Value()
-				rebinds := reg.Counter("experiment_plan_rebinds_total").Value()
+				tpls := reg.Counter(mPlanTemplates).Value()
+				compiles := reg.Counter(mPlanCompiles).Value()
+				rebinds := reg.Counter(mPlanRebinds).Value()
+				if runs := reg.Counter("mpi_runs_total").Value(); runs != 0 {
+					t.Fatalf("%s: %d scheduler runs for a grid of class-keyed points (workers=%d disabled=%v)", label("metrics"), runs, workers, disabled)
+				}
 				if disabled {
-					if tpls != 0 || rebinds != 0 {
-						t.Fatalf("%s: templating disabled but %d templates / %d rebinds counted", label("metrics"), tpls, rebinds)
+					if tpls != 0 || rebinds != 0 || compiles != int64(len(grid)) {
+						t.Fatalf("%s: templating disabled but %d templates / %d rebinds / %d compiles counted", label("metrics"), tpls, rebinds, compiles)
 					}
 					continue
 				}
-				// Every point either captured (publishing a template) or
-				// rebound; racing workers may duplicate a capture but can
-				// never miss a class.
-				if tpls+rebinds != int64(len(grid)) {
-					t.Fatalf("%s: %d templates + %d rebinds != %d points (workers=%d)", label("metrics"), tpls, rebinds, len(grid), workers)
+				// Every point either compiled or rebound; racing workers may
+				// both compile a class before it is published, but each class
+				// publishes exactly one template.
+				if compiles+rebinds != int64(len(grid)) {
+					t.Fatalf("%s: %d compiles + %d rebinds != %d points (workers=%d)", label("metrics"), compiles, rebinds, len(grid), workers)
 				}
-				if tpls < int64(classes) {
+				if tpls != int64(classes) {
 					t.Fatalf("%s: %d templates for %d classes (workers=%d)", label("metrics"), tpls, classes, workers)
 				}
-				if workers == 1 && tpls != int64(classes) {
-					t.Fatalf("%s: serial sweep captured %d times for %d classes — capture is not once-per-class", label("metrics"), tpls, classes)
+				if workers == 1 && compiles != int64(classes) {
+					t.Fatalf("%s: serial sweep compiled %d times for %d classes — compile is not once-per-class", label("metrics"), compiles, classes)
 				}
 				if n := reg.Counter(mFallbacksByWhy[FallbackRebindDivergence]).Value(); n != 0 {
 					t.Fatalf("%s: %d unexplained rebind divergences", label("metrics"), n)
@@ -213,7 +219,7 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 	}
 
 	// A pre-warmed persistent store: a second sweep over the same grid
-	// captures nothing at all.
+	// compiles nothing at all.
 	store := mpi.NewTemplateStore()
 	warm := Sweep{Profile: pr, Settings: set, Workers: 4, Templates: store}
 	if _, err := warm.Run(context.Background(), grid); err != nil {
@@ -230,8 +236,8 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 			t.Fatalf("warm sweep point %v: mean %x, scheduler %x", got[i].Point, got[i].Meas.Mean, want[i].Meas.Mean)
 		}
 	}
-	if tpls := reg.Counter("experiment_plan_templates_total").Value(); tpls != 0 {
-		t.Fatalf("warm sweep captured %d times, want 0", tpls)
+	if n := reg.Counter(mPlanCompiles).Value(); n != 0 {
+		t.Fatalf("warm sweep compiled %d times, want 0", n)
 	}
 	if rebinds := reg.Counter("experiment_plan_rebinds_total").Value(); rebinds != int64(len(grid)) {
 		t.Fatalf("warm sweep rebound %d points, want all %d", rebinds, len(grid))
@@ -243,7 +249,7 @@ func TestSweepTemplatesBitIdentical(t *testing.T) {
 
 // TestSweepPoolTemplatesPersist: a pool-backed sweep publishes its
 // templates into the pool's store, so a later sweep over the same pool
-// rebinds every point without a single capture.
+// rebinds every point without a single compile.
 func TestSweepPoolTemplatesPersist(t *testing.T) {
 	pr := templateProfile(t)
 	grid := BcastGrid(16, []coll.BcastAlgorithm{coll.BcastBinary, coll.BcastChain}, []int{8192, 131072}, pr.SegmentSize)
@@ -264,17 +270,72 @@ func TestSweepPoolTemplatesPersist(t *testing.T) {
 	tpls := reg.Counter("experiment_plan_templates_total").Value()
 	rebinds := reg.Counter("experiment_plan_rebinds_total").Value()
 	if tpls == 0 {
-		t.Fatal("first sweep captured nothing")
+		t.Fatal("first sweep published nothing")
 	}
 	second := Sweep{Profile: pr, Settings: fastSettings(), Workers: 2, Pool: pool}
 	if _, err := second.Run(context.Background(), grid); err != nil {
 		t.Fatal(err)
 	}
 	if d := reg.Counter("experiment_plan_templates_total").Value() - tpls; d != 0 {
-		t.Fatalf("second sweep over the pool captured %d times, want 0", d)
+		t.Fatalf("second sweep over the pool published %d templates, want 0", d)
 	}
 	if d := reg.Counter("experiment_plan_rebinds_total").Value() - rebinds; d != int64(len(grid)) {
 		t.Fatalf("second sweep rebound %d points, want %d", d, len(grid))
+	}
+}
+
+// TestTemplateOneClassConcurrent is the template store's concurrency test
+// (meaningful under -race): eight workers sweep a grid whose every point
+// belongs to ONE structure class — BcastLinear is unsegmented, so
+// BcastClassKey pins segs=1 and all sixteen message sizes share a class.
+// Workers that reach the class before its template is published compile
+// it themselves (a compile costs about what a rebind does, so there is no
+// election to wait on); the class still publishes exactly one template,
+// every point is either compiled or rebound, and the means match a
+// serial sweep bit for bit.
+func TestTemplateOneClassConcurrent(t *testing.T) {
+	// Raise GOMAXPROCS so the 8 workers actually run concurrently even on
+	// a single-core CI box (Sweep.Run clamps workers to GOMAXPROCS).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	pr, err := cluster.Grisou().WithNodes(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := stats.LogSpaceBytes(8192, 1<<20, 16)
+	grid := BcastGrid(pr.Nodes, []coll.BcastAlgorithm{coll.BcastLinear}, sizes, pr.SegmentSize)
+	set := Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 8, Warmup: 1, Engine: EngineReplay}
+
+	want, err := Sweep{Profile: pr, Settings: set, Workers: 1}.Run(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewRegistry()
+	got, err := Sweep{Profile: pr, Settings: set, Workers: 8, Metrics: m}.Run(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Meas.Mean != want[i].Meas.Mean || got[i].Meas.Reps != want[i].Meas.Reps {
+			t.Fatalf("point %d (%v): concurrent mean %v (reps %d) != serial %v (reps %d)",
+				i, grid[i], got[i].Meas.Mean, got[i].Meas.Reps, want[i].Meas.Mean, want[i].Meas.Reps)
+		}
+	}
+	tpls := m.Counter(mPlanTemplates).Value()
+	compiles := m.Counter(mPlanCompiles).Value()
+	rebinds := m.Counter(mPlanRebinds).Value()
+	if tpls != 1 {
+		t.Errorf("one structure class published %d templates under 8 workers, want exactly 1", tpls)
+	}
+	if compiles < 1 || compiles+rebinds != int64(len(grid)) {
+		t.Errorf("%d compiles + %d rebinds, want >= 1 compile and %d points in total", compiles, rebinds, len(grid))
+	}
+	for _, why := range fallbackReasonSet {
+		if n := m.Counter(mFallbacksByWhy[why]).Value(); n != 0 {
+			t.Errorf("%d %s fallbacks, want 0", n, why)
+		}
+	}
+	if runs := m.Counter("mpi_runs_total").Value(); runs != 0 {
+		t.Errorf("%d scheduler runs, want 0: every point is compiled or rebound", runs)
 	}
 }
 

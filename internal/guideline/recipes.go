@@ -47,7 +47,7 @@ type Env struct {
 
 // NewEnv builds a standalone single-worker environment for pr — the way
 // tests and one-off recipe evaluations measure without a Harness. The
-// template store may be nil (every measurement then captures its own
+// template store may be nil (every measurement then compiles its own
 // plan).
 func NewEnv(pr cluster.Profile, set experiment.Settings, r *mpi.Runner, tmpl *mpi.TemplateStore) *Env {
 	return &Env{Runner: r, plat: &platform{pr: pr, set: set, tmpl: tmpl}}
@@ -89,7 +89,7 @@ func (e *Env) Selector() (selection.ModelBased, error) {
 // a comparison move the same total payload. Class keys encode the
 // communication structure only — algorithm, P, and segment count where
 // segmented — never raw byte counts, which the template rebind harvests
-// per point; a too-coarse key only costs a capture fallback, it cannot
+// per point; a too-coarse key only costs a fresh compile, it cannot
 // change results.
 
 func measureBcast(env *Env, cfg Config, alg coll.BcastAlgorithm, segSize int) (experiment.Measurement, error) {

@@ -105,6 +105,10 @@ type Proc struct {
 	// harvester (rebind.go): the structural pass of Runner.Rebind that
 	// binds a plan template to a new operation's sizes.
 	rebind *rebindRank
+	// compile, when non-nil, routes submitted operations to the
+	// structural compiler (compile.go): the goroutine-free pass of
+	// Runner.Compile that records the rank's program into a Plan.
+	compile *compileRank
 }
 
 // Rank returns this process's rank in 0..Size()-1.
@@ -113,8 +117,15 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the number of ranks in the run.
 func (p *Proc) Size() int { return p.size }
 
-// Now returns the rank's current virtual time in seconds.
-func (p *Proc) Now() float64 { return p.clock }
+// Now returns the rank's current virtual time in seconds. A structural
+// compile (Runner.Compile) has no clocks: reading Now there fails the
+// compile, so the caller falls back to a scheduler capture.
+func (p *Proc) Now() float64 {
+	if p.compile != nil {
+		panic(&CompileError{Rank: p.rank, Why: "reads Now during a structural compile"})
+	}
+	return p.clock
+}
 
 // Sleep advances the rank's virtual clock by d seconds of compute time.
 func (p *Proc) Sleep(d float64) {
@@ -249,7 +260,8 @@ func (p *Proc) checkPeer(peer int, op string) {
 // against the plan and the clock comes from the replayed release times.
 // In a rebind pass there is no scheduler either: the operation is
 // structurally validated against the template and its sizes are harvested
-// into the new binding, with the clock frozen.
+// into the new binding, with the clock frozen. A compile pass records the
+// operation into a new plan, also with the clock frozen.
 func (p *Proc) submit(op operation) {
 	op.rank = p.rank
 	if p.echo != nil {
@@ -258,6 +270,10 @@ func (p *Proc) submit(op operation) {
 	}
 	if p.rebind != nil {
 		p.rebindStep(&op)
+		return
+	}
+	if p.compile != nil {
+		p.compileStep(&op)
 		return
 	}
 	op.clock = p.clock

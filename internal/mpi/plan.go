@@ -248,7 +248,9 @@ type planBind struct {
 
 // Plan is the immutable, replayable structure of one repetition: the
 // events between two marks of a captured trace, in canonical form. Build
-// one with Capture.Plan; replay it with a Replayer.
+// one with Capture.Plan, or goroutine-free with Runner.Compile (which
+// yields the same canonical form without a trace); replay it with a
+// Replayer.
 //
 // The canonical form is rank-major: each rank's events in its own program
 // order, with barriers (global separators in the trace) appearing once in

@@ -38,7 +38,7 @@ type RunnerPool struct {
 	free    atomic.Pointer[freeNode]
 	factory func() (*Runner, error)
 	// tmpl is the pool's plan-template store: borrowers of the same pool
-	// measure on the same platform, so structure-class templates captured
+	// measure on the same platform, so structure-class templates compiled
 	// by one borrower are rebindable by every other — and, because the
 	// pool outlives individual sweeps, by later sweeps too.
 	tmpl *TemplateStore
@@ -83,8 +83,8 @@ func NewRunnerPool(capacity int, factory func() (*Runner, error), metrics *obs.R
 func (p *RunnerPool) Cap() int { return cap(p.sem) }
 
 // Templates returns the pool's plan-template store. It persists for the
-// pool's lifetime, so structure classes captured during one sweep are
-// rebound — never re-captured — by every later sweep over the pool.
+// pool's lifetime, so structure classes compiled during one sweep are
+// rebound — never recompiled — by every later sweep over the pool.
 func (p *RunnerPool) Templates() *TemplateStore { return p.tmpl }
 
 // Get borrows a Runner, blocking while all of the pool's Runners are

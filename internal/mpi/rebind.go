@@ -4,10 +4,8 @@ import (
 	"fmt"
 )
 
-// Plan rebinding: the replay engine's template fast path. Capturing a
-// grid point costs one full scheduler run (goroutines, channels, message
-// matching) plus an echo validation; but the captured Plan's *structure* —
-// event kinds, peers, tags, slots, wait sets — is a function of the
+// Plan rebinding: the replay engine's template path. A Plan's *structure*
+// — event kinds, peers, tags, slots, wait sets — is a function of the
 // operation's shape (algorithm, communicator size, segment count), not of
 // its byte sizes. Two grid points of the same structure class therefore
 // share a skeleton, and the second point only needs a new binding: byte
@@ -17,24 +15,28 @@ import (
 // Rebind produces that binding without a single goroutine: each rank's
 // closure runs sequentially on the caller's goroutine with the scheduler
 // switched off, every submitted operation checked against the template's
-// skeleton (any mismatch is a typed RebindError — the caller falls back
-// to a full capture) while its sizes are written into the new binding.
-// Clocks are frozen during the pass: the closures under measurement never
-// read Proc.Now, and all virtual times are produced later by the Replayer,
-// which is bit-identical to the scheduler.
+// skeleton (any mismatch is a typed RebindError — the caller compiles the
+// point afresh) while its sizes are written into the new binding. Unlike
+// a structural compile (compile.go) it needs no message matching: the
+// template's wiring is reused. Clocks are frozen during the pass: the
+// closures under measurement never read Proc.Now, and all virtual times
+// are produced later by the Replayer, which is bit-identical to the
+// scheduler.
 //
-// Soundness: the template was echo-validated when it was captured (its
-// structure does not depend on the jitter drawn), and the rebind pass
-// structurally compares every operation of the new point against it. What
-// the pass cannot see is a program whose *sizes* depend on received data
-// or on virtual time — Request.Bytes reads 0 and Now is frozen during the
-// pass — so callers must key templates by everything that determines
-// structure and sizes (the experiment layer's structure-class keys do).
-// The shipped collective operations read neither.
+// Soundness: templates are compiled (Runner.Compile) from stages that
+// declare a structure class, which promises the stage's structure does
+// not depend on virtual time, received data or its invocation count; the
+// compile rejects Now reads and payload, and the rebind pass structurally
+// compares every operation of the new point against the template. What
+// neither pass can see is a program whose *sizes* depend on received
+// data or on virtual time — Request.Bytes reads 0 and Now is frozen
+// during the pass — so callers must key templates by everything that
+// determines structure and sizes (the experiment layer's structure-class
+// keys do). The shipped collective operations read neither.
 
 // RebindError reports that a program's operation stream diverged from the
 // template it was being rebound against. It is the typed signal for the
-// measurement harness to fall back to a full capture of the point.
+// measurement harness to compile the point afresh.
 type RebindError struct {
 	// Rank is the rank whose stream diverged (-1 for plan-level
 	// mismatches such as a wrong network shape).
@@ -127,7 +129,7 @@ func (p *Proc) rebindFail(op *operation, why string) {
 // every rank, sequentially and goroutine-free, against the template's
 // structural skeleton. Each submitted operation must match the skeleton's
 // kind, peer, tag, and request wiring — any divergence returns a
-// *RebindError, telling the caller to fall back to a full capture — while
+// *RebindError, telling the caller to compile the point afresh — while
 // its byte counts and sleep durations are harvested into a fresh binding.
 // Link timings, jitter-draw flags, and the barrier cost are then
 // recomputed from the Runner's network exactly as a capture of the new
@@ -138,7 +140,7 @@ func (p *Proc) rebindFail(op *operation, why string) {
 // untouched) and the Runner's recycled binding buffer: it is valid only
 // until the next Rebind on this Runner, and the template must not be
 // mutated concurrently (TemplateStore hands out immutable clones). The
-// network must have the shape the template was captured on (same NIC
+// network must have the shape the template was compiled on (same NIC
 // count, at least Procs nodes); the caller keys templates per profile.
 //
 // Clocks are frozen at zero during the pass: fn must not branch on
@@ -152,7 +154,7 @@ func (r *Runner) Rebind(tpl *Plan, fn func(*Proc) error) (*Plan, error) {
 		return nil, &RebindError{Rank: -1, Why: fmt.Sprintf("template spans %d ranks, network has %d nodes", n, r.net.Nodes())}
 	}
 	if tpl.nics != cfg.NICs() {
-		return nil, &RebindError{Rank: -1, Why: fmt.Sprintf("template captured on %d NICs, network has %d", tpl.nics, cfg.NICs())}
+		return nil, &RebindError{Rank: -1, Why: fmt.Sprintf("template compiled on %d NICs, network has %d", tpl.nics, cfg.NICs())}
 	}
 	if r.rebound == nil {
 		r.rebound = &Plan{}

@@ -29,7 +29,7 @@ type Runner struct {
 	sched *scheduler
 	procs []*Proc
 	rec   *capture // recycled across RunCapture calls
-	// Recycled across CompilePlan calls.
+	// Recycled across CompilePlan and Compile calls.
 	plan        *Plan
 	planScratch *planScratch
 	// Recycled across NewReplayer calls.
@@ -39,6 +39,12 @@ type Runner struct {
 	rebound     *Plan
 	rebindBinds []planBind
 	rebindCur   rebindRank
+	// Recycled across Compile calls (compile.go): the pass's rank state
+	// and the per-(src, dst, tag) receive streams, with the streams the
+	// last compile filled.
+	compileCur compileRank
+	streams    map[streamKey]*recvStream
+	touched    []*recvStream
 }
 
 // NewRunner builds a Runner with a fresh network from cfg.
@@ -154,6 +160,7 @@ func (r *Runner) run(nprocs int, fn func(*Proc) error, record bool) (Result, *Ca
 		p.seq = 0
 		p.echo = nil
 		p.rebind = nil
+		p.compile = nil
 		go runRank(p, fn)
 	}
 	res, err := s.loop()

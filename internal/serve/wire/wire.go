@@ -12,6 +12,7 @@ package wire
 import (
 	"errors"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Version is the wire-schema version this package speaks. Every
@@ -140,9 +141,15 @@ type SelectRequestView struct {
 var ErrMalformed = errors.New("wire: malformed request body")
 
 // ParseSelectRequest parses a v1 select request from b into v without
-// allocating. Unknown fields are skipped; string values must be
-// escape-free (profile and collective names always are). The view
-// aliases b.
+// allocating. Unknown fields are skipped (after validating them as
+// JSON); string values must be escape-free, valid UTF-8 (profile and
+// collective names always are). The view aliases b.
+//
+// Every body the parser accepts, encoding/json also accepts into a
+// SelectRequest with the same field values, with one exception: field
+// names match exactly here, while encoding/json also matches them
+// case-insensitively, so {"P": 3} sets P there and is skipped as an
+// unknown field here. Clients send the exact names.
 func ParseSelectRequest(b []byte, v *SelectRequestView) error {
 	*v = SelectRequestView{}
 	i := skipWS(b, 0)
@@ -256,7 +263,9 @@ func skipWS(b []byte, i int) int {
 }
 
 // scanString scans a JSON string at b[i:], returning its inner bytes.
-// Escapes are rejected — the select schema never needs them.
+// Escapes are rejected — the select schema never needs them — and so is
+// invalid UTF-8, which encoding/json would decode to U+FFFD, so the
+// returned bytes are always exactly the decoded string.
 func scanString(b []byte, i int) ([]byte, int, error) {
 	if i >= len(b) || b[i] != '"' {
 		return nil, i, ErrMalformed
@@ -265,6 +274,9 @@ func scanString(b []byte, i int) ([]byte, int, error) {
 	for j := start; j < len(b); j++ {
 		switch b[j] {
 		case '"':
+			if !utf8.Valid(b[start:j]) {
+				return nil, j, ErrMalformed
+			}
 			return b[start:j], j + 1, nil
 		case '\\':
 			return nil, j, ErrMalformed
@@ -277,8 +289,10 @@ func scanString(b []byte, i int) ([]byte, int, error) {
 	return nil, len(b), ErrMalformed
 }
 
-// scanInt scans a JSON integer at b[i:]. Fractions and exponents are
-// rejected — the select schema's numbers are all integers.
+// scanInt scans a JSON integer at b[i:]: an optional minus sign, then
+// 0 or a digit string without leading zeros. Fractions and exponents are
+// rejected — the select schema's numbers are all integers — and so are
+// magnitudes beyond 18 digits.
 func scanInt(b []byte, i int) (int, int, error) {
 	neg := false
 	if i < len(b) && b[i] == '-' {
@@ -287,14 +301,21 @@ func scanInt(b []byte, i int) (int, int, error) {
 	}
 	start := i
 	n := 0
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		if i-start >= 18 {
-			return 0, i, ErrMalformed
-		}
-		n = n*10 + int(b[i]-'0')
+	if i < len(b) && b[i] == '0' {
 		i++
+	} else {
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			if i-start >= 18 {
+				return 0, i, ErrMalformed
+			}
+			n = n*10 + int(b[i]-'0')
+			i++
+		}
 	}
 	if i == start {
+		return 0, i, ErrMalformed
+	}
+	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
 		return 0, i, ErrMalformed
 	}
 	if neg {
@@ -303,8 +324,15 @@ func scanInt(b []byte, i int) (int, int, error) {
 	return n, i, nil
 }
 
-// skipValue skips any JSON value at b[i:], including nested containers.
-func skipValue(b []byte, i int) (int, error) {
+// maxSkipDepth bounds the nesting of a skipped value; deeper bodies are
+// rejected rather than recursed into.
+const maxSkipDepth = 32
+
+// skipValue skips any JSON value at b[i:], including nested containers,
+// validating it against the JSON grammar.
+func skipValue(b []byte, i int) (int, error) { return skipNested(b, i, 0) }
+
+func skipNested(b []byte, i, depth int) (int, error) {
 	if i >= len(b) {
 		return i, ErrMalformed
 	}
@@ -313,37 +341,42 @@ func skipValue(b []byte, i int) (int, error) {
 		_, j, err := scanString(b, i)
 		return j, err
 	case c == '{' || c == '[':
-		var stack [32]byte // open-container kinds; bounds nesting depth
-		depth := 0
-		for i < len(b) {
-			switch b[i] {
-			case '{', '[':
-				if depth == len(stack) {
-					return i, ErrMalformed
-				}
-				stack[depth] = b[i]
-				depth++
-			case '}', ']':
-				depth--
-				if depth < 0 ||
-					(b[i] == '}' && stack[depth] != '{') ||
-					(b[i] == ']' && stack[depth] != '[') {
-					return i, ErrMalformed
-				}
-				if depth == 0 {
-					return i + 1, nil
-				}
-			case '"':
-				_, j, err := scanString(b, i)
-				if err != nil {
-					return j, err
-				}
-				i = j
-				continue
-			}
-			i++
+		if depth == maxSkipDepth {
+			return i, ErrMalformed
 		}
-		return i, ErrMalformed
+		end := byte('}')
+		if c == '[' {
+			end = ']'
+		}
+		i = skipWS(b, i+1)
+		if i < len(b) && b[i] == end {
+			return i + 1, nil
+		}
+		for {
+			var err error
+			if c == '{' {
+				if _, i, err = scanString(b, i); err != nil {
+					return i, err
+				}
+				if i = skipWS(b, i); i >= len(b) || b[i] != ':' {
+					return i, ErrMalformed
+				}
+				i = skipWS(b, i+1)
+			}
+			if i, err = skipNested(b, i, depth+1); err != nil {
+				return i, err
+			}
+			if i = skipWS(b, i); i >= len(b) {
+				return i, ErrMalformed
+			}
+			if b[i] == end {
+				return i + 1, nil
+			}
+			if b[i] != ',' {
+				return i, ErrMalformed
+			}
+			i = skipWS(b, i+1)
+		}
 	case c == 't':
 		return expect(b, i, "true")
 	case c == 'f':
@@ -351,19 +384,52 @@ func skipValue(b []byte, i int) (int, error) {
 	case c == 'n':
 		return expect(b, i, "null")
 	case c == '-' || (c >= '0' && c <= '9'):
-		i++
-		for i < len(b) {
-			switch c := b[i]; {
-			case c >= '0' && c <= '9', c == '.', c == 'e', c == 'E', c == '+', c == '-':
-				i++
-			default:
-				return i, nil
-			}
-		}
-		return i, nil
+		return skipNumber(b, i)
 	default:
 		return i, ErrMalformed
 	}
+}
+
+// skipNumber skips a JSON number at b[i:]:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func skipNumber(b []byte, i int) (int, error) {
+	if b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = skipDigits(b, i)
+	default:
+		return i, ErrMalformed
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return j, ErrMalformed
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return j, ErrMalformed
+		}
+		i = j
+	}
+	return i, nil
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 func expect(b []byte, i int, lit string) (int, error) {

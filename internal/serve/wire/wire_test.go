@@ -158,6 +158,16 @@ func TestParseSelectRequestRejectsMalformed(t *testing.T) {
 		`{"u":tru}`,            // broken literal
 		`{"u":["a\"b"],"p":1}`, // escape inside skipped container
 		`{"u":` + strings.Repeat("[", 33) + strings.Repeat("]", 33) + `}`, // nesting over the 32 bound
+		// Bodies encoding/json rejects that the parser once accepted.
+		`{"p":01}`,            // leading zero
+		`{"p":3,"x":{"a" 1}}`, // missing colon in a skipped object
+		`{"p":3,"x":1e}`,      // exponent without digits
+		`{"p":3,"x":-}`,       // sign without digits
+		`{"p":3,"x":[1 2]}`,   // missing comma in a skipped array
+		`{"p":3,"x":{"a":1,}}`,
+		`{"p":3,"x":.5}`,
+		`{"p":1e2}`,
+		"{\"profile\":\"gr\xffisou\"}", // invalid UTF-8
 	}
 	for _, body := range bodies {
 		var v SelectRequestView
@@ -206,4 +216,49 @@ func TestCodecZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("codec allocates %.1f per op, want 0", allocs)
 	}
+}
+
+// FuzzParseSelectRequest is the select parser's differential against
+// encoding/json: the parser never panics, and every body it accepts
+// encoding/json also accepts into a SelectRequest with equal fields.
+// Bodies with a key that names a field only case-insensitively are
+// exempt — the parser matches field names exactly by design.
+func FuzzParseSelectRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"profile":"grisou","p":90,"m":1048576}`,
+		`{"version":1,"profile":"gros","op":"gather","p":16,"m":8192}`,
+		`{"future_field":{"nested":[1,2,{"x":"y"}]},"profile":"grisou","p":2,"m":3,"flag":true,"f2":null,"f3":1.5e-3}`,
+		`{"p":01}`,
+		`{"p":3,"x":{"a" 1}}`,
+		`{"p":3,"x":1e}`,
+		`{"p":3,"x":-}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	fields := []string{"version", "profile", "op", "p", "m"}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var v SelectRequestView
+		if ParseSelectRequest(body, &v) != nil {
+			return
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatalf("parser accepts %q, encoding/json rejects it: %v", body, err)
+		}
+		for k := range keys {
+			for _, name := range fields {
+				if k != name && strings.EqualFold(k, name) {
+					return
+				}
+			}
+		}
+		var want SelectRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("parser accepts %q, encoding/json rejects it: %v", body, err)
+		}
+		got := SelectRequest{Version: v.Version, Profile: string(v.Profile), Op: string(v.Op), P: v.P, M: v.M}
+		if got != want {
+			t.Fatalf("%q: parser %+v, encoding/json %+v", body, got, want)
+		}
+	})
 }

@@ -13,6 +13,8 @@ package stats
 import (
 	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // ErrInsufficientData is returned when an estimator is given fewer samples
@@ -151,7 +153,58 @@ func MeanCI(xs []float64, level float64) (ConfidenceInterval, error) {
 
 // TQuantile returns the p-quantile of Student's t distribution with df
 // degrees of freedom, computed by bisection on the CDF. p must lie in (0,1).
+//
+// Results are memoized per (p, df): the adaptive measurement loop asks
+// for the same few quantiles after every sample, and each bisection costs
+// 200 incomplete-beta evaluations. A memoized value is the bisection's
+// own result, bit for bit.
 func TQuantile(p, df float64) float64 {
+	if !(p > 0 && p < 1) || math.IsNaN(df) {
+		return tQuantileBisect(p, df)
+	}
+	k := tKey{p, df}
+	if q, ok := (*tMemo.Load())[k]; ok {
+		return q
+	}
+	q := tQuantileBisect(p, df)
+	tMemoMu.Lock()
+	defer tMemoMu.Unlock()
+	old := *tMemo.Load()
+	if len(old) >= tMemoCap {
+		return q
+	}
+	next := make(map[tKey]float64, len(old)+1)
+	for kk, v := range old {
+		next[kk] = v
+	}
+	next[k] = q
+	tMemo.Store(&next)
+	return q
+}
+
+// tKey is a memoized quantile's argument pair.
+type tKey struct{ p, df float64 }
+
+// tMemo is the quantile memo: an immutable map replaced wholesale (copy
+// on write, under tMemoMu) when a new pair is added, so lookups take no
+// lock and allocate nothing. The distinct pairs a process asks for are
+// few — one per (confidence level, sample count) — so the copies stay
+// small; tMemoCap bounds the memo for callers that sweep arbitrary
+// arguments.
+const tMemoCap = 4096
+
+var (
+	tMemo   atomic.Pointer[map[tKey]float64]
+	tMemoMu sync.Mutex
+)
+
+func init() {
+	m := map[tKey]float64{}
+	tMemo.Store(&m)
+}
+
+// tQuantileBisect is TQuantile without the memo.
+func tQuantileBisect(p, df float64) float64 {
 	if p <= 0 || p >= 1 {
 		return math.NaN()
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,44 @@ func TestTQuantileKnownValues(t *testing.T) {
 			t.Errorf("TQuantile(%v, %v) = %v, want %v", c.p, c.df, got, c.want)
 		}
 	}
+}
+
+// TestTQuantileMemoBitIdentical: the memoized quantiles MeanCI asks for
+// are the uncached bisection's results bit for bit, on the first
+// (computing) call and on every later (memoized) one, at the 95% and 99%
+// levels for df 1..200.
+func TestTQuantileMemoBitIdentical(t *testing.T) {
+	for _, level := range []float64{0.95, 0.99} {
+		p := 1 - (1-level)/2
+		for df := 1.0; df <= 200; df++ {
+			want := tQuantileBisect(p, df)
+			for call := 0; call < 2; call++ {
+				if got := TQuantile(p, df); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("level %v df %v call %d: memoized %x, bisection %x", level, df, call, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTQuantileMemoConcurrent: concurrent callers adding to and reading
+// the memo agree with the bisection (meaningful under -race).
+func TestTQuantileMemoConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for df := 1.0; df <= 40; df++ {
+				p := 0.9 + float64(w)/100
+				if got, want := TQuantile(p, df), tQuantileBisect(p, df); got != want {
+					t.Errorf("TQuantile(%v, %v) = %v, bisection %v", p, df, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestTQuantileSymmetry(t *testing.T) {

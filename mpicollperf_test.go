@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -317,5 +318,41 @@ func TestFacadeConstantsDistinct(t *testing.T) {
 	}
 	if DefaultMeasureSettings().Precision != 0.025 {
 		t.Fatal("paper precision is 2.5%")
+	}
+}
+
+// TestCalibrationRunsNoScheduler: every point a default calibration
+// measures — the γ(P) and α/β broadcast grid and all seven extended
+// families — belongs to a stage with a structure class, so each is
+// compiled goroutine-free (or rebinds its class's template) and replayed:
+// no simulator run goes through the scheduler, and nothing falls back.
+func TestCalibrationRunsNoScheduler(t *testing.T) {
+	reg := NewMetricsRegistry()
+	ctx := context.Background()
+	sel, err := Calibrate(ctx, Grisou(), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range Collectives() {
+		if err := sel.CalibrateExtendedOp(ctx, op, CalibrationConfig{Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := reg.Counter("mpi_runs_total").Value(); n != 0 {
+		t.Errorf("mpi_runs_total = %d, want 0", n)
+	}
+	if n := reg.Counter(`experiment_reps_total{engine="scheduler"}`).Value(); n != 0 {
+		t.Errorf("scheduler repetitions = %d, want 0", n)
+	}
+	if n := reg.Counter(`experiment_reps_total{engine="replay"}`).Value(); n == 0 {
+		t.Error("no replayed repetitions recorded")
+	}
+	if n := reg.Counter("experiment_plan_compiles_total").Value(); n == 0 {
+		t.Error("no compiled points recorded")
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "experiment_fallbacks_total") && c.Value != 0 {
+			t.Errorf("%s = %d, want 0", c.Name, c.Value)
+		}
 	}
 }

@@ -75,12 +75,13 @@ func WithMeasureSettings(set MeasureSettings) Option {
 }
 
 // WithPlanTemplates toggles the calibration sweep's plan-template cache
-// (default on): under the replay engine, one execution plan is captured
-// per structure class — per (algorithm, communicator size, segment
-// count) — and every other grid point of the class rebinds that plan
-// goroutine-free instead of re-running the scheduler. Fitted parameters
-// are bit-identical either way; pass false to benchmark or debug the
-// uncached path.
+// (default on): under the replay engine, every grid point is compiled
+// into an execution plan goroutine-free, with no scheduler run; with
+// templates on, one plan is kept per structure class — per (algorithm,
+// communicator size, segment count) — and every other grid point of the
+// class rebinds it, which skips message matching. With templates off,
+// every point compiles its own plan. Fitted parameters are bit-identical
+// either way; pass false to benchmark or debug the untemplated path.
 func WithPlanTemplates(enabled bool) Option {
 	return func(o *options) { o.cfg.DisablePlanTemplates = !enabled }
 }
