@@ -96,10 +96,11 @@ benchsmoke:
 # Run the fuzz targets over their seed corpus only (no fuzzing time):
 # each f.Add seed must keep the replay, compile and scheduler engines
 # bit-identical (experiment), both selectors total (selection), the
-# guideline verdicts stable (guideline), and the select parser's accept
-# set inside encoding/json's (wire).
+# guideline verdicts stable (guideline), the select parser's accept set
+# inside encoding/json's (wire), and the replay frontier's pop order the
+# scheduler's (key, rank) order (mpi).
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/experiment/ ./internal/selection/ ./internal/guideline/ ./internal/serve/wire/
+	$(GO) test -run='^Fuzz' ./internal/experiment/ ./internal/selection/ ./internal/guideline/ ./internal/serve/wire/ ./internal/mpi/
 
 # Performance-guideline smoke gate: verify the self-consistency registry
 # on a reduced grid (one cluster, one random perturbation, small P × m

@@ -455,6 +455,43 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
+// ---------------------------------------------------- End-to-end costs
+
+// BenchmarkCalibrateCold measures what a user pays to calibrate a
+// platform: a cold Calibrate(Grisou()) with the paper defaults into a
+// fresh measurement cache — the full 90-process grid, not benchScale.
+func BenchmarkCalibrateCold(b *testing.B) {
+	b.ReportAllocs()
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		if _, err := Calibrate(ctx, Grisou(), WithCache(NewMeasurementCache())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCalibrateExtended measures calibrating all seven extended
+// families on grisou through Selector.CalibrateExtendedOp with the
+// default configuration. γ is fixed to grisou's analytical table (see
+// package cluster), so no broadcast calibration is timed.
+func BenchmarkCalibrateExtended(b *testing.B) {
+	b.ReportAllocs()
+	ctx := context.Background()
+	pr := Grisou()
+	g, err := model.NewGamma(map[int]float64{2: 1, 3: 1.108, 4: 1.216, 5: 1.325, 6: 1.433, 7: 1.540})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		sel := &Selector{Profile: pr, Models: Models{Cluster: pr.Name, SegSize: pr.SegmentSize, Gamma: g}}
+		for _, fam := range Collectives() {
+			if err := sel.CalibrateExtendedOp(ctx, fam, CalibrationConfig{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ----------------------------------------------------- Substrate micro
 
 // BenchmarkSimulatorTransmit measures the raw event rate of the network

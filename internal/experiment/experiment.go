@@ -594,8 +594,10 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (M
 	if err != nil {
 		return Measurement{}, FallbackNone, err
 	}
-	// Replay repetition 1 alone, then echo-validate the plan against its
-	// clocks before trusting any replayed sample.
+	// Replay repetition 1 alone, recording its echo clocks, then
+	// echo-validate the plan against them before trusting any replayed
+	// sample. Later repetitions record nothing.
+	rp.RecordEchoClocks()
 	marks, ok := rp.Replay(1)
 	if !ok {
 		return Measurement{}, FallbackPlan, nil
@@ -603,8 +605,6 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (M
 	if r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, repetition(op, mode)) != nil {
 		return Measurement{}, FallbackEchoDivergence, nil
 	}
-	// The plan is validated; later repetitions need no echo clocks.
-	rp.DiscardEchoClocks()
 	sample := marks[1] - marks[0]
 	if mode == Completion {
 		sample -= barrierCost
@@ -651,9 +651,6 @@ func replayPoint(r *mpi.Runner, nprocs int, set Settings, mode Mode, plan *mpi.P
 	if err != nil {
 		return Measurement{}, err
 	}
-	// Compiled and rebound plans come from declared stages; there is no
-	// echo run to feed.
-	rp.DiscardEchoClocks()
 	if err := replayUntilDone(rp, smp, lanes, mode, bc); err != nil {
 		return Measurement{}, err
 	}

@@ -263,7 +263,6 @@ func TestCompileSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp.DiscardEchoClocks()
 		if _, ok := rp.Replay(lanes); !ok {
 			t.Fatal("replay failed")
 		}

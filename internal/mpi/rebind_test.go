@@ -145,8 +145,6 @@ func TestRebindMatchesCapture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.DiscardEchoClocks()
-			have.DiscardEchoClocks()
 			for batch, k := range []int{1, lanes, lanes - 1} {
 				wm, wok := want.Replay(k)
 				hm, hok := have.Replay(k)
@@ -378,7 +376,6 @@ func TestRebindSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp.DiscardEchoClocks()
 		if _, ok := rp.Replay(lanes); !ok {
 			t.Fatal("replay failed")
 		}

@@ -15,8 +15,9 @@ import (
 // both the order jitter factors are drawn in and the order NIC ports are
 // claimed in, is recomputed per repetition with the scheduler's exact
 // discipline: every rank has at most one schedulable operation, and the
-// one with the smallest (virtual time, rank) is processed next. The
-// replayed clocks are therefore bit-identical to the scheduler's.
+// one with the smallest (virtual time, rank) is processed next — the root
+// of a winner tree over ranks (frontier). The replayed clocks are
+// therefore bit-identical to the scheduler's.
 //
 // Repetitions are evaluated in noise lanes (struct-of-arrays): Replay(k)
 // draws the jitter factors for k successive repetitions from the
@@ -47,34 +48,26 @@ type Replayer struct {
 	reqAt  []float64 // per-slot bound completion time (max of its halves)
 	pend   []uint8   // per-slot halves still outstanding
 	parked []bool    // per-rank: cursor points at a wait with unbound slots
-	heap   []heapEnt // schedulable frontier, min-(key, rank)
-	// clk records each event's release clock — the virtual time the owning
-	// rank's program resumes at after the event — for the most recently
-	// replayed lane; an echo run (Runner.EchoRun) replays user code against
-	// these times. Nil once DiscardEchoClocks is called: the stores are
-	// pure overhead after the echo validation has passed. barrierIdx tracks
-	// each rank's pending barrier event so the release can stamp all of
-	// them at once.
+	front  frontier  // schedulable ranks; the root is the next event's
+	// clk receives each event's release clock — the virtual time the
+	// owning rank's program resumes at after the event — during a Replay
+	// call that RecordEchoClocks armed; an echo run (Runner.EchoRun)
+	// replays user code against these times. Nil after a Replay that did
+	// not record: the stores are pure overhead once the echo validation
+	// has passed. barrierIdx tracks each rank's pending barrier event so
+	// the release can stamp all of them at once.
 	clk        []float64
 	barrierIdx []int32
-	// clkBuf is the backing store for clk. It survives DiscardEchoClocks so
-	// that a recycled Replayer (Runner.NewReplayer) can re-enable echo-clock
-	// recording for the next plan without reallocating.
-	clkBuf []float64
+	// clkBuf is the backing store for clk, sized by RecordEchoClocks only,
+	// so plans that are never echo-validated never pay for it.
+	clkBuf     []float64
+	recordEcho bool // the next Replay records into clkBuf
 
 	lane       int
 	laneClock  []float64 // current lane's stripe of clocks
 	barrierN   int
 	barrierMax float64
 	ji, mi     int
-}
-
-// heapEnt is one frontier entry: rank's next event becomes processable at
-// virtual time key. At most one entry per rank exists, so (key, rank) is
-// the scheduler's full tie-breaking order.
-type heapEnt struct {
-	key  float64
-	rank int32
 }
 
 // NewReplayer builds a Replayer for plan continuing the execution state of
@@ -94,8 +87,7 @@ func NewReplayer(net *simnet.Network, plan *Plan, clocks []float64, lanes int) (
 // across a sweep's grid points stops allocating once it has seen the
 // largest plan. Replays after reinit are bit-identical to a fresh
 // NewReplayer — every buffer a lane reads is seeded or overwritten before
-// use, and echo-clock recording is re-enabled even if the previous plan
-// discarded it.
+// use, and echo-clock recording is off until RecordEchoClocks.
 func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64, lanes int) error {
 	if lanes < 1 {
 		return fmt.Errorf("mpi: %d replay lanes, need >= 1", lanes)
@@ -115,12 +107,8 @@ func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64, lan
 	r.reqAt = grow(r.reqAt, plan.slots)
 	r.pend = grow(r.pend, plan.slots)
 	r.parked = grow(r.parked, plan.nprocs)
-	if cap(r.heap) < plan.nprocs {
-		r.heap = make([]heapEnt, 0, plan.nprocs)
-	}
-	r.heap = r.heap[:0]
-	r.clkBuf = grow(r.clkBuf, len(plan.events))
-	r.clk = r.clkBuf
+	r.front.size(plan.nprocs)
+	r.clk, r.recordEcho = nil, false
 	r.barrierIdx = grow(r.barrierIdx, plan.nprocs)
 	r.last = 0
 	copy(r.clocks[:plan.nprocs], clocks)
@@ -160,6 +148,10 @@ func (r *Replayer) Replay(k int) (marks []float64, ok bool) {
 	// order, so lane l's stripe holds exactly the factors the scheduler
 	// would have drawn during repetition l of the batch.
 	r.net.DrawJitterInto(r.jit[:k*p.draws])
+	r.clk = nil
+	if r.recordEcho {
+		r.clk, r.recordEcho = r.clkBuf, false
+	}
 	for l := 0; l < k; l++ {
 		// Chain the lane from the previous repetition's end state.
 		r.ports.SeedLane(l, r.last)
@@ -188,7 +180,7 @@ func (r *Replayer) replayLane(l int) bool {
 	for i := range r.parked {
 		r.parked[i] = false
 	}
-	r.heap = r.heap[:0]
+	r.front.reset()
 	r.barrierN = 0
 	r.barrierMax = 0
 	r.ji = l * p.draws
@@ -196,8 +188,15 @@ func (r *Replayer) replayLane(l int) bool {
 	for rank := 0; rank < n; rank++ {
 		r.advance(rank)
 	}
-	for len(r.heap) > 0 {
-		key, rank := r.pop()
+	// The root holds the next event's rank. Its leaf stays in the tree
+	// while the event is processed: wakes fix other ranks' paths against
+	// its unchanged key, and advance then re-enters or removes the rank
+	// with one root-ward walk.
+	for {
+		rank, key := r.front.min()
+		if rank < 0 {
+			break
+		}
 		cur := r.cursor[rank]
 		r.cursor[rank] = cur + 1
 		e := &p.events[cur]
@@ -259,17 +258,20 @@ func (r *Replayer) replayLane(l int) bool {
 
 // advance schedules rank's next event: barriers park the rank until all
 // have arrived, a wait with unbound requests parks until its last message
-// is delivered (wake), everything else joins the frontier at the rank's
-// current clock.
+// is delivered (wake), everything else sets the rank's frontier key to its
+// current clock. A rank that parks or runs out of events leaves the
+// frontier.
 func (r *Replayer) advance(rank int) {
 	p := r.plan
 	cur := r.cursor[rank]
 	if cur == p.rankOff[rank+1] {
+		r.front.clear(rank)
 		return
 	}
 	e := &p.events[cur]
 	switch e.kind {
 	case evBarrier:
+		r.front.clear(rank)
 		r.cursor[rank] = cur + 1
 		r.barrierIdx[rank] = cur
 		r.barrierMax = math.Max(r.barrierMax, r.laneClock[rank])
@@ -293,12 +295,13 @@ func (r *Replayer) advance(rank int) {
 		for _, s := range p.waitSlots[e.wOff : e.wOff+e.wLen] {
 			if r.pend[s] != 0 {
 				r.parked[rank] = true
+				r.front.clear(rank)
 				return
 			}
 		}
-		r.push(r.waitKey(rank, e), int32(rank))
+		r.front.set(rank, r.waitKey(rank, e))
 	default:
-		r.push(r.laneClock[rank], int32(rank))
+		r.front.set(rank, r.laneClock[rank])
 	}
 }
 
@@ -326,60 +329,7 @@ func (r *Replayer) wake(rank int) {
 		}
 	}
 	r.parked[rank] = false
-	r.push(r.waitKey(rank, e), int32(rank))
-}
-
-// push inserts a frontier entry; the heap never exceeds one entry per
-// rank, so its capacity (nprocs) is fixed at construction.
-func (r *Replayer) push(key float64, rank int32) {
-	h := append(r.heap, heapEnt{key: key, rank: rank})
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	r.heap = h
-}
-
-func (r *Replayer) pop() (float64, int) {
-	h := r.heap
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if len(h) > 0 {
-		h[0] = last
-		i := 0
-		for {
-			l, rt, m := 2*i+1, 2*i+2, i
-			if l < len(h) && entLess(h[l], h[m]) {
-				m = l
-			}
-			if rt < len(h) && entLess(h[rt], h[m]) {
-				m = rt
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	r.heap = h
-	return top.key, int(top.rank)
-}
-
-// entLess mirrors the scheduler's opLess: smallest key first, ties by
-// rank. A rank has one frontier entry at most, so no third component is
-// needed for a total order.
-func entLess(a, b heapEnt) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.rank < b.rank
+	r.front.set(rank, r.waitKey(rank, e))
 }
 
 // Clocks returns the per-rank clocks after the most recently replayed
@@ -390,12 +340,17 @@ func (r *Replayer) Clocks() []float64 {
 }
 
 // EchoClocks returns the release clock of every plan event in the most
-// recently replayed repetition, indexed like the plan's events. The slice
-// is owned by the Replayer and overwritten by the next Replay call; it is
-// the time source for Runner.EchoRun. Nil after DiscardEchoClocks.
+// recently replayed repetition, indexed like the plan's events, when that
+// Replay call recorded them (RecordEchoClocks) and nil otherwise. The
+// slice is owned by the Replayer and overwritten by the next recording
+// Replay; it is the time source for Runner.EchoRun.
 func (r *Replayer) EchoClocks() []float64 { return r.clk }
 
-// DiscardEchoClocks stops recording per-event release clocks. The
-// measurement harness calls it once the echo validation has passed:
-// every later repetition then skips one store per event.
-func (r *Replayer) DiscardEchoClocks() { r.clk = nil }
+// RecordEchoClocks makes the next Replay call record every event's
+// release clock for EchoClocks. Recording is off otherwise: the
+// measurement harness arms it for the one repetition an echo run
+// validates, and every later repetition skips one store per event.
+func (r *Replayer) RecordEchoClocks() {
+	r.clkBuf = grow(r.clkBuf, len(r.plan.events))
+	r.recordEcho = true
+}

@@ -1,6 +1,10 @@
 package mpi
 
-import "testing"
+import (
+	"testing"
+
+	"mpicollperf/internal/cluster"
+)
 
 // TestRunnerNewReplayerMatchesFresh is the recycling differential: a
 // Runner's recycled replayer, re-initialised across plans of different
@@ -8,15 +12,17 @@ import "testing"
 // must replay bit-identically to a fresh package-level NewReplayer on an
 // identical capture. This is the contract the sweep's warm path rests on.
 func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
-	cfg := replayTestConfig(8)
+	cfg := cluster.Gros().Net
 	recycled, err := NewRunner(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct{ nprocs, lanes int }{
-		{8, 4}, // first use: buffers allocated
-		{5, 6}, // fewer ranks, more lanes: mixed grow/shrink
-		{8, 3}, // back up: reuse of previously grown stripes
+		{8, 4},   // first use: buffers allocated
+		{5, 6},   // fewer ranks, more lanes: mixed grow/shrink
+		{8, 3},   // back up: reuse of previously grown stripes
+		{124, 2}, // the full gros width: 128 frontier leaves, 4 unused
+		{3, 2},   // down to a 4-leaf frontier inside the grown tree
 	}
 	for _, tc := range cases {
 		// Fresh reference: identical capture on an identical, fresh Runner.
@@ -54,6 +60,8 @@ func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want.RecordEchoClocks()
+		got.RecordEchoClocks()
 
 		for batch, k := range []int{1, tc.lanes, tc.lanes - 1} {
 			wm, wok := want.Replay(k)
@@ -72,20 +80,21 @@ func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
 					t.Fatalf("nprocs=%d lanes=%d batch %d mark %d: %v != %v", tc.nprocs, tc.lanes, batch, i, gm[i], wm[i])
 				}
 			}
+			we, ge := want.EchoClocks(), got.EchoClocks()
 			if batch == 0 {
-				// Echo clocks must be live (and identical) on first use even
-				// though the previous iteration discarded them.
-				we, ge := want.EchoClocks(), got.EchoClocks()
-				if ge == nil {
-					t.Fatalf("nprocs=%d lanes=%d: recycled replayer has no echo clocks", tc.nprocs, tc.lanes)
+				// Echo clocks are recorded (and identical) for the armed
+				// first batch even though the previous plan's later
+				// batches recorded none.
+				if ge == nil || len(ge) != len(we) {
+					t.Fatalf("nprocs=%d lanes=%d: recycled replayer recorded %d echo clocks, want %d", tc.nprocs, tc.lanes, len(ge), len(we))
 				}
 				for i := range we {
 					if ge[i] != we[i] {
 						t.Fatalf("nprocs=%d lanes=%d echo clock %d: %v != %v", tc.nprocs, tc.lanes, i, ge[i], we[i])
 					}
 				}
-				want.DiscardEchoClocks()
-				got.DiscardEchoClocks()
+			} else if we != nil || ge != nil {
+				t.Fatalf("nprocs=%d lanes=%d batch %d: unarmed replay recorded echo clocks", tc.nprocs, tc.lanes, batch)
 			}
 		}
 		wc, gc := want.Clocks(), got.Clocks()

@@ -242,6 +242,7 @@ func TestEchoValidatesAndDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rp.RecordEchoClocks()
 	if _, ok := rp.Replay(1); !ok {
 		t.Fatal("replay failed")
 	}
@@ -322,6 +323,7 @@ func TestEchoRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rp.RecordEchoClocks()
 	rp.Replay(1)
 	if err := r.EchoRun(plan, rp.EchoClocks()[:1], res.FinishTimes, nil); err == nil {
 		t.Error("short clock slice accepted")
