@@ -4,12 +4,18 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race doccheck deadpkgcheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
+.PHONY: ci vet fmtcheck build test race doccheck deadpkgcheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
 
-ci: vet build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck deadpkgcheck apicheck
+ci: vet fmtcheck build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck deadpkgcheck apicheck
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would rewrite any Go file in the tree.
+fmtcheck:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmtcheck: gofmt -l lists:"; echo "$$out"; exit 1; fi; \
+	echo "fmtcheck: all Go files gofmt-clean"
 
 build:
 	$(GO) build ./...
@@ -65,10 +71,9 @@ bench:
 #     degrades to the 0.8× anti-regression floor, because no amount of
 #     scheduling can conjure parallel speedup out of one core.
 #
-# The plan-cache breakdown (scheduler vs capture vs rebind per point, and
-# one extended family's calibration with templates off and on) is gated
-# against its own record, so a rebind-path slowdown cannot hide inside
-# the sweep aggregate.
+# The plan-cache breakdown (scheduler vs capture vs compile per point, and
+# one extended family's calibration) is gated against its own record, so
+# a compile-path slowdown cannot hide inside the sweep aggregate.
 BASELINE ?= BENCH_sched.json
 PLANCACHE_BASELINE ?= BENCH_plancache.json
 SCALING_THRESHOLD ?= 0.5

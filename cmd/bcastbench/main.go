@@ -38,10 +38,9 @@
 // before sweeping (package perturb's spec syntax, e.g.
 // "straggler:node=0,cpu=2;link:src=0,dst=1,bw=4"); -perturb-random
 // generates one from an intensity in (0,1] and -perturb-seed. -v reports
-// the plan work split (points compiled, templates published per
-// structure class, grid points rebound from a published template, plus
-// any rebind divergences), and how many measurements fell back from the
-// replay engine to the scheduler, and why.
+// the plan work (points compiled goroutine-free, and points whose
+// compile fell back to a capture), and how many measurements fell back
+// from the replay engine to the scheduler, and why.
 //
 // -metrics writes a JSON observability artifact of the sweep — points
 // measured vs cached, per-engine repetition counts, fallback tallies,
@@ -274,7 +273,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 	if *metricsPath != "" || *verbose {
-		// -v reads the plan-template counters back out of the registry, so
+		// -v reads the plan counters back out of the registry, so
 		// it needs one even without a -metrics artifact.
 		sw.Metrics = obs.NewRegistry()
 	}
@@ -309,10 +308,8 @@ func run(args []string, out io.Writer) (err error) {
 	fmt.Fprintf(out, "broadcast sweep on %s, P=%d, segment=%d B\n", pr.Name, *np, *seg)
 	if *verbose {
 		compiled := sw.Metrics.Counter("experiment_plan_compiles_total").Value()
-		published := sw.Metrics.Counter("experiment_plan_templates_total").Value()
-		rebound := sw.Metrics.Counter("experiment_plan_rebinds_total").Value()
-		diverged := sw.Metrics.Counter(obs.Name("experiment_fallbacks_total", "reason", "rebind-divergence")).Value()
-		fmt.Fprintf(out, "plans: %d compiled, %d templates published, %d points rebound, %d rebind divergences\n", compiled, published, rebound, diverged)
+		fellBack := sw.Metrics.Counter(obs.Name("experiment_fallbacks_total", "reason", "compile")).Value()
+		fmt.Fprintf(out, "plans: %d compiled, %d compile fallbacks\n", compiled, fellBack)
 		if counts := experiment.CountFallbacks(results); len(counts) == 0 {
 			fmt.Fprintln(out, "engine fallbacks: none")
 		} else {

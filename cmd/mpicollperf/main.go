@@ -28,7 +28,7 @@
 // observability registry attached (see internal/obs) and emits the
 // collected counters, gauges, and span histograms — sweep points measured
 // vs cached, per-engine repetition counts, simulator run/transfer totals,
-// plan compile, template and rebind counts, per-algorithm fit
+// plan compile counts, per-algorithm fit
 // statistics, and the guideline-verification counters
 // (guideline_checks_total, guideline_violations_total, per-guideline
 // ratio histograms) from a small invariant check. The calibration runs

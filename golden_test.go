@@ -149,13 +149,12 @@ func TestGoldenBcastDeterminism(t *testing.T) {
 }
 
 // TestGoldenSweepDeterminism asserts that the sweep engine reproduces the
-// pinned per-point means bit-identically regardless of worker count,
-// execution engine, and plan-template caching — worker-local Runner reuse,
-// scheduling order, the plan-replay fast path, and the template rebind
-// fast path must not leak into the measurements. The replay engine is
-// forced (no scheduler fallback) in its sub-tests, so the pinned seed-era
-// constants double as the replay engine's golden contract, with templates
-// on and off.
+// pinned per-point means bit-identically regardless of worker count and
+// execution engine — worker-local Runner reuse, scheduling order, and the
+// compile-and-replay fast path must not leak into the measurements. The
+// replay engine is forced (no scheduler fallback) in its sub-tests, so
+// the pinned seed-era constants double as the replay engine's golden
+// contract.
 func TestGoldenSweepDeterminism(t *testing.T) {
 	pr := goldenProfile(t)
 	set := experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1}
@@ -165,37 +164,22 @@ func TestGoldenSweepDeterminism(t *testing.T) {
 	}
 	for _, engine := range []experiment.Engine{experiment.EngineScheduler, experiment.EngineAuto, experiment.EngineReplay} {
 		for _, workers := range []int{1, 8} {
-			for _, noTemplates := range []bool{false, true} {
-				if noTemplates && engine == experiment.EngineScheduler {
-					continue // the scheduler engine never consults templates
+			t.Run(fmt.Sprintf("engine=%v/workers=%d", engine, workers), func(t *testing.T) {
+				set := set
+				set.Engine = engine
+				sw := experiment.Sweep{Profile: pr, Settings: set, Workers: workers}
+				results, err := sw.Run(context.Background(), grid)
+				if err != nil {
+					t.Fatal(err)
 				}
-				t.Run(fmt.Sprintf("engine=%v/workers=%d/templates=%v", engine, workers, !noTemplates), func(t *testing.T) {
-					set := set
-					set.Engine = engine
-					sw := experiment.Sweep{Profile: pr, Settings: set, Workers: workers, DisableTemplates: noTemplates}
-					results, err := sw.Run(context.Background(), grid)
-					if err != nil {
-						t.Fatal(err)
+				for i, r := range results {
+					if r.Meas.Mean != goldenSweepMeans[i] {
+						t.Errorf("point %v: mean = %x, golden %x", r.Point, r.Meas.Mean, goldenSweepMeans[i])
 					}
-					for i, r := range results {
-						if r.Meas.Mean != goldenSweepMeans[i] {
-							t.Errorf("point %v: mean = %x, golden %x", r.Point, r.Meas.Mean, goldenSweepMeans[i])
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
-}
-
-// goldenGridClasses counts the distinct structure classes of a grid —
-// the number of compiles a serial templated sweep does.
-func goldenGridClasses(grid []experiment.Point) int {
-	keys := make(map[string]bool)
-	for _, pt := range grid {
-		keys[pt.Stage.ClassKey(pt.Procs, pt.MsgBytes, pt.SegSize)] = true
-	}
-	return len(keys)
 }
 
 // TestGoldenSweepMetricsInvariance is the observability layer's
@@ -237,39 +221,29 @@ func TestGoldenSweepMetricsInvariance(t *testing.T) {
 					t.Errorf("%s not populated", wantReps)
 				}
 				runs := reg.Counter("mpi_runs_total").Value()
-				tpls := reg.Counter("experiment_plan_templates_total").Value()
 				compiles := reg.Counter("experiment_plan_compiles_total").Value()
-				rebinds := reg.Counter("experiment_plan_rebinds_total").Value()
 				if engine == experiment.EngineScheduler {
 					if runs == 0 {
 						t.Error("mpi_runs_total not populated")
 					}
-					if tpls != 0 || compiles != 0 || rebinds != 0 {
-						t.Errorf("scheduler engine touched the compile path: %d templates, %d compiles, %d rebinds", tpls, compiles, rebinds)
+					if compiles != 0 {
+						t.Errorf("scheduler engine touched the compile path: %d compiles", compiles)
 					}
 				} else {
-					// Every broadcast point is class-keyed, so none runs on
-					// the scheduler: each is compiled goroutine-free
-					// (publishing its class's template when it is the first)
-					// or rebinds the template. Racing workers may both
-					// compile a class before it is published, but every
-					// class publishes exactly one template at EVERY worker
-					// count.
-					classes := int64(goldenGridClasses(grid))
+					// Every broadcast point is timing-independent, so none
+					// runs on the scheduler: each is compiled goroutine-free,
+					// exactly once, at every worker count.
 					if runs != 0 {
 						t.Errorf("mpi_runs_total = %d, want 0: the replay engine ran the scheduler", runs)
 					}
-					if compiles+rebinds != int64(len(grid)) {
-						t.Errorf("%d compiles + %d rebinds != %d grid points", compiles, rebinds, len(grid))
+					if n := reg.Counter(obs.Name("experiment_reps_total", "engine", "scheduler")).Value(); n != 0 {
+						t.Errorf("%d scheduler repetitions, want 0", n)
 					}
-					if tpls != classes {
-						t.Errorf("workers=%d sweep published %d templates for %d structure classes", workers, tpls, classes)
+					if compiles != int64(len(grid)) {
+						t.Errorf("%d compiles for %d grid points, want one per point", compiles, len(grid))
 					}
-					if workers == 1 && compiles != classes {
-						t.Errorf("serial sweep compiled %d times for %d structure classes — compile is not once-per-class", compiles, classes)
-					}
-					if n := reg.Counter(obs.Name("experiment_fallbacks_total", "reason", "rebind-divergence")).Value(); n != 0 {
-						t.Errorf("%d unexplained rebind-divergence fallbacks", n)
+					if n := reg.Counter(obs.Name("experiment_fallbacks_total", "reason", "compile")).Value(); n != 0 {
+						t.Errorf("%d unexplained compile fallbacks", n)
 					}
 				}
 			})

@@ -79,27 +79,6 @@ func ParseBcastAlgorithm(name string) (BcastAlgorithm, error) {
 	return 0, fmt.Errorf("coll: unknown broadcast algorithm %q", name)
 }
 
-// Segmented reports whether the algorithm uses message segmentation.
-func (a BcastAlgorithm) Segmented() bool { return a != BcastLinear }
-
-// BcastClassKey returns the structure-class key of a broadcast: two
-// configurations with the same key submit bit-identical operation
-// *structures* (kinds, peers, tags, request wiring) and differ only in
-// byte counts. The communication pattern of every shipped algorithm is a
-// function of the tree shape — fixed by the communicator size — and of
-// the segment count n_s = NumSegments(size, segSize); unsegmented
-// algorithms ignore the segment size entirely, so their key pins segs=1
-// and every message size shares one class. The replay engine's template
-// cache compiles one plan per class and rebinds it for every other point
-// of the class (mpi.TemplateStore, Runner.Rebind).
-func BcastClassKey(alg BcastAlgorithm, procs, size, segSize int) string {
-	segs := 1
-	if alg.Segmented() {
-		segs = NumSegments(size, segSize)
-	}
-	return fmt.Sprintf("bcast/%v/P=%d/segs=%d", alg, procs, segs)
-}
-
 // Bcast broadcasts m from root to all ranks using the chosen algorithm and
 // segment size (ignored by the linear algorithm). On the root, m carries
 // the payload; on other ranks, m is the destination. It must be called by

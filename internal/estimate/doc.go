@@ -35,7 +35,6 @@
 // Models goes furthest and submits the γ grid and all algorithms' size
 // grids as one sweep, since γ only enters the coefficient computation
 // *after* the measurements; AlphaBetaFamily likewise submits a whole
-// extended family's specs × sizes grid as one sweep, each spec's
-// ClassKey grouping its sizes into plan-template classes. Results are
+// extended family's specs × sizes grid as one sweep. Results are
 // bit-identical to the serial loops regardless of worker count.
 package estimate

@@ -122,13 +122,6 @@ type AlphaBetaConfig struct {
 	// experiment.Cache); repeated calibrations of the same profile with
 	// the same settings skip their measurements entirely.
 	Cache *experiment.Cache
-	// DisablePlanTemplates switches off the calibration sweep's
-	// plan-template store (compile one execution plan per structure
-	// class, rebind it for every other grid point); every point then
-	// compiles its own plan, still goroutine-free. Fitted parameters are
-	// bit-identical either way; the switch exists for benchmarking and
-	// debugging.
-	DisablePlanTemplates bool
 	// Progress, if non-nil, observes every completed measurement.
 	Progress experiment.Progress
 	// Metrics, if non-nil, receives the calibration sweep's counters plus
@@ -141,13 +134,12 @@ type AlphaBetaConfig struct {
 // sweep builds the measurement engine the config describes.
 func (c AlphaBetaConfig) sweep(pr cluster.Profile) experiment.Sweep {
 	return experiment.Sweep{
-		Profile:          pr,
-		Settings:         c.Settings,
-		Workers:          c.Workers,
-		Cache:            c.Cache,
-		DisableTemplates: c.DisablePlanTemplates,
-		Progress:         c.Progress,
-		Metrics:          c.Metrics,
+		Profile:  pr,
+		Settings: c.Settings,
+		Workers:  c.Workers,
+		Cache:    c.Cache,
+		Progress: c.Progress,
+		Metrics:  c.Metrics,
 	}
 }
 

@@ -19,49 +19,15 @@ import (
 // The embedded Stage is what the calibration sweep measures: Name
 // identifies the (collective, algorithm) pair, e.g. "allgather/ring"; Run
 // executes one instance on every rank, with m the same size parameter
-// passed to Coefficients; ClassKey (structure only, never byte counts)
-// declares the spec timing-independent, so its points are compiled
-// goroutine-free and the sweep keeps one plan template per class to
-// rebind for every other size; nil means the spec's points are captured
-// under the scheduler and never templated.
+// passed to Coefficients; TimingIndependent makes the sweep compile its
+// points goroutine-free instead of capturing them under the scheduler
+// (every shipped spec sets it).
 // The spec's points are measured in Completion mode, the zero Mode.
 type CollectiveSpec struct {
 	experiment.Stage
 	// Coefficients returns the (a, b) of T = a·α + b·β for the operation
 	// at the given process count and size parameter.
 	Coefficients func(P, m, segSize int, g model.Gamma) (a, b float64)
-}
-
-// unsegmentedKey keys a spec whose communication structure depends on
-// the communicator size alone.
-func unsegmentedKey(name string) func(P, m, segSize int) string {
-	return func(P, _, _ int) string { return fmt.Sprintf("%s/P=%d", name, P) }
-}
-
-// segmentedKey keys a spec that pipelines its vector in segSize segments,
-// so its structure also depends on the segment count.
-func segmentedKey(name string) func(P, m, segSize int) string {
-	return func(P, m, segSize int) string {
-		return fmt.Sprintf("%s/P=%d/segs=%d", name, P, coll.NumSegments(m, segSize))
-	}
-}
-
-// allreduceKey keys an allreduce spec: the ring is unsegmented; the
-// reduce+bcast composition pipelines its broadcast, and recursive
-// doubling falls back to that composition when P is not a power of two.
-func allreduceKey(alg coll.AllreduceAlgorithm, name string) func(P, m, segSize int) string {
-	if alg == coll.AllreduceRing {
-		return unsegmentedKey(name)
-	}
-	return segmentedKey(name)
-}
-
-// reduceKey keys a reduce spec: only the pipeline segments its vector.
-func reduceKey(alg coll.ReduceAlgorithm, name string) func(P, m, segSize int) string {
-	if alg == coll.ReducePipeline {
-		return segmentedKey(name)
-	}
-	return unsegmentedKey(name)
 }
 
 // AlphaBetaCollective estimates the algorithm-specific Hockney parameters
@@ -78,13 +44,12 @@ func AlphaBetaCollective(pr cluster.Profile, spec CollectiveSpec, g model.Gamma,
 // AlphaBetaFamily estimates the Hockney parameters of every spec (an
 // extended collective family, typically) in one measurement sweep: the
 // specs × sizes grid fans out over cfg.Workers, with cfg.Cache,
-// plan templates (per spec ClassKey), cfg.Progress and cfg.Metrics
-// applying as in the broadcast calibration. Every point measures a
-// complete execution in Completion mode — the operations involve every
-// rank symmetrically, so there is no root-only finish to exploit. The
-// results, indexed like specs, are bit-identical to measuring each point
-// serially on a fresh simulator. A cancelled ctx stops the sweep within
-// one chunk of points.
+// cfg.Progress and cfg.Metrics applying as in the broadcast
+// calibration. Every point measures a complete execution in Completion
+// mode — the operations involve every rank symmetrically, so there is no
+// root-only finish to exploit. The results, indexed like specs, are
+// bit-identical to measuring each point serially on a fresh simulator. A
+// cancelled ctx stops the sweep within one chunk of points.
 func AlphaBetaFamily(ctx context.Context, pr cluster.Profile, specs []CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) ([]AlphaBetaResult, error) {
 	cfg, err := cfg.withDefaults(pr)
 	if err != nil {
@@ -127,11 +92,11 @@ func AllgatherSpecs() []CollectiveSpec {
 		name := "allgather/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					coll.Allgather(p, alg, coll.Synthetic(m*p.Size()), m)
 				},
-				ClassKey: unsegmentedKey(name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AllgatherCoefficients(alg, P, m, segSize, g)
@@ -149,11 +114,11 @@ func AllreduceSpecs() []CollectiveSpec {
 		name := "allreduce/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					coll.Allreduce(p, alg, coll.Synthetic(m), nil, segSize)
 				},
-				ClassKey: allreduceKey(alg, name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AllreduceCoefficients(alg, P, m, segSize, g)
@@ -171,11 +136,11 @@ func ReduceSpecs() []CollectiveSpec {
 		name := "reduce/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, segSize)
 				},
-				ClassKey: reduceKey(alg, name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceCoefficients(alg, P, m, segSize, g)
@@ -193,7 +158,8 @@ func GatherSpecs() []CollectiveSpec {
 		name := "gather/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					if p.Rank() == 0 {
 						coll.Gather(p, alg, 0, coll.Synthetic(m*p.Size()), m)
@@ -201,7 +167,6 @@ func GatherSpecs() []CollectiveSpec {
 						coll.Gather(p, alg, 0, coll.Synthetic(m), m)
 					}
 				},
-				ClassKey: unsegmentedKey(name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.GatherCoefficients(alg, P, m, g)
@@ -219,7 +184,8 @@ func ScatterSpecs() []CollectiveSpec {
 		name := "scatter/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					if p.Rank() == 0 {
 						coll.Scatter(p, alg, 0, coll.Synthetic(m*p.Size()), m)
@@ -227,7 +193,6 @@ func ScatterSpecs() []CollectiveSpec {
 						coll.Scatter(p, alg, 0, coll.Synthetic(m), m)
 					}
 				},
-				ClassKey: unsegmentedKey(name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ScatterCoefficients(alg, P, m, g)
@@ -245,11 +210,11 @@ func ReduceScatterSpecs() []CollectiveSpec {
 		name := "reduce_scatter/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					coll.ReduceScatter(p, alg, coll.Synthetic(m*p.Size()), nil, m)
 				},
-				ClassKey: unsegmentedKey(name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.ReduceScatterCoefficients(alg, P, m, segSize, g)
@@ -280,12 +245,12 @@ func AlltoallSpecs() []CollectiveSpec {
 		name := "alltoall/" + alg.String()
 		specs = append(specs, CollectiveSpec{
 			Stage: experiment.Stage{
-				Name: name,
+				Name:              name,
+				TimingIndependent: true,
 				Run: func(p *mpi.Proc, m, segSize int) {
 					n := m * p.Size()
 					coll.Alltoall(p, alg, coll.Synthetic(n), coll.Synthetic(n), m)
 				},
-				ClassKey: unsegmentedKey(name),
 			},
 			Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) {
 				return model.AlltoallCoefficients(alg, P, m, g)

@@ -42,7 +42,7 @@ func TestAllSpecFamiliesComplete(t *testing.T) {
 			if !strings.HasPrefix(s.Name, name+"/") {
 				t.Errorf("spec %q not under family %q", s.Name, name)
 			}
-			if s.Run == nil || s.Coefficients == nil || s.ClassKey == nil {
+			if s.Run == nil || s.Coefficients == nil || !s.TimingIndependent {
 				t.Errorf("spec %q incomplete", s.Name)
 			}
 		}
@@ -153,8 +153,7 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 // goldenExtendedDigest pins every extended spec's fitted α/β, bit for
 // bit, on goldenExtendedConfig's grid with a unit γ. It was recorded from
 // the pre-sweep serial path (one experiment.Measure per point on a fresh
-// Runner, no templates), so it also pins the family sweep's equivalence
-// to that path.
+// Runner), so it also pins the family sweep's equivalence to that path.
 const goldenExtendedDigest = "92c75bd782645568"
 
 // goldenExtendedConfig is the golden grid: a 16-node grisou at P = 12 (not
@@ -202,39 +201,26 @@ func extendedDigest(t *testing.T, pr cluster.Profile, cfg AlphaBetaConfig) strin
 }
 
 // TestGoldenExtendedDeterminism pins the extended α/β across worker
-// counts, plan templates on and off, and both engines.
+// counts and both engines.
 func TestGoldenExtendedDeterminism(t *testing.T) {
 	pr, base := goldenExtendedConfig(t)
 	for _, engine := range []experiment.Engine{experiment.EngineAuto, experiment.EngineScheduler} {
-		for _, templates := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 8} {
-				cfg := base
-				cfg.Workers = workers
-				cfg.DisablePlanTemplates = !templates
-				cfg.Settings.Engine = engine
-				if got := extendedDigest(t, pr, cfg); got != goldenExtendedDigest {
-					t.Errorf("engine=%v templates=%v workers=%d: digest %s, want %s", engine, templates, workers, got, goldenExtendedDigest)
-				}
+		for _, workers := range []int{1, 2, 8} {
+			cfg := base
+			cfg.Workers = workers
+			cfg.Settings.Engine = engine
+			if got := extendedDigest(t, pr, cfg); got != goldenExtendedDigest {
+				t.Errorf("engine=%v workers=%d: digest %s, want %s", engine, workers, got, goldenExtendedDigest)
 			}
 		}
 	}
 }
 
-// segmentedSpecs are the specs whose structure class follows the segment
-// count (ClassKey includes it); every other spec is keyed by (spec, P).
-var segmentedSpecs = map[string]bool{
-	"allreduce/reduce_bcast":       true,
-	"allreduce/recursive_doubling": true,
-	"reduce/pipeline":              true,
-}
-
-// TestExtendedTemplateAccounting checks the class keys on the default
+// TestExtendedCompileAccounting checks the compile path on the default
 // calibration grid (grisou, P = 45, ten sizes from 8 KiB to 4 MiB): each
-// family sweep publishes exactly one template per distinct key with no
-// rebind divergence (keys are not too coarse) and no scheduler run, and
-// every unsegmented spec has fewer classes than it has points (keys are
-// not too fine).
-func TestExtendedTemplateAccounting(t *testing.T) {
+// family sweep compiles every point exactly once, with no scheduler run
+// and no compile fallback.
+func TestExtendedCompileAccounting(t *testing.T) {
 	pr := cluster.Grisou()
 	cfg, err := AlphaBetaConfig{Settings: fastSettings(), Workers: 2}.withDefaults(pr)
 	if err != nil {
@@ -242,38 +228,21 @@ func TestExtendedTemplateAccounting(t *testing.T) {
 	}
 	fams := AllSpecFamilies()
 	for _, name := range familyNames() {
-		keys := map[string]bool{}
-		for _, spec := range fams[name] {
-			specKeys := map[string]bool{}
-			for _, m := range cfg.Sizes {
-				k := spec.ClassKey(cfg.Procs, m, pr.SegmentSize)
-				keys[k], specKeys[k] = true, true
-			}
-			if !segmentedSpecs[spec.Name] && len(specKeys) >= len(cfg.Sizes) {
-				t.Errorf("%s: %d classes over %d sizes: key too fine", spec.Name, len(specKeys), len(cfg.Sizes))
-			}
-		}
 		reg := obs.NewRegistry()
 		c := cfg
 		c.Metrics = reg
 		if _, err := AlphaBetaFamily(context.Background(), pr, fams[name], model.UnitGamma(), c); err != nil {
 			t.Fatal(err)
 		}
-		if got := reg.Counter("experiment_plan_templates_total").Value(); got != int64(len(keys)) {
-			t.Errorf("%s: %d templates, want one per class key (%d)", name, got, len(keys))
+		points := int64(len(fams[name]) * len(cfg.Sizes))
+		if got := reg.Counter("experiment_plan_compiles_total").Value(); got != points {
+			t.Errorf("%s: %d compiles, want one per point (%d)", name, got, points)
 		}
 		if got := reg.Counter("mpi_runs_total").Value(); got != 0 {
 			t.Errorf("%s: %d scheduler runs, want 0", name, got)
 		}
-		if got := reg.Counter(`experiment_fallbacks_total{reason="rebind-divergence"}`).Value(); got != 0 {
-			t.Errorf("%s: %d rebind divergences: a class key is too coarse", name, got)
-		}
-		// Two workers may both compile a class before it is published.
-		points := int64(len(fams[name]) * len(cfg.Sizes))
-		compiles := reg.Counter("experiment_plan_compiles_total").Value()
-		rebinds := reg.Counter("experiment_plan_rebinds_total").Value()
-		if compiles < int64(len(keys)) || compiles+rebinds != points {
-			t.Errorf("%s: %d compiles + %d rebinds, want >= %d compiles and %d points in total", name, compiles, rebinds, len(keys), points)
+		if got := reg.Counter(`experiment_fallbacks_total{reason="compile"}`).Value(); got != 0 {
+			t.Errorf("%s: %d compile fallbacks, want 0", name, got)
 		}
 	}
 }

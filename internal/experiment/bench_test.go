@@ -14,9 +14,9 @@ import (
 
 // benchGrid is a full six-algorithm Grisou sweep at two process counts
 // (16 and 32 on the 32-node profile) with a reduced repetition budget:
-// 72 points over ~80 structure classes, enough work per sweep that the
-// worker-scaling curve measures scheduling rather than per-sweep setup
-// noise, while one serial pass stays in the seconds range. For a stable
+// 72 points, enough work per sweep that the worker-scaling curve
+// measures scheduling rather than per-sweep setup noise, while one
+// serial pass stays in the seconds range. For a stable
 // curve, run with -benchtime=3x or more (one timed sweep per iteration);
 // `make bench` records it into BENCH_sweepscale.json.
 func benchGrid(b *testing.B) (cluster.Profile, []Point) {
@@ -59,16 +59,11 @@ func BenchmarkSweep(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			// The template store persists across the b.N sweeps, as a
-			// repeated calibration's does (each run's structure classes are
-			// captured once, then every later point — and every later
-			// sweep — rebinds); the scheduler-engine record ignores it.
-			// Results are bit-identical with or without the store. One
-			// untimed warm-up sweep captures the class templates so every
+			// One untimed warm-up sweep grows the workers' buffers so every
 			// timed iteration measures the homogeneous steady state, as
-			// BenchmarkSweepWarmPool and BenchmarkSweepCached do; the cold
-			// capture cost is recorded per path by BenchmarkPlanCache.
-			sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Workers: workers, Templates: mpi.NewTemplateStore()}
+			// BenchmarkSweepWarmPool and BenchmarkSweepCached do; the cost
+			// of one point is recorded per path by BenchmarkPlanCache.
+			sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Workers: workers}
 			b.ReportMetric(float64(len(grid)), "points/sweep")
 			if _, err := sw.Run(context.Background(), grid); err != nil {
 				b.Fatal(err)
@@ -85,12 +80,10 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkPlanCache breaks one grid point's cost down by measurement
 // path: the full scheduler loop, the replay engine's capture (scheduler
-// repetition + echo validation + replay, the path of class-less
-// operations), the goroutine-free compile + replay (what a structure
-// class's first point, or any class-keyed point with templates off,
-// costs), and the template rebind + replay (every later point of a
-// class). BENCH_plancache.json records the four side by side; the
-// compile/rebind ratio says what templates still save.
+// repetition + echo validation + replay, the path of operations not
+// declared timing-independent), and the goroutine-free compile + replay
+// (every timing-independent point). BENCH_plancache.json records the
+// three side by side.
 func BenchmarkPlanCache(b *testing.B) {
 	pr, err := cluster.Grisou().WithNodes(32)
 	if err != nil {
@@ -103,9 +96,9 @@ func BenchmarkPlanCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	pt := Point{Stage: BcastStage(coll.BcastBinomial), Procs: pr.Nodes, MsgBytes: m, SegSize: pr.SegmentSize}
-	point := func(b *testing.B, set Settings, store *mpi.TemplateStore) {
+	point := func(b *testing.B, set Settings) {
 		b.Helper()
-		if _, err := measurePoint(reuse, pr, pt, set, store); err != nil {
+		if _, err := measurePoint(reuse, pr, pt, set); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,14 +107,15 @@ func BenchmarkPlanCache(b *testing.B) {
 		set := set
 		set.Engine = EngineScheduler
 		for i := 0; i < b.N; i++ {
-			point(b, set, nil)
+			point(b, set)
 		}
 	})
 	b.Run("path=capture", func(b *testing.B) {
 		b.ReportAllocs()
 		set := set
 		set.Engine = EngineReplay
-		// A class-less measurement of the same operation: a real capture.
+		// The same operation, not declared timing-independent: a real
+		// capture.
 		op := func(p *mpi.Proc) { pt.Stage.Run(p, pt.MsgBytes, pt.SegSize) }
 		for i := 0; i < b.N; i++ {
 			if _, err := MeasureOn(reuse, pt.Procs, set, Completion, op); err != nil {
@@ -134,18 +128,7 @@ func BenchmarkPlanCache(b *testing.B) {
 		set := set
 		set.Engine = EngineReplay
 		for i := 0; i < b.N; i++ {
-			point(b, set, nil)
-		}
-	})
-	b.Run("path=rebind", func(b *testing.B) {
-		b.ReportAllocs()
-		set := set
-		set.Engine = EngineReplay
-		store := mpi.NewTemplateStore()
-		point(b, set, store) // compile the class template once
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			point(b, set, store)
+			point(b, set)
 		}
 	})
 }

@@ -25,26 +25,28 @@ func Composed(stages ...Op) Op {
 	}
 }
 
-// MeasureComposedClass measures the chained stages on a reusable Runner
-// built from pr (see NewRunnerPool): one adaptive measurement of the whole
-// chain in the given mode. At least one stage is required. A non-empty
-// classKey declares the composition timing-independent: it is compiled
-// goroutine-free (mpi.Runner.Compile) instead of captured under the
-// scheduler, and when tmpl is non-nil the first measured composition of
-// the class publishes its plan to tmpl and every later measurement of the
-// class rebinds that template (mpi.Runner.Rebind) — with bit-identical
-// samples on every path. The class key must identify the composition's
-// communication *structure* (ranks, peers, tags, segment counts), never
-// its byte counts, which the rebind harvests per point; a too-coarse key
-// is safe (the rebind detects divergence and the point is compiled
-// afresh) but wastes the rebind. An empty classKey captures and
-// echo-validates, as MeasureOn does.
-func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, classKey string, tmpl *mpi.TemplateStore, stages ...Op) (Measurement, error) {
+// MeasureComposed measures the chained stages on a reusable Runner built
+// from pr (see NewRunnerPool): one adaptive measurement of the whole
+// chain in the given mode. At least one stage is required.
+// timingIndependent declares that no stage reads Proc.Now or received
+// sizes, or carries payload: the chain is then compiled goroutine-free
+// (mpi.Runner.Compile) instead of captured under the scheduler and
+// echo-validated, with bit-identical samples either way.
+func MeasureComposed(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, timingIndependent bool, stages ...Op) (Measurement, error) {
 	if len(stages) == 0 {
 		return Measurement{}, fmt.Errorf("experiment: composed measurement needs at least one stage")
 	}
 	if nprocs > pr.Nodes {
 		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", nprocs, pr.Name, pr.Nodes)
 	}
-	return measureOnClass(r, nprocs, set, mode, Composed(stages...), planClass{key: classKey, store: tmpl})
+	return measureOnEngine(r, nprocs, set, mode, Composed(stages...), timingIndependent)
+}
+
+// MeasureComposedClass is MeasureComposed with the timing-independence
+// flag spelled as a class key: a non-empty classKey means "compile". tmpl
+// is ignored.
+//
+// Deprecated: use MeasureComposed.
+func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, classKey string, tmpl *mpi.TemplateStore, stages ...Op) (Measurement, error) {
+	return MeasureComposed(r, pr, nprocs, set, mode, classKey != "", stages...)
 }

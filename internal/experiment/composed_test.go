@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
 
 	"mpicollperf/internal/cluster"
@@ -10,8 +11,8 @@ import (
 
 // TestMeasureComposedMatchesBcastThenGather pins the composition
 // contract: the §4.2 bcast+gather stage swept as a grid point and an
-// explicit MeasureComposedClass of the same two operations are the same
-// measurement, bit for bit, with and without a template store attached.
+// explicit MeasureComposed of the same two operations are the same
+// measurement, bit for bit, captured or compiled.
 func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 	pr, err := cluster.Grisou().WithNodes(8)
 	if err != nil {
@@ -44,26 +45,20 @@ func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, "", nil, stages...)
+	for _, compiled := range []bool{false, true} {
+		got, err := MeasureComposed(r, pr, nprocs, set, RootTime, compiled, stages...)
+		if err != nil {
+			t.Fatalf("compiled=%v: %v", compiled, err)
+		}
+		sameMeasurement(t, fmt.Sprintf("composed (compiled=%v) vs stage", compiled), want, got)
+	}
+	// The deprecated class-key spelling: a non-empty key compiles and the
+	// store is ignored.
+	got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, "any", mpi.NewTemplateStore(), stages...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMeasurement(t, "composed vs stage", want, got)
-
-	// Template fast path: the first composed measurement of a class
-	// captures, the second rebinds — both bit-identical to the stage.
-	tmpl := mpi.NewTemplateStore()
-	key := "test/bcast+gather/P=8/segs=8"
-	for pass, label := range []string{"capture", "rebind"} {
-		got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, key, tmpl, stages...)
-		if err != nil {
-			t.Fatalf("pass %d (%s): %v", pass, label, err)
-		}
-		sameMeasurement(t, "templated "+label, want, got)
-	}
-	if tmpl.Len() != 1 {
-		t.Errorf("template store holds %d plans, want 1", tmpl.Len())
-	}
+	sameMeasurement(t, "class-keyed composed (deprecated) vs stage", want, got)
 }
 
 func TestMeasureComposedErrors(t *testing.T) {
@@ -75,10 +70,10 @@ func TestMeasureComposedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureComposedClass(r, pr, 4, fastSettings(), Completion, "", nil); err == nil {
-		t.Error("MeasureComposedClass accepted an empty stage list")
+	if _, err := MeasureComposed(r, pr, 4, fastSettings(), Completion, false); err == nil {
+		t.Error("MeasureComposed accepted an empty stage list")
 	}
-	if _, err := MeasureComposedClass(r, pr, 8, fastSettings(), Completion, "", nil, func(p *mpi.Proc) {}); err == nil {
-		t.Error("MeasureComposedClass accepted more procs than the profile has nodes")
+	if _, err := MeasureComposed(r, pr, 8, fastSettings(), Completion, false, func(p *mpi.Proc) {}); err == nil {
+		t.Error("MeasureComposed accepted more procs than the profile has nodes")
 	}
 }

@@ -31,8 +31,9 @@
 // # Measurement points
 //
 // Everything the reproduction measures is a Point: a Stage (the
-// operation every rank runs, its timing Mode and its structure-class
-// key) at a communicator size, message size and segment size. The paper's
+// operation every rank runs, its timing Mode and whether it is
+// timing-independent) at a communicator size, message size and segment
+// size. The paper's
 // experiments are Stage values: BcastStage times one (algorithm, P, m,
 // segment) broadcast in Completion mode — one point of the comparison
 // figures, and with the linear algorithm at one unsegmented segment the
@@ -51,12 +52,10 @@
 // completion order, so callers are oblivious to the concurrency. Each
 // worker's simulator is reset between points, which makes the results
 // bit-identical to a serial run on fresh simulators; the first failing
-// point cancels the rest through the context. Points whose stage declares
-// a structure class are compiled into plans goroutine-free, with no
-// scheduler run; the first point of a class publishes its plan as the
-// class template and the rest rebind it.
-// Measure and MeasureComposedClass remain for callers that time an
-// arbitrary Op (or chain of Ops) outside a grid.
+// point cancels the rest through the context. Points whose stage is
+// timing-independent are compiled into plans goroutine-free, with no
+// scheduler run. Measure and MeasureComposed remain for callers that
+// time an arbitrary Op (or chain of Ops) outside a grid.
 //
 // Cache adds content-addressed memoisation on top: keys hash the full
 // experiment identity (cluster profile including the noise seed, the

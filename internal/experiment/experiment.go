@@ -25,14 +25,14 @@ type Engine int
 
 const (
 	// EngineAuto (the default) re-times repetitions with the plan-replay
-	// engine. A point whose stage declares a structure class is compiled
-	// into its plan goroutine-free (or rebinds its class's template), with
-	// no scheduler run at all. Any other measurement captures its first
-	// repetition under the full scheduler and validates the captured plan
-	// with an echo run (the program re-executed against replayed clocks,
-	// its operation stream byte-compared to the plan). Measurements that
-	// cannot be replayed fall back to the scheduler. Results are
-	// bit-identical to EngineScheduler either way.
+	// engine. A point whose stage declares itself timing-independent is
+	// compiled into its plan goroutine-free, with no scheduler run at all.
+	// Any other measurement captures its first repetition under the full
+	// scheduler and validates the captured plan with an echo run (the
+	// program re-executed against replayed clocks, its operation stream
+	// byte-compared to the plan). Measurements that cannot be replayed
+	// fall back to the scheduler. Results are bit-identical to
+	// EngineScheduler either way.
 	EngineAuto Engine = iota
 	// EngineScheduler runs every repetition under the full MPI scheduler.
 	EngineScheduler
@@ -94,18 +94,12 @@ const (
 	// perturbation (a brownout), whose effective parameters depend on
 	// virtual time; a captured plan cannot be re-timed under it.
 	FallbackTimeVarying FallbackReason = "time-varying-perturbation"
-	// FallbackRebindDivergence: the point's operation stream diverged from
-	// its structure class's plan template during a rebind pass
-	// (mpi.Runner.Rebind); the point was compiled afresh, which also
-	// refreshes the template. The measurement still ran on the replay
-	// engine, so this reason appears only in the metrics registry, never
-	// on a Measurement.
-	FallbackRebindDivergence FallbackReason = "rebind-divergence"
-	// FallbackCompile: a class-keyed point could not be compiled
+	// FallbackCompile: a timing-independent point could not be compiled
 	// goroutine-free (mpi.Runner.Compile), or its compiled plan did not
 	// replay to completion; the point was re-measured through the capture
-	// path, which reproduces whatever error the program has. Like
-	// FallbackRebindDivergence it appears only in the metrics registry.
+	// path, which reproduces whatever error the program has. The
+	// measurement itself may still replay, so this reason appears only in
+	// the metrics registry, never on a Measurement.
 	FallbackCompile FallbackReason = "compile"
 )
 
@@ -196,13 +190,10 @@ var (
 	mRepsScheduler    = obs.Name("experiment_reps_total", "engine", "scheduler")
 	mReplayTransfers  = "experiment_replay_transfers_total"
 	mPlanCompiles     = "experiment_plan_compiles_total"
-	mPlanTemplates    = "experiment_plan_templates_total"
-	mPlanRebinds      = "experiment_plan_rebinds_total"
 	mFallbacksByWhy   = map[FallbackReason]string{}
 	fallbackReasonSet = []FallbackReason{
 		FallbackPayload, FallbackMarkInOp, FallbackPlan,
-		FallbackEchoDivergence, FallbackTimeVarying,
-		FallbackRebindDivergence, FallbackCompile,
+		FallbackEchoDivergence, FallbackTimeVarying, FallbackCompile,
 	}
 )
 
@@ -224,22 +215,6 @@ func Measure(net *simnet.Network, nprocs int, set Settings, mode Mode, op Op) (M
 	return MeasureOn(mpi.NewRunnerOn(net, mpi.Options{}), nprocs, set, mode, op)
 }
 
-// planClass identifies a measurement's structure class: key is the
-// class key (e.g. coll.BcastClassKey) and store, which may be nil, is the
-// plan-template store. A class-keyed measurement on a replay-invariant
-// network is compiled goroutine-free (mpi.Runner.Compile) and replayed
-// with no scheduler run; with a store attached, the first compiled point
-// of a class publishes its plan as the class template and every later
-// point rebinds it (mpi.Runner.Rebind), which skips message matching.
-// The zero value is a class-less measurement: it captures under the
-// scheduler and echo-validates, which is what catches a program whose
-// structure changes across invocations. Samples are bit-identical on
-// every path.
-type planClass struct {
-	key   string
-	store *mpi.TemplateStore
-}
-
 // MeasureOn is Measure on a reusable Runner: callers measuring many
 // points on the same platform (the sweep engine, the calibration loops)
 // keep one warm Runner per worker instead of rebuilding scheduler state
@@ -253,12 +228,16 @@ type planClass struct {
 // repetitions with the allocation-free replay engine, producing
 // bit-identical samples at a fraction of the cost.
 func MeasureOn(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, error) {
-	return measureOnClass(r, nprocs, set, mode, op, planClass{})
+	return measureOnEngine(r, nprocs, set, mode, op, false)
 }
 
-// measureOnClass is MeasureOn with an optional structure class attached
-// (the compile and template fast paths; see planClass).
-func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, error) {
+// measureOnEngine is MeasureOn with the compile fast path available: a
+// timingIndependent measurement on a replay-invariant network is compiled
+// goroutine-free (mpi.Runner.Compile) and replayed with no scheduler run.
+// Any other measurement captures under the scheduler and echo-validates,
+// which is what catches a program whose structure changes across
+// invocations. Samples are bit-identical on every path.
+func measureOnEngine(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, timingIndependent bool) (Measurement, error) {
 	set = set.withDefaults()
 	m := r.Metrics()
 	if set.Engine == EngineScheduler {
@@ -270,8 +249,8 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 	}
 	why := FallbackNone
 	if r.Network().ReplayInvariant() {
-		if cls.key != "" {
-			if meas, ok := measureClass(r, nprocs, set, mode, op, cls); ok {
+		if timingIndependent {
+			if meas, ok := measureCompiled(r, nprocs, set, mode, op); ok {
 				m.Counter(mRepsReplay).Add(int64(meas.Reps))
 				return meas, nil
 			}
@@ -302,49 +281,21 @@ func measureOnClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, c
 	return meas, err
 }
 
-// measureClass measures a class-keyed point with no scheduler run: it
-// rebinds the class's published template when there is one, and
-// otherwise compiles the point's repetition goroutine-free and publishes
-// the plan as the class template. ok is false when neither path produced
-// a measurement — the point does not compile, or its plan does not
-// replay to completion — and the caller measures it through the capture
-// path instead, so errors surface exactly as the scheduler reports them.
-func measureClass(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, cls planClass) (Measurement, bool) {
+// measureCompiled measures a timing-independent point with no scheduler
+// run: it compiles the point's repetition goroutine-free and replays it.
+// ok is false when the point does not compile, or its plan does not
+// replay to completion; the caller then measures it through the capture
+// path, so errors surface exactly as the scheduler reports them.
+func measureCompiled(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, bool) {
 	m := r.Metrics()
-	rep := repetition(op, mode)
 	// Reset first: the replay below must consume the noise stream from
 	// the exact position a capturing run would have.
 	r.Network().Reset()
-	refresh := false
-	if cls.store != nil {
-		if tpl := cls.store.Get(cls.key); tpl != nil {
-			if tpl.Procs() == nprocs {
-				if plan, err := r.Rebind(tpl, rep); err == nil {
-					if meas, err := replayPoint(r, nprocs, set, mode, plan); err == nil {
-						m.Counter(mPlanRebinds).Inc()
-						return meas, true
-					}
-				}
-			}
-			// The point's structure diverged from its class template (the
-			// key is too coarse): compile it, which also refreshes the
-			// template. This fallback is a metrics-only event.
-			m.Counter(mFallbacksByWhy[FallbackRebindDivergence]).Inc()
-			refresh = true
-			r.Network().Reset()
-		}
-	}
-	plan, err := r.Compile(nprocs, rep)
+	plan, err := r.Compile(nprocs, repetition(op, mode))
 	if err == nil {
 		var meas Measurement
 		if meas, err = replayPoint(r, nprocs, set, mode, plan); err == nil {
 			m.Counter(mPlanCompiles).Inc()
-			// Put clones, so the Runner's recycled plan buffer is safe to
-			// reuse. A class another worker published concurrently is not
-			// a new template.
-			if cls.store != nil && (cls.store.Put(cls.key, plan) || refresh) {
-				m.Counter(mPlanTemplates).Inc()
-			}
 			return meas, true
 		}
 	}
@@ -621,8 +572,8 @@ func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (M
 	return smp.result(), FallbackNone, nil
 }
 
-// replayPoint re-times every repetition of a compiled or rebound plan,
-// the first included, with no scheduler run at all.
+// replayPoint re-times every repetition of a compiled plan, the first
+// included, with no scheduler run at all.
 //
 // Bit-identicality with the capture path: a capturing run's preamble (two
 // calibration barriers from clock zero) consumes no jitter and leaves
@@ -662,17 +613,16 @@ func replayPoint(r *mpi.Runner, nprocs int, set Settings, mode Mode, plan *mpi.P
 }
 
 // measurePoint measures one grid point on a Runner built from pr (see
-// newProfileRunner). A point whose stage names a structure class is
-// compiled goroutine-free; when tmpl is non-nil, the first point of each
-// class publishes its plan and every later point rebinds it.
-func measurePoint(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings, tmpl *mpi.TemplateStore) (Measurement, error) {
+// newProfileRunner). A point whose stage is timing-independent is
+// compiled goroutine-free.
+func measurePoint(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings) (Measurement, error) {
 	if pt.Procs > pr.Nodes {
 		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", pt.Procs, pr.Name, pr.Nodes)
 	}
 	st, m, seg := pt.Stage, pt.MsgBytes, pt.SegSize
-	return measureOnClass(r, pt.Procs, set, st.Mode, func(p *mpi.Proc) {
+	return measureOnEngine(r, pt.Procs, set, st.Mode, func(p *mpi.Proc) {
 		st.Run(p, m, seg)
-	}, planClass{key: pt.classKey(), store: tmpl})
+	}, st.TimingIndependent)
 }
 
 // newProfileRunner builds a reusable Runner on a fresh network of the

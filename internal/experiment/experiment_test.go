@@ -168,11 +168,10 @@ func TestSettingsDefaults(t *testing.T) {
 	}
 }
 
-// measureOne measures a single point through a serial, untemplated
-// Sweep: one fresh simulator, the reference the engine and template tests
-// compare against.
+// measureOne measures a single point through a serial Sweep: one fresh
+// simulator, the reference the engine tests compare against.
 func measureOne(pr cluster.Profile, pt Point, set Settings) (Measurement, error) {
-	res, err := Sweep{Profile: pr, Settings: set, Workers: 1, DisableTemplates: true}.Run(context.Background(), []Point{pt})
+	res, err := Sweep{Profile: pr, Settings: set, Workers: 1}.Run(context.Background(), []Point{pt})
 	if err != nil {
 		return Measurement{}, err
 	}

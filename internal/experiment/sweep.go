@@ -24,19 +24,13 @@ type Stage struct {
 	// Mode selects what a repetition's sample measures; the zero value
 	// is Completion.
 	Mode Mode
-	// ClassKey returns the operation's structure-class key at (P, m,
-	// segSize). A non-nil ClassKey declares the operation
-	// timing-independent — it never reads Proc.Now or received sizes, and
-	// carries no payload — so its points are compiled goroutine-free
-	// (mpi.Runner.Compile) with no scheduler run. Equal keys promise
-	// identical communication structure (ranks, peers, tags, message
-	// counts), differing only in byte counts, so the sweep compiles one
-	// plan template per key and rebinds it for every other point of the
-	// class. A key that is too coarse is safe (the rebind detects the
-	// divergence and the point is compiled afresh). A nil ClassKey makes
-	// the stage's points class-less: captured under the scheduler and
-	// echo-validated.
-	ClassKey func(P, m, segSize int) string
+	// TimingIndependent declares that the operation never reads
+	// Proc.Now or received sizes and carries no payload, so its points
+	// are compiled goroutine-free (mpi.Runner.Compile) with no scheduler
+	// run; a point that does not compile after all is measured through
+	// the capture path. Otherwise the stage's points are captured under
+	// the scheduler and echo-validated.
+	TimingIndependent bool
 	// Run executes one instance of the operation on every rank.
 	Run func(p *mpi.Proc, m, segSize int)
 }
@@ -47,10 +41,8 @@ type Stage struct {
 // experiment is BcastStage(coll.BcastLinear) at SegSize 0.
 func BcastStage(alg coll.BcastAlgorithm) *Stage {
 	return &Stage{
-		Name: "bcast/" + alg.String(),
-		ClassKey: func(P, m, segSize int) string {
-			return coll.BcastClassKey(alg, P, m, segSize)
-		},
+		Name:              "bcast/" + alg.String(),
+		TimingIndependent: true,
 		Run: func(p *mpi.Proc, m, segSize int) {
 			coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
 		},
@@ -60,17 +52,12 @@ func BcastStage(alg coll.BcastAlgorithm) *Stage {
 // BcastThenGatherStage is the paper's §4.2 estimation experiment: the
 // broadcast of BcastStage(alg) followed by a linear-without-
 // synchronisation gather of mg bytes per rank onto the root, timed on the
-// root (the experiment starts and finishes there). The gather's structure
-// is a function of the communicator size alone (its per-rank bytes are
-// harvested by the rebind), so the class key is the broadcast's with a
-// gather suffix.
+// root (the experiment starts and finishes there).
 func BcastThenGatherStage(alg coll.BcastAlgorithm, mg int) *Stage {
 	return &Stage{
-		Name: fmt.Sprintf("bcast/%v+gatherlinear/mg=%d", alg, mg),
-		Mode: RootTime,
-		ClassKey: func(P, m, segSize int) string {
-			return coll.BcastClassKey(alg, P, m, segSize) + "+gatherlinear"
-		},
+		Name:              fmt.Sprintf("bcast/%v+gatherlinear/mg=%d", alg, mg),
+		Mode:              RootTime,
+		TimingIndependent: true,
 		Run: func(p *mpi.Proc, m, segSize int) {
 			coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
 			if p.Rank() == 0 {
@@ -102,16 +89,6 @@ func (pt Point) String() string {
 		name = pt.Stage.Name
 	}
 	return fmt.Sprintf("%s P=%d m=%d seg=%d", name, pt.Procs, pt.MsgBytes, pt.SegSize)
-}
-
-// classKey is the point's structure-class key — exactly the key the
-// point's plan template is registered under. Stages without a ClassKey
-// have no class ("").
-func (pt Point) classKey() string {
-	if pt.Stage.ClassKey == nil {
-		return ""
-	}
-	return pt.Stage.ClassKey(pt.Procs, pt.MsgBytes, pt.SegSize)
 }
 
 // Result pairs a grid point with its measurement.
@@ -188,21 +165,6 @@ type Sweep struct {
 	// have been built for this Profile (NewRunnerPool does exactly that);
 	// lending a pool across different profiles is a programming error.
 	Pool *mpi.RunnerPool
-	// Templates, if non-nil, is the plan-template store the replay engine
-	// uses to compile each structure class once and rebind every other
-	// point of the class (mpi.Runner.Rebind), skipping message matching.
-	// When nil and templating is not disabled, Run uses the Pool's store
-	// (which persists across sweeps) or, pool-less, a store scoped to the
-	// Run. Templates are keyed by structure class within one platform, so
-	// a store must not be shared across Profiles; samples are
-	// bit-identical with templating on, off, or partially warm.
-	Templates *mpi.TemplateStore
-	// DisableTemplates switches the plan-template store off: every
-	// class-keyed point is compiled goroutine-free on its own
-	// (mpi.Runner.Compile) instead of rebinding its class's template.
-	// Results are bit-identical either way; the switch exists for
-	// benchmarking and for pinning that equivalence in tests.
-	DisableTemplates bool
 	// Cache, if non-nil, is consulted before and filled after each
 	// measurement, keyed by the full experiment identity (profile,
 	// point, settings).
@@ -282,22 +244,6 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if s.Pool != nil && workers > s.Pool.Cap() {
 		workers = s.Pool.Cap()
 	}
-	// Resolve the plan-template store: an explicit one wins, then the
-	// pool's (persistent across sweeps), then a Run-scoped store so that
-	// structure classes recurring within this grid still compile once.
-	// The scheduler engine never consults templates.
-	tmpls := s.Templates
-	if tmpls == nil && !s.DisableTemplates && s.Settings.Engine != EngineScheduler {
-		if s.Pool != nil {
-			tmpls = s.Pool.Templates()
-		} else {
-			tmpls = mpi.NewTemplateStore()
-		}
-	}
-	if s.DisableTemplates {
-		tmpls = nil
-	}
-
 	s.Metrics.Gauge("sweep_workers").Set(float64(workers))
 	pending := s.Metrics.Gauge("sweep_points_pending")
 	pending.Set(float64(len(points)))
@@ -364,7 +310,7 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 			// lock — the WaitGroup publishes the writes to Run's return.
 			// Only Progress (serialised by contract) takes the mutex.
 			work := func(i int) bool {
-				r, err := s.measure(points[i], acquire, tmpls)
+				r, err := s.measure(points[i], acquire)
 				if err != nil {
 					fail(fmt.Errorf("sweep point %d (%v): %w", i, points[i], err))
 					return false
@@ -413,9 +359,8 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 
 // measure serves one point, through the cache when one is attached.
 // acquire returns the worker's Runner, creating or borrowing it on the
-// first measured point; cached points never touch a Runner. tmpls, which
-// may be nil, is the resolved plan-template store (see Sweep.Templates).
-func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi.TemplateStore) (Result, error) {
+// first measured point; cached points never touch a Runner.
+func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error)) (Result, error) {
 	var key string
 	if s.Cache != nil {
 		key = cacheKey(s.Profile, pt, s.Settings)
@@ -428,7 +373,7 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error), tmpls *mpi
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := measurePoint(runner, s.Profile, pt, s.Settings, tmpls)
+	m, err := measurePoint(runner, s.Profile, pt, s.Settings)
 	if err != nil {
 		return Result{}, err
 	}

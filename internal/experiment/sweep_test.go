@@ -371,8 +371,8 @@ func TestCacheKeyPinned(t *testing.T) {
 // allgather of an m-byte block per rank.
 func allgatherStage(name string) *Stage {
 	return &Stage{
-		Name:     name,
-		ClassKey: func(P, _, _ int) string { return fmt.Sprintf("%s/P=%d", name, P) },
+		Name:              name,
+		TimingIndependent: true,
 		Run: func(p *mpi.Proc, m, _ int) {
 			coll.Allgather(p, coll.AllgatherRing, coll.Synthetic(m*p.Size()), m)
 		},
@@ -404,8 +404,8 @@ func TestCacheKeyStage(t *testing.T) {
 }
 
 // TestSweepStageMatchesMeasure checks that stage points swept in parallel
-// with templates reproduce a serial Measure per point on a fresh network,
-// bit for bit, and that a stage's sizes share one compiled template.
+// reproduce a serial Measure per point on a fresh network, bit for bit,
+// and that every point of a timing-independent stage is compiled.
 func TestSweepStageMatchesMeasure(t *testing.T) {
 	pr := sweepTestProfile(t)
 	set := sweepTestSettings()
@@ -430,13 +430,8 @@ func TestSweepStageMatchesMeasure(t *testing.T) {
 		}
 		sameMeasurement(t, pt.String(), want, res[i].Meas)
 	}
-	if got := reg.Counter(mPlanTemplates).Value(); got != 1 {
-		t.Errorf("templates = %d, want 1 (one class)", got)
-	}
-	// Two workers may both compile the class before either publishes it.
-	compiles, rebinds := reg.Counter(mPlanCompiles).Value(), reg.Counter(mPlanRebinds).Value()
-	if compiles < 1 || compiles+rebinds != int64(len(grid)) {
-		t.Errorf("%d compiles + %d rebinds, want >= 1 compile and %d points in total", compiles, rebinds, len(grid))
+	if compiles := reg.Counter(mPlanCompiles).Value(); compiles != int64(len(grid)) {
+		t.Errorf("%d compiles, want one per point (%d)", compiles, len(grid))
 	}
 	if s := grid[0].String(); s != "allgather/ring P=8 m=1024 seg="+fmt.Sprint(pr.SegmentSize) {
 		t.Errorf("String() = %q", s)
@@ -447,42 +442,62 @@ func TestSweepStageMatchesMeasure(t *testing.T) {
 }
 
 // TestSweepClassGroupedGridOrder pins the sweep's output contract on a
-// grid whose structure classes are strided across the workers' chunks:
-// whichever worker compiles a class and whichever rebinds it, the results
-// slice lines up with the input grid, index for index, identical to a
-// serial sweep — deterministic grid-order results are what the goldens,
-// the tables, and the fitting layers key on.
+// grid whose same-shaped points (one algorithm, neighbouring sizes) are
+// strided across the workers' chunks, plus two §4.2 bcast+gather points:
+// under the auto and replay engines, serial and concurrent, the results
+// slice lines up with the input grid, index for index, bit-identical to
+// a serial scheduler-engine sweep — deterministic grid-order results are
+// what the goldens, the tables, and the fitting layers key on. Every
+// point is compiled once, with no scheduler run and no fallback.
 func TestSweepClassGroupedGridOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pr, err := cluster.Grisou().WithNodes(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sizes-major grid over all six algorithms: points of the same class
-	// (same alg, neighbouring sizes for unsegmented algs) are strided
-	// apart, so concurrent workers compile and rebind the same classes.
 	sizes := stats.LogSpaceBytes(8192, 1<<20, 4)
 	grid := BcastGrid(pr.Nodes, coll.BcastAlgorithms(), sizes, pr.SegmentSize)
+	for _, mg := range []int{64, 4096} {
+		grid = append(grid, Point{Stage: BcastThenGatherStage(coll.BcastBinomial, mg), Procs: pr.Nodes, MsgBytes: 131072, SegSize: pr.SegmentSize})
+	}
 	set := Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 8, Warmup: 1}
 
-	want, err := Sweep{Profile: pr, Settings: set, Workers: 1}.Run(context.Background(), grid)
+	sched := set
+	sched.Engine = EngineScheduler
+	want, err := Sweep{Profile: pr, Settings: sched, Workers: 1}.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Sweep{Profile: pr, Settings: set, Workers: 4}.Run(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(grid) {
-		t.Fatalf("got %d results for %d grid points", len(got), len(grid))
-	}
-	for i := range got {
-		if got[i].Point != grid[i] {
-			t.Fatalf("result %d is for point %v, want grid[%d] = %v", i, got[i].Point, i, grid[i])
-		}
-		if got[i].Meas.Mean != want[i].Meas.Mean || got[i].Meas.Reps != want[i].Meas.Reps {
-			t.Fatalf("point %d (%v): concurrent mean %v (reps %d) != serial %v (reps %d)",
-				i, grid[i], got[i].Meas.Mean, got[i].Meas.Reps, want[i].Meas.Mean, want[i].Meas.Reps)
+	for _, engine := range []Engine{EngineAuto, EngineReplay} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("engine=%v workers=%d", engine, workers)
+			set := set
+			set.Engine = engine
+			reg := obs.NewRegistry()
+			got, err := Sweep{Profile: pr, Settings: set, Workers: workers, Metrics: reg}.Run(context.Background(), grid)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(got) != len(grid) {
+				t.Fatalf("%s: got %d results for %d grid points", label, len(got), len(grid))
+			}
+			for i := range got {
+				if got[i].Point != grid[i] {
+					t.Fatalf("%s: result %d is for point %v, want grid[%d] = %v", label, i, got[i].Point, i, grid[i])
+				}
+				sameMeasurement(t, label+" "+grid[i].String(), want[i].Meas, got[i].Meas)
+			}
+			if n := reg.Counter(mPlanCompiles).Value(); n != int64(len(grid)) {
+				t.Errorf("%s: %d compiles, want one per point (%d)", label, n, len(grid))
+			}
+			if runs := reg.Counter("mpi_runs_total").Value(); runs != 0 {
+				t.Errorf("%s: %d scheduler runs, want 0", label, runs)
+			}
+			for _, why := range fallbackReasonSet {
+				if n := reg.Counter(mFallbacksByWhy[why]).Value(); n != 0 {
+					t.Errorf("%s: %d %s fallbacks, want 0", label, n, why)
+				}
+			}
 		}
 	}
 }

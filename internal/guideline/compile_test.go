@@ -12,11 +12,10 @@ import (
 )
 
 // TestAtomsCompileMatchScheduler: every guideline measurement atom and
-// composition declares a structure class, so it is measured by a
-// goroutine-free compile (or a rebind of the compiled template) with no
-// scheduler run. At 2 P × 2 m on grisou, a link-perturbed grisou and the
+// composition is measured by a goroutine-free compile with no scheduler
+// run. At 2 P × 2 m on grisou, a link-perturbed grisou and the
 // dual-socket grisou, each must reproduce the scheduler engine's samples
-// bit for bit, with templates off and on.
+// bit for bit, and each distinct measurement is compiled exactly once.
 func TestAtomsCompileMatchScheduler(t *testing.T) {
 	base, err := cluster.Grisou().WithNodes(8)
 	if err != nil {
@@ -46,17 +45,16 @@ func TestAtomsCompileMatchScheduler(t *testing.T) {
 	sched := set
 	sched.Engine = experiment.EngineScheduler
 	for _, pr := range []cluster.Profile{base, base.Perturbed(link), dual} {
-		env := func(set experiment.Settings, tmpl *mpi.TemplateStore, reg *obs.Registry) *Env {
+		env := func(set experiment.Settings, reg *obs.Registry) *Env {
 			net, err := pr.Network()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewEnv(pr, set, mpi.NewRunnerOn(net, mpi.Options{Metrics: reg}), tmpl)
+			return NewEnv(pr, set, mpi.NewRunnerOn(net, mpi.Options{Metrics: reg}))
 		}
 		reg := obs.NewRegistry()
-		ref := env(sched, nil, nil)
-		compiled := env(set, nil, reg)
-		templated := env(set, mpi.NewTemplateStore(), reg)
+		ref := env(sched, nil)
+		compiled := env(set, reg)
 		for _, procs := range []int{4, 8} {
 			for _, m := range []int{8192, 262144} {
 				cfg := Config{Profile: pr, Procs: procs, MsgBytes: m}
@@ -66,18 +64,16 @@ func TestAtomsCompileMatchScheduler(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: scheduler: %v", label, err)
 					}
-					for _, e := range []*Env{compiled, templated} {
-						got, err := a.run(e, cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if len(got.Samples) != len(want.Samples) || got.Mean != want.Mean {
-							t.Fatalf("%s: mean %x over %d samples, scheduler %x over %d", label, got.Mean, len(got.Samples), want.Mean, len(want.Samples))
-						}
-						for i := range want.Samples {
-							if got.Samples[i] != want.Samples[i] {
-								t.Fatalf("%s: sample %d: %x, scheduler %x", label, i, got.Samples[i], want.Samples[i])
-							}
+					got, err := a.run(compiled, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(got.Samples) != len(want.Samples) || got.Mean != want.Mean {
+						t.Fatalf("%s: mean %x over %d samples, scheduler %x over %d", label, got.Mean, len(got.Samples), want.Mean, len(want.Samples))
+					}
+					for i := range want.Samples {
+						if got.Samples[i] != want.Samples[i] {
+							t.Fatalf("%s: sample %d: %x, scheduler %x", label, i, got.Samples[i], want.Samples[i])
 						}
 					}
 				}
@@ -86,11 +82,10 @@ func TestAtomsCompileMatchScheduler(t *testing.T) {
 		if runs := reg.Counter("mpi_runs_total").Value(); runs != 0 {
 			t.Errorf("%s: %d scheduler runs on the compile path, want 0", pr.Name, runs)
 		}
-		if n := reg.Counter("experiment_plan_compiles_total").Value(); n == 0 {
-			t.Errorf("%s: nothing compiled", pr.Name)
-		}
-		if n := reg.Counter("experiment_plan_rebinds_total").Value(); n == 0 {
-			t.Errorf("%s: nothing rebound", pr.Name)
+		measured := 0
+		compiled.plat.memo.Range(func(_, _ any) bool { measured++; return true })
+		if n := reg.Counter("experiment_plan_compiles_total").Value(); n != int64(measured) {
+			t.Errorf("%s: %d compiles for %d distinct measurements", pr.Name, n, measured)
 		}
 	}
 }

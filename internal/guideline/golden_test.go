@@ -3,7 +3,7 @@
 // (Grisou at 16 nodes, the same profile golden_test.go pins the sweep
 // engine to) the full registry must pass clean, and every execution
 // engine and worker count must produce the identical check list bit for
-// bit — the replay/template engines are differentially checked against
+// bit — the compile and replay engines are differentially checked against
 // the scheduler through the verdicts they emit.
 package guideline
 

@@ -21,13 +21,12 @@
 //     within tolerance of the best measured algorithm.
 //
 // The checker (Check, Harness) fans a guideline × (P, m) × profile ×
-// perturbation grid out over the sweep machinery — warm Runner pools, the
-// plan-template cache, memoised measurements shared between guidelines —
-// so thousands of configurations verify in seconds, and reports
-// violations as structured artifacts. Verdicts are engine-independent:
-// the replay/template engines produce measurements bit-identical to the
-// scheduler, so the same grid yields the same verdict set on every
-// engine and worker count.
+// perturbation grid out over the sweep machinery — warm Runner pools and
+// memoised measurements shared between guidelines — so thousands of
+// configurations verify in seconds, and reports violations as structured
+// artifacts. Verdicts are engine-independent: the compile and replay
+// engines produce measurements bit-identical to the scheduler, so the
+// same grid yields the same verdict set on every engine and worker count.
 package guideline
 
 import (
@@ -83,8 +82,8 @@ func (c Config) String() string {
 // Recipe measures one side of a guideline at a configuration. Recipes are
 // built from the package's measurement atoms (single collectives,
 // compositions, minima over algorithm sets) and run inside an Env — a
-// warm Runner, the platform's plan-template store, and a per-platform
-// measurement memo shared by every guideline of the run.
+// warm Runner and a per-platform measurement memo shared by every
+// guideline of the run.
 type Recipe struct {
 	// Name labels the recipe in reports ("min(bcast)", "scatter+allgather").
 	Name string

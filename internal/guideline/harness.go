@@ -18,11 +18,11 @@ import (
 )
 
 // Harness fans a guideline × (P, m) × profile × perturbation grid out
-// over the sweep machinery: per-platform Runner pools, the plan-template
-// cache, and a memo that measures each distinct recipe atom once per
-// platform no matter how many guidelines share it. Results are
-// deterministic — grid order, measurement values, and verdicts do not
-// depend on Workers or on which engine computes them.
+// over the sweep machinery: per-platform Runner pools and a memo that
+// measures each distinct recipe atom once per platform no matter how
+// many guidelines share it. Results are deterministic — grid order,
+// measurement values, and verdicts do not depend on Workers or on which
+// engine computes them.
 type Harness struct {
 	// Profiles are the base platforms; empty means the canonical pair
 	// (grisou and gros, both truncated to 16 nodes).
@@ -169,7 +169,7 @@ func (h Harness) runPlatform(ctx context.Context, pr cluster.Profile, gls []Guid
 	if err != nil {
 		return nil, err
 	}
-	plat := &platform{pr: pr, set: h.Settings, tmpl: pool.Templates()}
+	plat := &platform{pr: pr, set: h.Settings}
 	if needFit && pr.Net.Perturb.Empty() {
 		plat.fitSel = h.selectorFitter(ctx, pr, workers)
 	}

@@ -12,14 +12,13 @@ import (
 )
 
 // platform is the state one checked platform shares across every worker
-// and guideline of a run: the plan-template store feeding the replay fast
-// path, the measurement memo (each distinct recipe atom is measured once
-// per platform no matter how many guidelines reference it), and the
-// lazily fitted model-based selector for the algorithm-sanity family.
+// and guideline of a run: the measurement memo (each distinct recipe atom
+// is measured once per platform no matter how many guidelines reference
+// it), and the lazily fitted model-based selector for the
+// algorithm-sanity family.
 type platform struct {
 	pr   cluster.Profile
 	set  experiment.Settings
-	tmpl *mpi.TemplateStore
 	memo sync.Map // string -> *memoEntry
 
 	selOnce sync.Once
@@ -46,24 +45,22 @@ type Env struct {
 }
 
 // NewEnv builds a standalone single-worker environment for pr — the way
-// tests and one-off recipe evaluations measure without a Harness. The
-// template store may be nil (every measurement then compiles its own
-// plan).
-func NewEnv(pr cluster.Profile, set experiment.Settings, r *mpi.Runner, tmpl *mpi.TemplateStore) *Env {
-	return &Env{Runner: r, plat: &platform{pr: pr, set: set, tmpl: tmpl}}
+// tests and one-off recipe evaluations measure without a Harness.
+func NewEnv(pr cluster.Profile, set experiment.Settings, r *mpi.Runner) *Env {
+	return &Env{Runner: r, plat: &platform{pr: pr, set: set}}
 }
 
 // Measure runs the composed stages at nprocs on the environment's
 // platform in Completion mode, memoised under key: the first caller of a
 // key computes (single-flight), everyone else gets the cached
-// measurement. classKey, when non-empty, names the composition's
-// plan-template structure class (see experiment.MeasureComposedClass).
-func (e *Env) Measure(key, classKey string, nprocs int, stages ...experiment.Op) (experiment.Measurement, error) {
+// measurement. Every recipe atom is timing-independent, so the
+// composition is compiled goroutine-free (see experiment.MeasureComposed).
+func (e *Env) Measure(key string, nprocs int, stages ...experiment.Op) (experiment.Measurement, error) {
 	v, _ := e.plat.memo.LoadOrStore(key, &memoEntry{})
 	ent := v.(*memoEntry)
 	ent.once.Do(func() {
-		ent.meas, ent.err = experiment.MeasureComposedClass(
-			e.Runner, e.plat.pr, nprocs, e.plat.set, experiment.Completion, classKey, e.plat.tmpl, stages...)
+		ent.meas, ent.err = experiment.MeasureComposed(
+			e.Runner, e.plat.pr, nprocs, e.plat.set, experiment.Completion, true, stages...)
 	})
 	return ent.meas, ent.err
 }
@@ -86,17 +83,12 @@ func (e *Env) Selector() (selection.ModelBased, error) {
 // Completion mode with synthetic messages, memoised per platform. Block
 // collectives interpret cfg.MsgBytes as the total buffer (block size
 // m/P), matching the guideline literature's convention that both sides of
-// a comparison move the same total payload. Class keys encode the
-// communication structure only — algorithm, P, and segment count where
-// segmented — never raw byte counts, which the template rebind harvests
-// per point; a too-coarse key only costs a fresh compile, it cannot
-// change results.
+// a comparison move the same total payload.
 
 func measureBcast(env *Env, cfg Config, alg coll.BcastAlgorithm, segSize int) (experiment.Measurement, error) {
 	m := cfg.MsgBytes
 	key := fmt.Sprintf("bcast/%v/seg=%d/P=%d/m=%d", alg, segSize, cfg.Procs, m)
-	class := coll.BcastClassKey(alg, cfg.Procs, m, segSize)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
 	})
 }
@@ -104,8 +96,7 @@ func measureBcast(env *Env, cfg Config, alg coll.BcastAlgorithm, segSize int) (e
 func measureVanDeGeijn(env *Env, cfg Config, variant coll.VanDeGeijnVariant) (experiment.Measurement, error) {
 	m := cfg.MsgBytes
 	key := fmt.Sprintf("bcast/vdg_%v/P=%d/m=%d", variant, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/vdg/%v/P=%d", variant, cfg.Procs)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.BcastVanDeGeijn(p, variant, 0, coll.Synthetic(m))
 	})
 }
@@ -113,8 +104,7 @@ func measureVanDeGeijn(env *Env, cfg Config, variant coll.VanDeGeijnVariant) (ex
 func measureScatter(env *Env, cfg Config, alg coll.ScatterAlgorithm) (experiment.Measurement, error) {
 	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
 	key := fmt.Sprintf("scatter/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/scatter/%v/P=%d", alg, cfg.Procs)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		if p.Rank() == 0 {
 			coll.Scatter(p, alg, 0, coll.Synthetic(m), bs)
 		} else {
@@ -126,8 +116,7 @@ func measureScatter(env *Env, cfg Config, alg coll.ScatterAlgorithm) (experiment
 func measureGather(env *Env, cfg Config, alg coll.GatherAlgorithm) (experiment.Measurement, error) {
 	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
 	key := fmt.Sprintf("gather/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/gather/%v/P=%d", alg, cfg.Procs)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		if p.Rank() == 0 {
 			coll.Gather(p, alg, 0, coll.Synthetic(m), bs)
 		} else {
@@ -139,8 +128,7 @@ func measureGather(env *Env, cfg Config, alg coll.GatherAlgorithm) (experiment.M
 func measureAllgather(env *Env, cfg Config, alg coll.AllgatherAlgorithm) (experiment.Measurement, error) {
 	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
 	key := fmt.Sprintf("allgather/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/allgather/%v/P=%d", alg, cfg.Procs)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.Allgather(p, alg, coll.Synthetic(m), bs)
 	})
 }
@@ -148,8 +136,7 @@ func measureAllgather(env *Env, cfg Config, alg coll.AllgatherAlgorithm) (experi
 func measureAlltoall(env *Env, cfg Config, alg coll.AlltoallAlgorithm) (experiment.Measurement, error) {
 	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
 	key := fmt.Sprintf("alltoall/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/alltoall/%v/P=%d", alg, cfg.Procs)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.Alltoall(p, alg, coll.Synthetic(m), coll.Synthetic(m), bs)
 	})
 }
@@ -157,8 +144,7 @@ func measureAlltoall(env *Env, cfg Config, alg coll.AlltoallAlgorithm) (experime
 func measureReduce(env *Env, cfg Config, alg coll.ReduceAlgorithm) (experiment.Measurement, error) {
 	m, seg := cfg.MsgBytes, cfg.Profile.SegmentSize
 	key := fmt.Sprintf("reduce/%v/seg=%d/P=%d/m=%d", alg, seg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/reduce/%v/P=%d/segs=%d", alg, cfg.Procs, coll.NumSegments(m, seg))
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, seg)
 	})
 }
@@ -166,8 +152,7 @@ func measureReduce(env *Env, cfg Config, alg coll.ReduceAlgorithm) (experiment.M
 func measureAllreduce(env *Env, cfg Config, alg coll.AllreduceAlgorithm) (experiment.Measurement, error) {
 	m, seg := cfg.MsgBytes, cfg.Profile.SegmentSize
 	key := fmt.Sprintf("allreduce/%v/seg=%d/P=%d/m=%d", alg, seg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/allreduce/%v/P=%d/segs=%d", alg, cfg.Procs, coll.NumSegments(m, seg))
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.Allreduce(p, alg, coll.Synthetic(m), nil, seg)
 	})
 }
@@ -175,8 +160,7 @@ func measureAllreduce(env *Env, cfg Config, alg coll.AllreduceAlgorithm) (experi
 func measureReduceScatter(env *Env, cfg Config, alg coll.ReduceScatterAlgorithm) (experiment.Measurement, error) {
 	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
 	key := fmt.Sprintf("reducescatter/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	class := fmt.Sprintf("guideline/reducescatter/%v/P=%d", alg, cfg.Procs)
-	return env.Measure(key, class, cfg.Procs, func(p *mpi.Proc) {
+	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
 		coll.ReduceScatter(p, alg, coll.Synthetic(m), nil, bs)
 	})
 }
@@ -198,8 +182,7 @@ func measureScatterAllgather(env *Env, cfg Config) (experiment.Measurement, erro
 	bs := (m + P - 1) / P
 	padded := P * bs
 	key := fmt.Sprintf("composed/scatter+allgather/P=%d/m=%d", P, m)
-	class := fmt.Sprintf("guideline/composed/scatter+allgather/P=%d", P)
-	return env.Measure(key, class, P,
+	return env.Measure(key, P,
 		func(p *mpi.Proc) {
 			if p.Rank() == 0 {
 				coll.Scatter(p, coll.ScatterBinomial, 0, coll.Synthetic(padded), bs)
@@ -215,8 +198,7 @@ func measureScatterAllgather(env *Env, cfg Config) (experiment.Measurement, erro
 func measureReduceThenBcast(env *Env, cfg Config) (experiment.Measurement, error) {
 	P, m, seg := cfg.Procs, cfg.MsgBytes, cfg.Profile.SegmentSize
 	key := fmt.Sprintf("composed/reduce+bcast/seg=%d/P=%d/m=%d", seg, P, m)
-	class := fmt.Sprintf("guideline/composed/reduce+bcast/P=%d/segs=%d", P, coll.NumSegments(m, seg))
-	return env.Measure(key, class, P,
+	return env.Measure(key, P,
 		func(p *mpi.Proc) {
 			coll.Reduce(p, coll.ReduceBinomial, 0, coll.Synthetic(m), nil, seg)
 		},
@@ -229,8 +211,7 @@ func measureGatherThenBcast(env *Env, cfg Config) (experiment.Measurement, error
 	P, m := cfg.Procs, cfg.MsgBytes
 	bs := m / P
 	key := fmt.Sprintf("composed/gather+bcast/P=%d/m=%d", P, m)
-	class := fmt.Sprintf("guideline/composed/gather+bcast/P=%d", P)
-	return env.Measure(key, class, P,
+	return env.Measure(key, P,
 		func(p *mpi.Proc) {
 			if p.Rank() == 0 {
 				coll.Gather(p, coll.GatherBinomial, 0, coll.Synthetic(m), bs)

@@ -12,12 +12,11 @@ import (
 // that rank d posts for (source s, tag t) takes the k-th message s sends
 // to d with tag t — the scheduler's FIFO matching, with no timing
 // involved. Runner.Compile therefore runs each rank's closure once, in
-// rank order, on the caller's goroutine (scheduler off, clocks frozen, as
-// in Runner.Rebind), records every operation in program order, and then
-// wires sends to receives by that (src, dst, tag, k) rule. The result is
-// exactly the canonical Plan a capturing scheduler run would compile
-// (EquivalentTo holds), without a scheduler run, an echo run, or a
-// template to rebind.
+// rank order, on the caller's goroutine (scheduler off, clocks frozen),
+// records every operation in program order, and then wires sends to
+// receives by that (src, dst, tag, k) rule. The result is exactly the
+// canonical Plan a capturing scheduler run would compile (EquivalentTo
+// holds), without a scheduler run or an echo run.
 //
 // Soundness rests on the program's structure being a function of its
 // inputs, never of virtual time or received data. The pass enforces what
@@ -25,7 +24,7 @@ import (
 // carries payload bytes (payload delivery is not replayable). Received
 // message sizes read 0 during the pass, so programs must not branch on
 // Request.Bytes; the measurement layer compiles only stages that declare
-// a structure class, which the shipped collectives satisfy.
+// themselves timing-independent, which the shipped collectives satisfy.
 
 // CompileError reports that a program could not be compiled into a plan
 // goroutine-free. It is the typed signal for the measurement harness to
@@ -213,7 +212,6 @@ func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
 		proc.clock = 0
 		proc.seq = 0
 		proc.echo = nil
-		proc.rebind = nil
 		p.rankOff[rank] = int32(len(p.events))
 		cr.barriers = 0
 		proc.compile = cr

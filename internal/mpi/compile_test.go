@@ -8,6 +8,59 @@ import (
 	"mpicollperf/internal/simnet"
 )
 
+// sizedPattern is a pipeline chain, per-rank compute and ack fan-in
+// with parametrised byte counts: the same communication structure at
+// different sizes, as two grid points of one collective. The request
+// slice is fixed-size so the pattern itself allocates nothing.
+func sizedPattern(p *Proc, seg, ack int) {
+	n, r := p.Size(), p.Rank()
+	const segs = 3
+	if r == 0 {
+		for s := 0; s < segs; s++ {
+			p.Send(1, s, nil, seg)
+		}
+	} else {
+		var fwd [segs]*Request
+		k := 0
+		for s := 0; s < segs; s++ {
+			p.Recv(r-1, s, nil)
+			if r+1 < n {
+				fwd[k] = p.Isend(r+1, s, nil, seg)
+				k++
+			}
+		}
+		if k > 0 {
+			p.WaitAll(fwd[:k]...)
+		}
+	}
+	p.Sleep(float64(r) * 1e-7)
+	if r == 0 {
+		for d := 1; d < n; d++ {
+			p.Recv(d, 99, nil)
+		}
+	} else {
+		p.Send(0, 99, nil, ack+r)
+	}
+}
+
+// sizedClosure is one marked repetition of sizedPattern: the span a
+// plan compiled behind a boundary mark covers.
+func sizedClosure(seg, ack int) func(*Proc) error {
+	return func(p *Proc) error {
+		root := p.Rank() == 0
+		p.Barrier()
+		if root {
+			p.Mark()
+		}
+		sizedPattern(p, seg, ack)
+		p.Barrier()
+		if root {
+			p.Mark()
+		}
+		return nil
+	}
+}
+
 // loosePattern exercises the matching corners a structural compile must
 // get right: several same-tag messages on one stream (non-overtaking), a
 // send nobody receives, a receive nobody sends to and nobody waits on, a
@@ -85,8 +138,8 @@ func compileVsCapture(t *testing.T, cfg simnet.Config, nprocs int, body func(*Pr
 func TestCompileMatchesCapture(t *testing.T) {
 	const nprocs = 8
 	bodies := map[string]func(*Proc) error{
-		"pipeline": rebindClosure(8192, 256),
-		"resized":  rebindClosure(4096, 512),
+		"pipeline": sizedClosure(8192, 256),
+		"resized":  sizedClosure(4096, 512),
 		"loose": func(p *Proc) error {
 			p.Barrier()
 			if p.Rank() == 0 {
@@ -173,15 +226,15 @@ func TestCompileErrors(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", name, ce, c.why)
 		}
 	}
-	if _, err := r.Compile(0, rebindClosure(8192, 256)); err == nil {
+	if _, err := r.Compile(0, sizedClosure(8192, 256)); err == nil {
 		t.Fatal("compile of 0 ranks succeeded")
 	}
-	if _, err := r.Compile(nprocs+1, rebindClosure(8192, 256)); err == nil {
+	if _, err := r.Compile(nprocs+1, sizedClosure(8192, 256)); err == nil {
 		t.Fatal("compile beyond the network size succeeded")
 	}
 	// The Runner is intact: Now works again outside a compile, and both a
 	// compile and a scheduler run succeed.
-	if _, err := r.Compile(nprocs, rebindClosure(8192, 256)); err != nil {
+	if _, err := r.Compile(nprocs, sizedClosure(8192, 256)); err != nil {
 		t.Fatalf("compile after failures: %v", err)
 	}
 	if _, err := r.Run(nprocs, func(p *Proc) error { sizedPattern(p, 8192, 256); _ = p.Now(); return nil }); err != nil {

@@ -101,10 +101,6 @@ type Proc struct {
 	// echo, when non-nil, routes submitted operations to the echo
 	// validator (echo.go) instead of the scheduler.
 	echo *echoRank
-	// rebind, when non-nil, routes submitted operations to the rebind
-	// harvester (rebind.go): the structural pass of Runner.Rebind that
-	// binds a plan template to a new operation's sizes.
-	rebind *rebindRank
 	// compile, when non-nil, routes submitted operations to the
 	// structural compiler (compile.go): the goroutine-free pass of
 	// Runner.Compile that records the rank's program into a Plan.
@@ -258,18 +254,12 @@ func (p *Proc) checkPeer(peer int, op string) {
 // submit hands an operation to the scheduler and blocks for the reply.
 // In an echo run there is no scheduler: the operation is validated
 // against the plan and the clock comes from the replayed release times.
-// In a rebind pass there is no scheduler either: the operation is
-// structurally validated against the template and its sizes are harvested
-// into the new binding, with the clock frozen. A compile pass records the
-// operation into a new plan, also with the clock frozen.
+// A compile pass has no scheduler either: it records the operation into
+// a new plan, with the clock frozen.
 func (p *Proc) submit(op operation) {
 	op.rank = p.rank
 	if p.echo != nil {
 		p.clock = p.echoStep(&op)
-		return
-	}
-	if p.rebind != nil {
-		p.rebindStep(&op)
 		return
 	}
 	if p.compile != nil {

@@ -207,12 +207,11 @@ func (c *Capture) HasPayload() bool { return c.payload }
 
 // planEvent is one structural event of a compiled Plan: the part of an
 // event that is a function of the program's communication pattern alone —
-// kind, endpoints, request wiring — and therefore shared by every grid
-// point of the same structure class. The owning rank is implicit: events
+// kind, endpoints, request wiring — and therefore the same for every
+// byte count the program is run at. The owning rank is implicit: events
 // are stored rank-major (see Plan.rankOff). Per-point quantities (byte
 // counts, link timings, sleep durations, jitter-draw flags) live in the
-// parallel planBind array, so a template's skeleton can be rebound to a
-// new operation without recompiling (Runner.Rebind).
+// parallel planBind array.
 type planEvent struct {
 	kind   evKind
 	srcNIC int32
@@ -220,7 +219,7 @@ type planEvent struct {
 	slot   int32
 	// send: the recv slot the message binds, -1 if never received.
 	peerSlot int32
-	// peer rank and message tag, kept so an echo or rebind pass can
+	// peer rank and message tag, kept so an echo pass can
 	// compare a re-executed operation stream against the plan.
 	peer int
 	tag  int
@@ -272,9 +271,7 @@ type Plan struct {
 	// rankOff[r]..rankOff[r+1] bound rank r's events; len nprocs+1.
 	rankOff []int32
 	// events is the structural skeleton; binds is its parallel per-point
-	// binding (binds[i] belongs to events[i]). A rebound plan
-	// (Runner.Rebind) aliases a template's skeleton slices and owns only
-	// a fresh binds array.
+	// binding (binds[i] belongs to events[i]).
 	events    []planEvent
 	binds     []planBind
 	waitSlots []int32
@@ -282,15 +279,12 @@ type Plan struct {
 	// is the number of halves that must complete before the slot's request
 	// is bound (1 for a send, 2 for a matched receive: the receive itself
 	// and its message's delivery). slotEvent maps each slot to the event
-	// that introduced it, so a rebind can back-fill receive byte counts
-	// from their matched sends without a scratch pass.
+	// that introduced it, so receive byte counts are back-filled from
+	// their matched sends without a scratch pass.
 	slotOwner []int32
 	slotPend  []uint8
 	slotEvent []int32
 }
-
-// Procs returns the number of ranks the plan spans.
-func (p *Plan) Procs() int { return p.nprocs }
 
 // Marks returns the number of mark events one replay pass produces.
 func (p *Plan) Marks() int { return p.marks }
@@ -309,25 +303,8 @@ func (p *Plan) Sends() int { return p.sends }
 // BarrierCost returns the analytical cost of one barrier under the plan's
 // runtime options — the constant a replay adds at every barrier release.
 // The measurement harness uses it to reconstruct the capturing program's
-// calibrated preamble clocks when replaying a rebound plan from scratch.
+// calibrated preamble clocks when replaying a compiled plan from scratch.
 func (p *Plan) BarrierCost() float64 { return p.barrierCost }
-
-// Clone returns a deep, independently-owned copy of the plan. Plans
-// compiled by Runner.CompilePlan (and rebound by Runner.Rebind) share the
-// Runner's recycled buffers; a caller that wants to outlive the next
-// compilation — a template store in particular — clones first.
-func (p *Plan) Clone() *Plan {
-	q := &Plan{}
-	*q = *p
-	q.rankOff = append([]int32(nil), p.rankOff...)
-	q.events = append([]planEvent(nil), p.events...)
-	q.binds = append([]planBind(nil), p.binds...)
-	q.waitSlots = append([]int32(nil), p.waitSlots...)
-	q.slotOwner = append([]int32(nil), p.slotOwner...)
-	q.slotPend = append([]uint8(nil), p.slotPend...)
-	q.slotEvent = append([]int32(nil), p.slotEvent...)
-	return q
-}
 
 // planScratch holds the temporary arrays of one Plan compilation, kept
 // so a Runner can recycle them across grid points (Runner.CompilePlan).
@@ -454,8 +431,7 @@ func (c *Capture) plan(p *Plan, scratch *planScratch, fromMark, toMark int) (*Pl
 		}
 	}
 	// bound marks canonical recv slots matched in-segment; p.slotEvent maps
-	// each canonical slot to its introducing event index (kept on the plan:
-	// a rebind pass reuses it to back-fill receive byte counts).
+	// each canonical slot to its introducing event index.
 	if cap(scratch.bound) < int(nslots) {
 		scratch.bound = make([]bool, nslots)
 	}

@@ -37,11 +37,6 @@ type RunnerPool struct {
 	sem     chan struct{}
 	free    atomic.Pointer[freeNode]
 	factory func() (*Runner, error)
-	// tmpl is the pool's plan-template store: borrowers of the same pool
-	// measure on the same platform, so structure-class templates compiled
-	// by one borrower are rebindable by every other — and, because the
-	// pool outlives individual sweeps, by later sweeps too.
-	tmpl *TemplateStore
 
 	created *obs.Counter
 	inUse   *obs.Gauge
@@ -68,7 +63,6 @@ func NewRunnerPool(capacity int, factory func() (*Runner, error), metrics *obs.R
 	p := &RunnerPool{
 		sem:     make(chan struct{}, capacity),
 		factory: factory,
-		tmpl:    NewTemplateStore(),
 		created: metrics.Counter("mpi_runner_pool_created_total"),
 		inUse:   metrics.Gauge("mpi_runner_pool_in_use"),
 	}
@@ -81,11 +75,6 @@ func NewRunnerPool(capacity int, factory func() (*Runner, error), metrics *obs.R
 // Cap returns the pool's capacity: the maximum number of Runners borrowed
 // at once.
 func (p *RunnerPool) Cap() int { return cap(p.sem) }
-
-// Templates returns the pool's plan-template store. It persists for the
-// pool's lifetime, so structure classes compiled during one sweep are
-// rebound — never recompiled — by every later sweep over the pool.
-func (p *RunnerPool) Templates() *TemplateStore { return p.tmpl }
 
 // Get borrows a Runner, blocking while all of the pool's Runners are
 // borrowed, and constructing one when the free list is empty but a slot

@@ -34,11 +34,6 @@ type Runner struct {
 	planScratch *planScratch
 	// Recycled across NewReplayer calls.
 	replayer *Replayer
-	// Recycled across Rebind calls (rebind.go): the rebound plan header,
-	// its grow-only binding buffer, and the pass's cursor.
-	rebound     *Plan
-	rebindBinds []planBind
-	rebindCur   rebindRank
 	// Recycled across Compile calls (compile.go): the pass's rank state
 	// and the per-(src, dst, tag) receive streams, with the streams the
 	// last compile filled.
@@ -159,7 +154,6 @@ func (r *Runner) run(nprocs int, fn func(*Proc) error, record bool) (Result, *Ca
 		p.clock = 0
 		p.seq = 0
 		p.echo = nil
-		p.rebind = nil
 		p.compile = nil
 		go runRank(p, fn)
 	}

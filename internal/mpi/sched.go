@@ -567,8 +567,8 @@ func (s *scheduler) barrierCost() float64 {
 }
 
 // barrierCostFor is the barrier-cost formula shared by the scheduler and
-// Runner.Rebind: a rebound plan must carry bit-for-bit the barrier cost a
-// capturing run on the same network and options would have recorded.
+// Runner.Compile: a compiled plan must carry bit-for-bit the barrier cost
+// a capturing run on the same network and options would have recorded.
 func barrierCostFor(opts Options, cfg simnet.Config, nprocs int) float64 {
 	rounds := opts.BarrierRounds
 	if rounds <= 0 {

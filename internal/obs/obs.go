@@ -168,7 +168,7 @@ var histBounds = func() []float64 {
 // versa) for that one in-flight observation; quiesced reads — every
 // exporter use in this repository — are exact.
 type Histogram struct {
-	bounds  []float64 // upper bounds, ascending; values above the last land in the overflow count
+	bounds  []float64      // upper bounds, ascending; values above the last land in the overflow count
 	counts  []atomic.Int64 // len(bounds)+1, last is the overflow bucket
 	n       atomic.Int64
 	sumBits atomic.Uint64 // float64 bits of the running sum

@@ -75,15 +75,15 @@ func TestParseJitterClause(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, text := range []string{
-		"straggler:cpu=2",               // missing node
-		"straggler:node=1,turbo=2",      // unknown key
-		"straggler:node=x",              // not an integer
-		"link:src=0",                    // missing dst
-		"link:src=0,dst=1,bw",           // not key=value
-		"brownout:src=0,start=0,end=1",  // missing dst
-		"jitter:gaussian",               // unknown distribution
-		"jitter:pareto,tail=2",          // unknown key
-		"meteor:strike=1",               // unknown clause kind
+		"straggler:cpu=2",              // missing node
+		"straggler:node=1,turbo=2",     // unknown key
+		"straggler:node=x",             // not an integer
+		"link:src=0",                   // missing dst
+		"link:src=0,dst=1,bw",          // not key=value
+		"brownout:src=0,start=0,end=1", // missing dst
+		"jitter:gaussian",              // unknown distribution
+		"jitter:pareto,tail=2",         // unknown key
+		"meteor:strike=1",              // unknown clause kind
 	} {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("Parse(%q): expected error", text)
@@ -102,17 +102,17 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	bad := []*Spec{
-		{Stragglers: []Straggler{{Node: 4}}},                                    // node out of range
-		{Stragglers: []Straggler{{Node: 0, Compute: -1}}},                       // negative factor
-		{Stragglers: []Straggler{{Node: 0, NIC: math.NaN()}}},                   // NaN factor
-		{Links: []LinkRule{{Src: 0, Dst: 4}}},                                   // dst out of range
-		{Links: []LinkRule{{Src: 2, Dst: 2}}},                                   // self-link
-		{Links: []LinkRule{{Src: 0, Dst: 1, Bandwidth: math.Inf(1)}}},           // infinite factor
-		{Brownouts: []Brownout{{Src: 0, Dst: 1, Start: 1, End: 1, Bandwidth: 2}}}, // empty window
+		{Stragglers: []Straggler{{Node: 4}}},                                       // node out of range
+		{Stragglers: []Straggler{{Node: 0, Compute: -1}}},                          // negative factor
+		{Stragglers: []Straggler{{Node: 0, NIC: math.NaN()}}},                      // NaN factor
+		{Links: []LinkRule{{Src: 0, Dst: 4}}},                                      // dst out of range
+		{Links: []LinkRule{{Src: 2, Dst: 2}}},                                      // self-link
+		{Links: []LinkRule{{Src: 0, Dst: 1, Bandwidth: math.Inf(1)}}},              // infinite factor
+		{Brownouts: []Brownout{{Src: 0, Dst: 1, Start: 1, End: 1, Bandwidth: 2}}},  // empty window
 		{Brownouts: []Brownout{{Src: 0, Dst: 1, Start: -1, End: 1, Bandwidth: 2}}}, // negative start
-		{Brownouts: []Brownout{{Src: 0, Dst: 1, Start: 0, End: 1}}},             // zero bandwidth factor
-		{Jitter: JitterDist(9)},                                                 // unknown distribution
-		{ParetoAlpha: -1},                                                       // negative alpha
+		{Brownouts: []Brownout{{Src: 0, Dst: 1, Start: 0, End: 1}}},                // zero bandwidth factor
+		{Jitter: JitterDist(9)},                                                    // unknown distribution
+		{ParetoAlpha: -1},                                                          // negative alpha
 	}
 	for i, s := range bad {
 		if err := s.Validate(4); err == nil {

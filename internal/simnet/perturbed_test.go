@@ -144,9 +144,9 @@ func TestBrownoutWindow(t *testing.T) {
 			t.Errorf("transfer at t=%v: tx = %v, want %v", now, tr.SendComplete-tr.StartTx, want)
 		}
 	}
-	txAt(0, base)            // before the window
-	txAt(1.5e-3, 100*base)   // inside: bandwidth collapsed 100×
-	txAt(2.5e-3, base)       // after: recovered
+	txAt(0, base)          // before the window
+	txAt(1.5e-3, 100*base) // inside: bandwidth collapsed 100×
+	txAt(2.5e-3, base)     // after: recovered
 
 	n, err := New(cfg)
 	if err != nil {

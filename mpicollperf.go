@@ -111,9 +111,8 @@ type (
 	// broadcast.
 	ExtendedSelector = selection.ExtendedSelector
 	// CollectiveSpec describes one (collective, algorithm) pair of an
-	// extended family: its implementation-derived model coefficients, the
-	// operation to measure, and the structure-class key that lets the
-	// calibration sweep template it (see CollectiveSpecs).
+	// extended family: its implementation-derived model coefficients and
+	// the operation to measure (see CollectiveSpecs).
 	CollectiveSpec = estimate.CollectiveSpec
 	// Gamma is the platform's estimated γ(P) function (Models.Gamma
 	// carries the calibrated one).

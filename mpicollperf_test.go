@@ -323,9 +323,9 @@ func TestFacadeConstantsDistinct(t *testing.T) {
 
 // TestCalibrationRunsNoScheduler: every point a default calibration
 // measures — the γ(P) and α/β broadcast grid and all seven extended
-// families — belongs to a stage with a structure class, so each is
-// compiled goroutine-free (or rebinds its class's template) and replayed:
-// no simulator run goes through the scheduler, and nothing falls back.
+// families — belongs to a timing-independent stage, so each is compiled
+// goroutine-free and replayed: no simulator run goes through the
+// scheduler, and nothing falls back.
 func TestCalibrationRunsNoScheduler(t *testing.T) {
 	reg := NewMetricsRegistry()
 	ctx := context.Background()

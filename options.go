@@ -74,18 +74,6 @@ func WithMeasureSettings(set MeasureSettings) Option {
 	}
 }
 
-// WithPlanTemplates toggles the calibration sweep's plan-template cache
-// (default on): under the replay engine, every grid point is compiled
-// into an execution plan goroutine-free, with no scheduler run; with
-// templates on, one plan is kept per structure class — per (algorithm,
-// communicator size, segment count) — and every other grid point of the
-// class rebinds it, which skips message matching. With templates off,
-// every point compiles its own plan. Fitted parameters are bit-identical
-// either way; pass false to benchmark or debug the untemplated path.
-func WithPlanTemplates(enabled bool) Option {
-	return func(o *options) { o.cfg.DisablePlanTemplates = !enabled }
-}
-
 // WithMetrics attaches a metrics registry: the calibration records sweep,
 // cache, engine, and fit metrics into it (see internal/obs). Metrics are
 // purely observational — calibrations are bit-identical with or without
