@@ -31,7 +31,7 @@ func runVerifyGuidelines(args []string) error {
 	seed := fs.Int64("seed", 1, "seed for the random perturbations")
 	intensity := fs.Float64("intensity", 0.5, "intensity of the random perturbations in (0, 1]")
 	engineFlag := fs.String("engine", "auto", "execution engine: auto, scheduler, replay")
-	workers := fs.Int("workers", 0, "concurrent checks (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 0, "concurrent measurements (0 = GOMAXPROCS, 1 = serial)")
 	outPath := fs.String("out", "results/guidelines.json", "path of the JSON artifact (empty = skip)")
 	metricsPath := fs.String("metrics", "", "write a JSON metrics snapshot of the run to this file")
 	if err := fs.Parse(args); err != nil {

@@ -8,13 +8,18 @@ package mpicollperf
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/experiment"
+	"mpicollperf/internal/guideline"
 	"mpicollperf/internal/hockney"
 	"mpicollperf/internal/model"
 	"mpicollperf/internal/mpi"
@@ -291,4 +296,67 @@ func TestGoldenSweepCallers(t *testing.T) {
 	if cmp.OMPITime != 0x1.4055198f90b44p-11 {
 		t.Errorf("Compare(P=16, m=128KiB).OMPITime = %x (%v), golden 0x1.4055198f90b44p-11", cmp.OMPITime, cmp.OMPIChoice)
 	}
+}
+
+// TestGoldenGuidelineArtifact regenerates the default `mpicollperf
+// verify-guidelines` grid — grisou and gros at 16 nodes, two random
+// perturbations of each (seed 1, intensity 0.5), P ∈ {4, 8, 16} × four
+// sizes, 2808 checks — and compares the artifact field by field with the
+// recorded results/guidelines.json. Only the run's wall clock and worker
+// count may differ; every platform name, per-guideline check count and
+// max ratio (the perturbed platforms' included) is pinned.
+func TestGoldenGuidelineArtifact(t *testing.T) {
+	want := readArtifact(t, "results/guidelines.json")
+	h := guideline.Harness{
+		RandomPerturbations: 2,
+		Seed:                1,
+		Intensity:           0.5,
+		Settings:            experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1},
+	}
+	rep, err := h.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "guidelines.json")
+	if err := rep.WriteJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	got := readArtifact(t, path)
+	for _, k := range []string{"elapsed_seconds", "workers"} {
+		delete(got, k)
+		delete(want, k)
+	}
+	if len(got) != len(want) {
+		t.Errorf("artifact has %d fields, recorded %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if k == "summary" {
+			continue
+		}
+		if g := got[k]; !reflect.DeepEqual(g, w) {
+			t.Errorf("%s = %v, recorded %v", k, g, w)
+		}
+	}
+	gs, ws := got["summary"].([]any), want["summary"].([]any)
+	if len(gs) != len(ws) {
+		t.Fatalf("%d summary rows, recorded %d", len(gs), len(ws))
+	}
+	for i := range ws {
+		if !reflect.DeepEqual(gs[i], ws[i]) {
+			t.Errorf("summary row %d = %v, recorded %v", i, gs[i], ws[i])
+		}
+	}
+}
+
+func readArtifact(t *testing.T, path string) map[string]any {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a map[string]any
+	if err := json.Unmarshal(raw, &a); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return a
 }

@@ -11,8 +11,8 @@ import (
 
 // TestMeasureComposedMatchesBcastThenGather pins the composition
 // contract: the §4.2 bcast+gather stage swept as a grid point and an
-// explicit MeasureComposed of the same two operations are the same
-// measurement, bit for bit, captured or compiled.
+// explicit composed measurement of the same two operations are the same
+// measurement, bit for bit, captured (empty class key) or compiled.
 func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 	pr, err := cluster.Grisou().WithNodes(8)
 	if err != nil {
@@ -45,20 +45,13 @@ func TestMeasureComposedMatchesBcastThenGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, compiled := range []bool{false, true} {
-		got, err := MeasureComposed(r, pr, nprocs, set, RootTime, compiled, stages...)
+	for _, key := range []string{"", "any"} {
+		got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, key, mpi.NewTemplateStore(), stages...)
 		if err != nil {
-			t.Fatalf("compiled=%v: %v", compiled, err)
+			t.Fatalf("classKey=%q: %v", key, err)
 		}
-		sameMeasurement(t, fmt.Sprintf("composed (compiled=%v) vs stage", compiled), want, got)
+		sameMeasurement(t, fmt.Sprintf("composed (classKey=%q) vs stage", key), want, got)
 	}
-	// The deprecated class-key spelling: a non-empty key compiles and the
-	// store is ignored.
-	got, err := MeasureComposedClass(r, pr, nprocs, set, RootTime, "any", mpi.NewTemplateStore(), stages...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMeasurement(t, "class-keyed composed (deprecated) vs stage", want, got)
 }
 
 func TestMeasureComposedErrors(t *testing.T) {
@@ -70,10 +63,10 @@ func TestMeasureComposedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureComposed(r, pr, 4, fastSettings(), Completion, false); err == nil {
-		t.Error("MeasureComposed accepted an empty stage list")
+	if _, err := MeasureComposedClass(r, pr, 4, fastSettings(), Completion, "", nil); err == nil {
+		t.Error("MeasureComposedClass accepted an empty stage list")
 	}
-	if _, err := MeasureComposed(r, pr, 8, fastSettings(), Completion, false, func(p *mpi.Proc) {}); err == nil {
-		t.Error("MeasureComposed accepted more procs than the profile has nodes")
+	if _, err := MeasureComposedClass(r, pr, 8, fastSettings(), Completion, "", nil, func(p *mpi.Proc) {}); err == nil {
+		t.Error("MeasureComposedClass accepted more procs than the profile has nodes")
 	}
 }

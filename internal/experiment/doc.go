@@ -54,8 +54,9 @@
 // bit-identical to a serial run on fresh simulators; the first failing
 // point cancels the rest through the context. Points whose stage is
 // timing-independent are compiled into plans goroutine-free, with no
-// scheduler run. Measure and MeasureComposed remain for callers that
-// time an arbitrary Op (or chain of Ops) outside a grid.
+// scheduler run. Measure and MeasureOn remain for callers that time an
+// arbitrary Op outside a grid; they capture under the scheduler and
+// echo-validate.
 //
 // Cache adds content-addressed memoisation on top: keys hash the full
 // experiment identity (cluster profile including the noise seed, the

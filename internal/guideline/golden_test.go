@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"mpicollperf/internal/cluster"
+	"mpicollperf/internal/estimate"
 	"mpicollperf/internal/experiment"
 	"mpicollperf/internal/obs"
+	"mpicollperf/internal/selection"
 )
 
 func goldenProfile(t *testing.T) cluster.Profile {
@@ -137,7 +139,9 @@ func TestGoldenInvertedComparator(t *testing.T) {
 // TestGoldenGuidelineMetricsInvariance mirrors the sweep-engine metrics
 // contract for the guideline layer: attaching a registry must not change
 // a single verdict or measured mean, and the registry must come back
-// populated with the run's counters.
+// populated with the run's counters. It also pins that each distinct
+// point is measured — and compiled — exactly once: the registry's sweep
+// points are the sanity fit's own plus one per distinct guideline point.
 func TestGoldenGuidelineMetricsInvariance(t *testing.T) {
 	pr := goldenProfile(t)
 	bare, err := goldenHarness(pr, experiment.EngineAuto, 4, nil).Run(context.Background())
@@ -166,5 +170,41 @@ func TestGoldenGuidelineMetricsInvariance(t *testing.T) {
 	name := obs.Name("guideline_ratio", "guideline", withReg.Checks[0].Guideline)
 	if reg.Histogram(name).Count() == 0 {
 		t.Errorf("%s not populated", name)
+	}
+
+	h := goldenHarness(pr, experiment.EngineAuto, 4, nil)
+	fitReg := obs.NewRegistry()
+	models, _, err := estimate.ModelsCtx(context.Background(), pr, estimate.AlphaBetaConfig{Settings: h.Settings, Metrics: fitReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitPoints := fitReg.Counter("sweep_points_measured_total").Value()
+	sel := &selection.ModelBased{Models: models}
+	distinct := make(map[pointKey]bool)
+	for _, g := range Registry() {
+		for _, p := range h.Procs {
+			for _, m := range h.Sizes {
+				cfg := Config{Profile: pr, Procs: p, MsgBytes: m}
+				if !g.AppliesTo(cfg) {
+					continue
+				}
+				for _, r := range []Recipe{g.Left, g.Right} {
+					pts, err := r.Points(cfg, sel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pt := range pts {
+						distinct[keyOf(pt)] = true
+					}
+				}
+			}
+		}
+	}
+	measured := reg.Counter("sweep_points_measured_total").Value()
+	if fitPoints == 0 || measured != fitPoints+int64(len(distinct)) {
+		t.Errorf("%d points measured: want the fit's %d plus %d distinct guideline points", measured, fitPoints, len(distinct))
+	}
+	if compiles := reg.Counter("experiment_plan_compiles_total").Value(); compiles != measured {
+		t.Errorf("experiment_plan_compiles_total = %d, sweep_points_measured_total = %d", compiles, measured)
 	}
 }

@@ -20,9 +20,10 @@
 //   - algorithm sanity: the algorithm the fitted model selects must be
 //     within tolerance of the best measured algorithm.
 //
-// The checker (Check, Harness) fans a guideline × (P, m) × profile ×
-// perturbation grid out over the sweep machinery — warm Runner pools and
-// memoised measurements shared between guidelines — so thousands of
+// The checker (Check, Harness) turns a guideline × (P, m) × profile ×
+// perturbation grid into sweep points — both sides of every check, with
+// points shared between guidelines measured once per platform — measures
+// each platform's points in one experiment.Sweep, so thousands of
 // configurations verify in seconds, and reports violations as structured
 // artifacts. Verdicts are engine-independent: the compile and replay
 // engines produce measurements bit-identical to the scheduler, so the
@@ -35,6 +36,7 @@ import (
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/experiment"
+	"mpicollperf/internal/selection"
 )
 
 // Family groups guidelines by the self-consistency law they instantiate.
@@ -79,11 +81,9 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s P=%d m=%d", c.Profile.Name, c.Procs, c.MsgBytes)
 }
 
-// Recipe measures one side of a guideline at a configuration. Recipes are
-// built from the package's measurement atoms (single collectives,
-// compositions, minima over algorithm sets) and run inside an Env — a
-// warm Runner and a per-platform measurement memo shared by every
-// guideline of the run.
+// Recipe is one side of a guideline: the sweep points it measures at a
+// configuration (single collectives, compositions, minima over algorithm
+// sets), whose fastest measurement is the side's value.
 type Recipe struct {
 	// Name labels the recipe in reports ("min(bcast)", "scatter+allgather").
 	Name string
@@ -91,8 +91,11 @@ type Recipe struct {
 	// divisibility, communicator bounds). A guideline applies to a
 	// configuration only when both sides' OK accept it.
 	OK func(cfg Config) bool
-	// Measure produces the recipe's measurement at cfg.
-	Measure func(env *Env, cfg Config) (experiment.Measurement, error)
+	// Points returns the points measured at cfg; the recipe's value is the
+	// minimum-mean measurement among them, the first on a tie. sel is the
+	// platform's fitted broadcast selector, nil when the harness fitted
+	// none (it fits one for quiet platforms with algorithm-sanity checks).
+	Points func(cfg Config, sel *selection.ModelBased) ([]experiment.Point, error)
 }
 
 // Guideline is one declarative performance law: Left ≾ Right within

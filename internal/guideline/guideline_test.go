@@ -104,8 +104,8 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("duplicate guideline name %q", g.Name)
 		}
 		names[g.Name] = true
-		if g.Left.Measure == nil || g.Right.Measure == nil {
-			t.Errorf("%s: missing measure func", g.Name)
+		if g.Left.Points == nil || g.Right.Points == nil {
+			t.Errorf("%s: missing points func", g.Name)
 		}
 		if g.Doc == "" || g.Tolerance <= 0 {
 			t.Errorf("%s: incomplete declaration (doc %q, tolerance %v)", g.Name, g.Doc, g.Tolerance)

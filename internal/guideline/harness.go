@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpicollperf/internal/cluster"
@@ -17,12 +15,12 @@ import (
 	"mpicollperf/internal/selection"
 )
 
-// Harness fans a guideline × (P, m) × profile × perturbation grid out
-// over the sweep machinery: per-platform Runner pools and a memo that
-// measures each distinct recipe atom once per platform no matter how
-// many guidelines share it. Results are deterministic — grid order,
-// measurement values, and verdicts do not depend on Workers or on which
-// engine computes them.
+// Harness checks a guideline × (P, m) × profile × perturbation grid. Per
+// platform, every check's left and right points are collected into one
+// de-duplicated grid — a point shared by many guidelines is measured once
+// — and measured by one experiment.Sweep. Results are deterministic —
+// grid order, measurement values, and verdicts do not depend on Workers
+// or on which engine computes them.
 type Harness struct {
 	// Profiles are the base platforms; empty means the canonical pair
 	// (grisou and gros, both truncated to 16 nodes).
@@ -48,8 +46,9 @@ type Harness struct {
 	// Settings drive the adaptive measurements; the zero value uses the
 	// experiment defaults.
 	Settings experiment.Settings
-	// Workers bounds per-platform concurrency: 0 means
-	// runtime.GOMAXPROCS(0), 1 reproduces the serial path bit for bit.
+	// Workers bounds the concurrent measurements of each platform's sweep
+	// (and of the sanity model fit): 0 means runtime.GOMAXPROCS(0), 1
+	// reproduces the serial path bit for bit.
 	Workers int
 	// Metrics, if non-nil, receives guideline_checks_total,
 	// guideline_violations_total, per-guideline ratio histograms, and the
@@ -60,10 +59,25 @@ type Harness struct {
 	FitProcs int
 }
 
-// task is one grid cell: guideline gi at configuration cfg.
+// task is one grid cell: guideline gi at configuration cfg, with the
+// indices of its left and right points in the platform's sweep grid.
 type task struct {
-	gi  int
-	cfg Config
+	gi          int
+	cfg         Config
+	left, right []int
+}
+
+// pointKey is a point's whole identity: Stage.Name and Mode name the
+// operation (see experiment.Stage), so equal keys measure the same
+// program and share one measurement.
+type pointKey struct {
+	stage         string
+	mode          experiment.Mode
+	procs, m, seg int
+}
+
+func keyOf(pt experiment.Point) pointKey {
+	return pointKey{pt.Stage.Name, pt.Stage.Mode, pt.Procs, pt.MsgBytes, pt.SegSize}
 }
 
 // Run checks the whole grid and returns the aggregated report. A
@@ -100,12 +114,6 @@ func (h Harness) Run(ctx context.Context) (*Report, error) {
 	if intensity == 0 {
 		intensity = 0.5
 	}
-	needFit := false
-	for _, g := range gls {
-		if g.Family == FamilySanity {
-			needFit = true
-		}
-	}
 
 	rep := &Report{Engine: h.Settings.Engine.String(), Workers: workers}
 	for _, base := range profiles {
@@ -118,7 +126,7 @@ func (h Harness) Run(ctx context.Context) (*Report, error) {
 			platforms = append(platforms, base.Perturbed(spec))
 		}
 		for _, pr := range platforms {
-			checks, err := h.runPlatform(ctx, pr, gls, sizes, workers, needFit)
+			checks, err := h.runPlatform(ctx, pr, gls, sizes, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -132,9 +140,10 @@ func (h Harness) Run(ctx context.Context) (*Report, error) {
 }
 
 // runPlatform checks every guideline × (P, m) cell of one platform. The
-// task list is enumerated deterministically and results land at their
-// task index, so the output order is identical for any worker count.
-func (h Harness) runPlatform(ctx context.Context, pr cluster.Profile, gls []Guideline, sizes []int, workers int, needFit bool) ([]CheckResult, error) {
+// task list and its point grid are enumerated deterministically and the
+// sweep returns results in grid order, so the output is identical for
+// any worker count.
+func (h Harness) runPlatform(ctx context.Context, pr cluster.Profile, gls []Guideline, sizes []int, workers int) ([]CheckResult, error) {
 	procs := h.Procs
 	if len(procs) == 0 {
 		for _, p := range []int{4, 8, 16} {
@@ -148,12 +157,14 @@ func (h Harness) runPlatform(ctx context.Context, pr cluster.Profile, gls []Guid
 	}
 
 	var tasks []task
+	needFit := false
 	for gi, g := range gls {
 		for _, p := range procs {
 			for _, m := range sizes {
 				cfg := Config{Profile: pr, Procs: p, MsgBytes: m}
 				if g.AppliesTo(cfg) {
 					tasks = append(tasks, task{gi: gi, cfg: cfg})
+					needFit = needFit || (g.Family == FamilySanity && cfg.Quiet())
 				}
 			}
 		}
@@ -161,66 +172,9 @@ func (h Harness) runPlatform(ctx context.Context, pr cluster.Profile, gls []Guid
 	if len(tasks) == 0 {
 		return nil, nil
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 
-	pool, err := experiment.NewRunnerPool(pr, workers, h.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	plat := &platform{pr: pr, set: h.Settings}
-	if needFit && pr.Net.Perturb.Empty() {
-		plat.fitSel = h.selectorFitter(ctx, pr, workers)
-	}
-
-	results := make([]CheckResult, len(tasks))
-	errs := make([]error, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r, err := pool.Get()
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer pool.Put(r)
-			env := &Env{Runner: r, plat: plat}
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				res, err := runCheck(env, gls[tasks[i].gi], tasks[i].cfg, h.Settings)
-				if err != nil {
-					errs[w] = fmt.Errorf("%s at %s: %w", gls[tasks[i].gi].Name, tasks[i].cfg, err)
-					return
-				}
-				results[i] = res
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// selectorFitter returns the lazy single-flight model fit for pr: the
-// calibration sweep runs at most once per platform, and only if an
-// algorithm-sanity recipe actually executes.
-func (h Harness) selectorFitter(ctx context.Context, pr cluster.Profile, workers int) func() (selection.ModelBased, error) {
-	return func() (selection.ModelBased, error) {
+	var sel *selection.ModelBased
+	if needFit {
 		models, _, err := estimate.ModelsCtx(ctx, pr, estimate.AlphaBetaConfig{
 			Procs:    h.FitProcs,
 			Settings: h.Settings,
@@ -228,22 +182,72 @@ func (h Harness) selectorFitter(ctx context.Context, pr cluster.Profile, workers
 			Metrics:  h.Metrics,
 		})
 		if err != nil {
-			return selection.ModelBased{}, fmt.Errorf("fitting models for %s: %w", pr.Name, err)
+			return nil, fmt.Errorf("fitting models for %s: %w", pr.Name, err)
 		}
-		return selection.ModelBased{Models: models}, nil
+		sel = &selection.ModelBased{Models: models}
 	}
+
+	var points []experiment.Point
+	index := make(map[pointKey]int)
+	collect := func(r Recipe, cfg Config) ([]int, error) {
+		pts, err := r.Points(cfg, sel)
+		if err == nil && len(pts) == 0 {
+			err = fmt.Errorf("no points to measure")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Name, err)
+		}
+		idx := make([]int, len(pts))
+		for i, pt := range pts {
+			k := keyOf(pt)
+			j, ok := index[k]
+			if !ok {
+				j = len(points)
+				index[k] = j
+				points = append(points, pt)
+			}
+			idx[i] = j
+		}
+		return idx, nil
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		g := gls[t.gi]
+		var err error
+		if t.left, err = collect(g.Left, t.cfg); err == nil {
+			t.right, err = collect(g.Right, t.cfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s at %s: %w", g.Name, t.cfg, err)
+		}
+	}
+
+	sw := experiment.Sweep{Profile: pr, Settings: h.Settings, Workers: workers, Metrics: h.Metrics}
+	measured, err := sw.Run(ctx, points)
+	if err != nil {
+		return nil, fmt.Errorf("guidelines on %s: %w", pr.Name, err)
+	}
+	results := make([]CheckResult, len(tasks))
+	for i, t := range tasks {
+		results[i] = verdict(gls[t.gi], t.cfg, best(measured, t.left), best(measured, t.right), h.Settings)
+	}
+	return results, nil
 }
 
-// runCheck evaluates one guideline at one configuration.
-func runCheck(env *Env, g Guideline, cfg Config, set experiment.Settings) (CheckResult, error) {
-	left, err := g.Left.Measure(env, cfg)
-	if err != nil {
-		return CheckResult{}, fmt.Errorf("left %s: %w", g.Left.Name, err)
+// best is the minimum-mean measurement among measured[idx], the first on
+// a tie.
+func best(measured []experiment.Result, idx []int) experiment.Measurement {
+	b := measured[idx[0]].Meas
+	for _, j := range idx[1:] {
+		if m := measured[j].Meas; m.Mean < b.Mean {
+			b = m
+		}
 	}
-	right, err := g.Right.Measure(env, cfg)
-	if err != nil {
-		return CheckResult{}, fmt.Errorf("right %s: %w", g.Right.Name, err)
-	}
+	return b
+}
+
+// verdict folds one guideline's two measured sides at cfg into its check.
+func verdict(g Guideline, cfg Config, left, right experiment.Measurement, set experiment.Settings) CheckResult {
 	res := CheckResult{
 		Guideline: g.Name,
 		Family:    g.Family,
@@ -265,7 +269,7 @@ func runCheck(env *Env, g Guideline, cfg Config, set experiment.Settings) (Check
 	} else if right.Fallback != experiment.FallbackNone {
 		res.Fallback = string(right.Fallback)
 	}
-	return res, nil
+	return res
 }
 
 // observe publishes the run's counters and per-guideline ratio

@@ -2,167 +2,62 @@ package guideline
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 
-	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
+	"mpicollperf/internal/estimate"
 	"mpicollperf/internal/experiment"
 	"mpicollperf/internal/mpi"
 	"mpicollperf/internal/selection"
 )
 
-// platform is the state one checked platform shares across every worker
-// and guideline of a run: the measurement memo (each distinct recipe atom
-// is measured once per platform no matter how many guidelines reference
-// it), and the lazily fitted model-based selector for the
-// algorithm-sanity family.
-type platform struct {
-	pr   cluster.Profile
-	set  experiment.Settings
-	memo sync.Map // string -> *memoEntry
-
-	selOnce sync.Once
-	sel     selection.ModelBased
-	selErr  error
-	fitSel  func() (selection.ModelBased, error)
-}
-
-type memoEntry struct {
-	once sync.Once
-	meas experiment.Measurement
-	err  error
-}
-
-// Env is the execution environment a Recipe measures in: one worker's
-// warm Runner plus the platform state shared by all workers. Measurements
-// are deterministic per (platform, program, settings) — which worker's
-// Runner computes a memo entry never changes the result.
-type Env struct {
-	// Runner is this worker's Runner for the platform.
-	Runner *mpi.Runner
-
-	plat *platform
-}
-
-// NewEnv builds a standalone single-worker environment for pr — the way
-// tests and one-off recipe evaluations measure without a Harness.
-func NewEnv(pr cluster.Profile, set experiment.Settings, r *mpi.Runner) *Env {
-	return &Env{Runner: r, plat: &platform{pr: pr, set: set}}
-}
-
-// Measure runs the composed stages at nprocs on the environment's
-// platform in Completion mode, memoised under key: the first caller of a
-// key computes (single-flight), everyone else gets the cached
-// measurement. Every recipe atom is timing-independent, so the
-// composition is compiled goroutine-free (see experiment.MeasureComposed).
-func (e *Env) Measure(key string, nprocs int, stages ...experiment.Op) (experiment.Measurement, error) {
-	v, _ := e.plat.memo.LoadOrStore(key, &memoEntry{})
-	ent := v.(*memoEntry)
-	ent.once.Do(func() {
-		ent.meas, ent.err = experiment.MeasureComposed(
-			e.Runner, e.plat.pr, nprocs, e.plat.set, experiment.Completion, true, stages...)
-	})
-	return ent.meas, ent.err
-}
-
-// Selector returns the platform's fitted model-based broadcast selector,
-// fitting it on first use (single-flight). It errors when the harness did
-// not arm model fitting for this platform — the algorithm-sanity family
-// is then inapplicable.
-func (e *Env) Selector() (selection.ModelBased, error) {
-	if e.plat.fitSel == nil {
-		return selection.ModelBased{}, fmt.Errorf("guideline: no fitted models for %s (algorithm-sanity needs a Harness with sanity guidelines armed)", e.plat.pr.Name)
-	}
-	e.plat.selOnce.Do(func() { e.plat.sel, e.plat.selErr = e.plat.fitSel() })
-	return e.plat.sel, e.plat.selErr
-}
-
 // --- measurement atoms -------------------------------------------------
 //
-// Each atom measures one collective algorithm at a configuration, in
-// Completion mode with synthetic messages, memoised per platform. Block
-// collectives interpret cfg.MsgBytes as the total buffer (block size
-// m/P), matching the guideline literature's convention that both sides of
-// a comparison move the same total payload.
+// An atom is one collective algorithm (or composition) measured at a
+// configuration: one sweep point in Completion mode with synthetic
+// messages. Block collectives interpret cfg.MsgBytes as the total buffer,
+// matching the guideline literature's convention that both sides of a
+// comparison move the same total payload; their stages (the estimate
+// package's specs) take the per-rank block m/P as size parameter.
 
-func measureBcast(env *Env, cfg Config, alg coll.BcastAlgorithm, segSize int) (experiment.Measurement, error) {
-	m := cfg.MsgBytes
-	key := fmt.Sprintf("bcast/%v/seg=%d/P=%d/m=%d", alg, segSize, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.Bcast(p, alg, 0, coll.Synthetic(m), segSize)
-	})
+// atom is one labelled program variant inside a recipe.
+type atom struct {
+	// name labels the atom in reports ("reducescatter/ring").
+	name  string
+	stage *experiment.Stage
+	// block measures the stage at the per-rank block m/P instead of m.
+	block bool
 }
 
-func measureVanDeGeijn(env *Env, cfg Config, variant coll.VanDeGeijnVariant) (experiment.Measurement, error) {
-	m := cfg.MsgBytes
-	key := fmt.Sprintf("bcast/vdg_%v/P=%d/m=%d", variant, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.BcastVanDeGeijn(p, variant, 0, coll.Synthetic(m))
-	})
+// point is the atom's sweep point at cfg, at the platform segment size.
+func (a atom) point(cfg Config) experiment.Point {
+	pt := experiment.Point{Stage: a.stage, Procs: cfg.Procs, MsgBytes: cfg.MsgBytes, SegSize: cfg.Profile.SegmentSize}
+	if a.block {
+		pt.MsgBytes /= cfg.Procs
+	}
+	return pt
 }
 
-func measureScatter(env *Env, cfg Config, alg coll.ScatterAlgorithm) (experiment.Measurement, error) {
-	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
-	key := fmt.Sprintf("scatter/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		if p.Rank() == 0 {
-			coll.Scatter(p, alg, 0, coll.Synthetic(m), bs)
-		} else {
-			coll.Scatter(p, alg, 0, coll.Synthetic(bs), bs)
-		}
-	})
+// specAtoms labels each spec's stage family/<algorithm>.
+func specAtoms(family string, specs []estimate.CollectiveSpec, block bool) []atom {
+	out := make([]atom, len(specs))
+	for i := range specs {
+		name := specs[i].Name
+		out[i] = atom{name: family + name[strings.IndexByte(name, '/'):], stage: &specs[i].Stage, block: block}
+	}
+	return out
 }
 
-func measureGather(env *Env, cfg Config, alg coll.GatherAlgorithm) (experiment.Measurement, error) {
-	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
-	key := fmt.Sprintf("gather/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		if p.Rank() == 0 {
-			coll.Gather(p, alg, 0, coll.Synthetic(m), bs)
-		} else {
-			coll.Gather(p, alg, 0, coll.Synthetic(bs), bs)
-		}
-	})
-}
-
-func measureAllgather(env *Env, cfg Config, alg coll.AllgatherAlgorithm) (experiment.Measurement, error) {
-	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
-	key := fmt.Sprintf("allgather/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.Allgather(p, alg, coll.Synthetic(m), bs)
-	})
-}
-
-func measureAlltoall(env *Env, cfg Config, alg coll.AlltoallAlgorithm) (experiment.Measurement, error) {
-	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
-	key := fmt.Sprintf("alltoall/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.Alltoall(p, alg, coll.Synthetic(m), coll.Synthetic(m), bs)
-	})
-}
-
-func measureReduce(env *Env, cfg Config, alg coll.ReduceAlgorithm) (experiment.Measurement, error) {
-	m, seg := cfg.MsgBytes, cfg.Profile.SegmentSize
-	key := fmt.Sprintf("reduce/%v/seg=%d/P=%d/m=%d", alg, seg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.Reduce(p, alg, 0, coll.Synthetic(m), nil, seg)
-	})
-}
-
-func measureAllreduce(env *Env, cfg Config, alg coll.AllreduceAlgorithm) (experiment.Measurement, error) {
-	m, seg := cfg.MsgBytes, cfg.Profile.SegmentSize
-	key := fmt.Sprintf("allreduce/%v/seg=%d/P=%d/m=%d", alg, seg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.Allreduce(p, alg, coll.Synthetic(m), nil, seg)
-	})
-}
-
-func measureReduceScatter(env *Env, cfg Config, alg coll.ReduceScatterAlgorithm) (experiment.Measurement, error) {
-	m, bs := cfg.MsgBytes, cfg.MsgBytes/cfg.Procs
-	key := fmt.Sprintf("reducescatter/%v/P=%d/m=%d", alg, cfg.Procs, m)
-	return env.Measure(key, cfg.Procs, func(p *mpi.Proc) {
-		coll.ReduceScatter(p, alg, coll.Synthetic(m), nil, bs)
-	})
+// vanDeGeijnAtom is coll.BcastVanDeGeijn, the scatter+allgather broadcast.
+func vanDeGeijnAtom(v coll.VanDeGeijnVariant) atom {
+	name := fmt.Sprintf("bcast/vdg_%v", v)
+	return atom{name: name, stage: &experiment.Stage{
+		Name:              name,
+		TimingIndependent: true,
+		Run: func(p *mpi.Proc, m, _ int) {
+			coll.BcastVanDeGeijn(p, v, 0, coll.Synthetic(m))
+		},
+	}}
 }
 
 // --- composed right-hand sides -----------------------------------------
@@ -175,91 +70,61 @@ func measureReduceScatter(env *Env, cfg Config, alg coll.ReduceScatterAlgorithm)
 // platform, perturbed or not: the left side minimises over a set that
 // contains a program with the exact same event schedule as the right
 // side, so min(left) ≤ right holds by construction and a violation can
-// only ever signal a harness or simulator defect.
+// only ever signal a harness or simulator defect. Each composition runs
+// both collectives back to back within one repetition.
 
-func measureScatterAllgather(env *Env, cfg Config) (experiment.Measurement, error) {
-	P, m := cfg.Procs, cfg.MsgBytes
-	bs := (m + P - 1) / P
-	padded := P * bs
-	key := fmt.Sprintf("composed/scatter+allgather/P=%d/m=%d", P, m)
-	return env.Measure(key, P,
-		func(p *mpi.Proc) {
-			if p.Rank() == 0 {
-				coll.Scatter(p, coll.ScatterBinomial, 0, coll.Synthetic(padded), bs)
-			} else {
-				coll.Scatter(p, coll.ScatterBinomial, 0, coll.Synthetic(bs), bs)
-			}
-		},
-		func(p *mpi.Proc) {
-			coll.Allgather(p, coll.AllgatherRing, coll.Synthetic(padded), bs)
-		})
+// composed is an atom whose stage runs a composition at the total m.
+func composed(name string, run func(p *mpi.Proc, m, segSize int)) atom {
+	return atom{name: name, stage: &experiment.Stage{Name: name, TimingIndependent: true, Run: run}}
 }
 
-func measureReduceThenBcast(env *Env, cfg Config) (experiment.Measurement, error) {
-	P, m, seg := cfg.Procs, cfg.MsgBytes, cfg.Profile.SegmentSize
-	key := fmt.Sprintf("composed/reduce+bcast/seg=%d/P=%d/m=%d", seg, P, m)
-	return env.Measure(key, P,
-		func(p *mpi.Proc) {
-			coll.Reduce(p, coll.ReduceBinomial, 0, coll.Synthetic(m), nil, seg)
-		},
-		func(p *mpi.Proc) {
-			coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(m), seg)
-		})
-}
-
-func measureGatherThenBcast(env *Env, cfg Config) (experiment.Measurement, error) {
-	P, m := cfg.Procs, cfg.MsgBytes
-	bs := m / P
-	key := fmt.Sprintf("composed/gather+bcast/P=%d/m=%d", P, m)
-	return env.Measure(key, P,
-		func(p *mpi.Proc) {
-			if p.Rank() == 0 {
-				coll.Gather(p, coll.GatherBinomial, 0, coll.Synthetic(m), bs)
-			} else {
-				coll.Gather(p, coll.GatherBinomial, 0, coll.Synthetic(bs), bs)
-			}
-		},
-		func(p *mpi.Proc) {
-			coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(m), bs)
-		})
-}
+var (
+	scatterAllgather = composed("scatter(binomial)+allgather(ring)", func(p *mpi.Proc, m, _ int) {
+		bs := (m + p.Size() - 1) / p.Size()
+		padded := p.Size() * bs
+		if p.Rank() == 0 {
+			coll.Scatter(p, coll.ScatterBinomial, 0, coll.Synthetic(padded), bs)
+		} else {
+			coll.Scatter(p, coll.ScatterBinomial, 0, coll.Synthetic(bs), bs)
+		}
+		coll.Allgather(p, coll.AllgatherRing, coll.Synthetic(padded), bs)
+	})
+	reduceThenBcast = composed("reduce(binomial)+bcast(binomial)", func(p *mpi.Proc, m, seg int) {
+		coll.Reduce(p, coll.ReduceBinomial, 0, coll.Synthetic(m), nil, seg)
+		coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(m), seg)
+	})
+	gatherThenBcast = composed("gather(binomial)+bcast(binomial)", func(p *mpi.Proc, m, _ int) {
+		bs := m / p.Size()
+		if p.Rank() == 0 {
+			coll.Gather(p, coll.GatherBinomial, 0, coll.Synthetic(m), bs)
+		} else {
+			coll.Gather(p, coll.GatherBinomial, 0, coll.Synthetic(bs), bs)
+		}
+		coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(m), bs)
+	})
+)
 
 // --- recipe combinators -------------------------------------------------
 
-// atom is one measurable program variant inside a min-over-algorithms
-// recipe.
-type atom struct {
-	name string
-	run  func(env *Env, cfg Config) (experiment.Measurement, error)
-}
-
-// bestOf builds the min-over-algorithms recipe: measure every atom and
-// return the fastest. The measured minimum is the "library does its best"
-// left side of pattern and specialized guidelines.
+// bestOf builds the min-over-algorithms recipe: its value is the fastest
+// atom. The measured minimum is the "library does its best" left side of
+// pattern and specialized guidelines.
 func bestOf(name string, ok func(Config) bool, atoms ...atom) Recipe {
 	return Recipe{
 		Name: name,
 		OK:   ok,
-		Measure: func(env *Env, cfg Config) (experiment.Measurement, error) {
-			var best experiment.Measurement
+		Points: func(cfg Config, _ *selection.ModelBased) ([]experiment.Point, error) {
+			pts := make([]experiment.Point, len(atoms))
 			for i, a := range atoms {
-				meas, err := a.run(env, cfg)
-				if err != nil {
-					return experiment.Measurement{}, fmt.Errorf("%s: %w", a.name, err)
-				}
-				if i == 0 || meas.Mean < best.Mean {
-					best = meas
-				}
+				pts[i] = a.point(cfg)
 			}
-			return best, nil
+			return pts, nil
 		},
 	}
 }
 
 // single wraps one atom as a recipe.
-func single(a atom, ok func(Config) bool) Recipe {
-	return Recipe{Name: a.name, OK: ok, Measure: a.run}
-}
+func single(a atom, ok func(Config) bool) Recipe { return bestOf(a.name, ok, a) }
 
 // at rewrites the configuration a recipe measures at — the derived side of
 // the monotonicity guidelines (same platform, scaled m or P).
@@ -273,8 +138,8 @@ func (r Recipe) at(name string, remap func(Config) Config) Recipe {
 			}
 			return r.OK == nil || r.OK(cfg2)
 		},
-		Measure: func(env *Env, cfg Config) (experiment.Measurement, error) {
-			return r.Measure(env, remap(cfg))
+		Points: func(cfg Config, sel *selection.ModelBased) ([]experiment.Point, error) {
+			return r.Points(remap(cfg), sel)
 		},
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"mpicollperf/internal/coll"
+	"mpicollperf/internal/estimate"
 	"mpicollperf/internal/experiment"
+	"mpicollperf/internal/selection"
 )
 
 // Tolerances per family. Pattern equivalences are structurally guaranteed
@@ -69,27 +71,11 @@ func Families(gls []Guideline) []Family {
 
 // --- atom sets ----------------------------------------------------------
 
+// bcastAtoms is every broadcast the library ships: the model-selectable
+// algorithms plus the van de Geijn compositions.
 func bcastAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.BcastAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("bcast/%v", alg),
-			run: func(env *Env, cfg Config) (m experiment.Measurement, err error) {
-				return measureBcast(env, cfg, alg, cfg.Profile.SegmentSize)
-			},
-		})
-	}
-	for _, v := range []coll.VanDeGeijnVariant{coll.VanDeGeijnRing, coll.VanDeGeijnRecDoubling} {
-		v := v
-		out = append(out, atom{
-			name: fmt.Sprintf("bcast/vdg_%v", v),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureVanDeGeijn(env, cfg, v)
-			},
-		})
-	}
-	return out
+	return append(modelBcastAtoms(),
+		vanDeGeijnAtom(coll.VanDeGeijnRing), vanDeGeijnAtom(coll.VanDeGeijnRecDoubling))
 }
 
 // modelBcastAtoms is the algorithm set the model-based selector chooses
@@ -98,113 +84,20 @@ func bcastAtoms() []atom {
 func modelBcastAtoms() []atom {
 	var out []atom
 	for _, alg := range coll.BcastAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("bcast/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureBcast(env, cfg, alg, cfg.Profile.SegmentSize)
-			},
-		})
+		st := experiment.BcastStage(alg)
+		out = append(out, atom{name: st.Name, stage: st})
 	}
 	return out
 }
 
-func scatterAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.ScatterAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("scatter/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureScatter(env, cfg, alg)
-			},
-		})
-	}
-	return out
-}
-
-func gatherAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.GatherAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("gather/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureGather(env, cfg, alg)
-			},
-		})
-	}
-	return out
-}
-
-func allgatherAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.AllgatherAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("allgather/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureAllgather(env, cfg, alg)
-			},
-		})
-	}
-	return out
-}
-
-func alltoallAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.AlltoallAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("alltoall/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureAlltoall(env, cfg, alg)
-			},
-		})
-	}
-	return out
-}
-
-func reduceAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.ReduceAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("reduce/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureReduce(env, cfg, alg)
-			},
-		})
-	}
-	return out
-}
-
-func allreduceAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.AllreduceAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("allreduce/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureAllreduce(env, cfg, alg)
-			},
-		})
-	}
-	return out
-}
-
+func scatterAtoms() []atom   { return specAtoms("scatter", estimate.ScatterSpecs(), true) }
+func gatherAtoms() []atom    { return specAtoms("gather", estimate.GatherSpecs(), true) }
+func allgatherAtoms() []atom { return specAtoms("allgather", estimate.AllgatherSpecs(), true) }
+func alltoallAtoms() []atom  { return specAtoms("alltoall", estimate.AlltoallSpecs(), true) }
+func reduceAtoms() []atom    { return specAtoms("reduce", estimate.ReduceSpecs(), false) }
+func allreduceAtoms() []atom { return specAtoms("allreduce", estimate.AllreduceSpecs(), false) }
 func reduceScatterAtoms() []atom {
-	var out []atom
-	for _, alg := range coll.ReduceScatterAlgorithms() {
-		alg := alg
-		out = append(out, atom{
-			name: fmt.Sprintf("reducescatter/%v", alg),
-			run: func(env *Env, cfg Config) (experiment.Measurement, error) {
-				return measureReduceScatter(env, cfg, alg)
-			},
-		})
-	}
-	return out
+	return specAtoms("reducescatter", estimate.ReduceScatterSpecs(), true)
 }
 
 // --- family builders ----------------------------------------------------
@@ -216,7 +109,7 @@ func patternGuidelines() []Guideline {
 			Family:    FamilyPattern,
 			Doc:       "the best broadcast must not lose to a binomial scatter followed by a ring allgather of the pieces",
 			Left:      bestOf("min(bcast)", nil, bcastAtoms()...),
-			Right:     Recipe{Name: "scatter(binomial)+allgather(ring)", Measure: measureScatterAllgather},
+			Right:     single(scatterAllgather, nil),
 			Tolerance: tolPattern,
 		},
 		{
@@ -224,7 +117,7 @@ func patternGuidelines() []Guideline {
 			Family:    FamilyPattern,
 			Doc:       "the best allreduce must not lose to a binomial reduce followed by a binomial broadcast",
 			Left:      bestOf("min(allreduce)", nil, allreduceAtoms()...),
-			Right:     Recipe{Name: "reduce(binomial)+bcast(binomial)", Measure: measureReduceThenBcast},
+			Right:     single(reduceThenBcast, nil),
 			Tolerance: tolPattern,
 		},
 		{
@@ -232,7 +125,7 @@ func patternGuidelines() []Guideline {
 			Family:    FamilyPattern,
 			Doc:       "the best allgather must not lose to a binomial gather followed by a binomial broadcast of the blocks",
 			Left:      bestOf("min(allgather)", divisibleBlocks, allgatherAtoms()...),
-			Right:     Recipe{Name: "gather(binomial)+bcast(binomial)", OK: divisibleBlocks, Measure: measureGatherThenBcast},
+			Right:     single(gatherThenBcast, divisibleBlocks),
 			Tolerance: tolPattern,
 		},
 	}
@@ -405,16 +298,15 @@ func sanityGuidelines() []Guideline {
 			Doc:    "the broadcast algorithm the fitted model selects must be within tolerance of the measured best",
 			Left: Recipe{
 				Name: "selected(bcast)",
-				Measure: func(env *Env, cfg Config) (experiment.Measurement, error) {
-					sel, err := env.Selector()
-					if err != nil {
-						return experiment.Measurement{}, err
+				Points: func(cfg Config, sel *selection.ModelBased) ([]experiment.Point, error) {
+					if sel == nil {
+						return nil, fmt.Errorf("guideline: no fitted models for %s (algorithm-sanity needs a Harness with sanity guidelines armed)", cfg.Profile.Name)
 					}
 					ch, err := sel.Select(cfg.Procs, cfg.MsgBytes)
 					if err != nil {
-						return experiment.Measurement{}, err
+						return nil, err
 					}
-					return measureBcast(env, cfg, ch.Alg, ch.SegSize)
+					return []experiment.Point{{Stage: experiment.BcastStage(ch.Alg), Procs: cfg.Procs, MsgBytes: cfg.MsgBytes, SegSize: ch.SegSize}}, nil
 				},
 			},
 			Right:     bestOf("min(bcast@model-segsize)", nil, modelBcastAtoms()...),

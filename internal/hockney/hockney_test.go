@@ -8,6 +8,7 @@ import (
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
 	"mpicollperf/internal/experiment"
+	"mpicollperf/internal/obs"
 )
 
 func fastSettings() experiment.Settings {
@@ -32,6 +33,49 @@ func TestEstimatePingPongRecoversLinkParameters(t *testing.T) {
 	}
 	if math.Abs(par.Beta-1.6e-9) > 0.15e-9 {
 		t.Fatalf("β = %v, want ≈ 1.6 ns/B", par.Beta)
+	}
+}
+
+// TestEstimatePingPongCompiles: the ping-pong stage is timing-independent,
+// so the default engine compiles every point with no scheduler run, and
+// the estimate is bit-identical to the scheduler engine's.
+func TestEstimatePingPongCompiles(t *testing.T) {
+	sizes := []int{0, 8192, 65536, 524288}
+	sched := fastSettings()
+	sched.Engine = experiment.EngineScheduler
+	for _, name := range []string{"grisou", "gros"} {
+		pr, err := cluster.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr, err = pr.WithNodes(4); err != nil {
+			t.Fatal(err)
+		}
+		want, err := EstimatePingPong(pr, sizes, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EstimatePingPong(pr, sizes, fastSettings())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: default engine α/β = {%x, %x}, scheduler {%x, %x}", name, got.Alpha, got.Beta, want.Alpha, want.Beta)
+		}
+		points := make([]experiment.Point, len(sizes))
+		for i, m := range sizes {
+			points[i] = experiment.Point{Stage: pingPong, Procs: 2, MsgBytes: m}
+		}
+		reg := obs.NewRegistry()
+		if _, err := (experiment.Sweep{Profile: pr, Settings: fastSettings(), Metrics: reg}).Run(context.Background(), points); err != nil {
+			t.Fatal(err)
+		}
+		if runs := reg.Counter("mpi_runs_total").Value(); runs != 0 {
+			t.Errorf("%s: %d scheduler runs, want 0", name, runs)
+		}
+		if n := reg.Counter("experiment_plan_compiles_total").Value(); n != int64(len(points)) {
+			t.Errorf("%s: %d compiles for %d points", name, n, len(points))
+		}
 	}
 }
 
