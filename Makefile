@@ -29,7 +29,7 @@ race:
 # Hot-path and sweep-engine benchmarks, recorded twice: BENCH_sched.json
 # forces the scheduler engine (SWEEP_ENGINE=scheduler) and covers the
 # scheduler micro-benchmarks; BENCH_replay.json runs the same sweep
-# benchmarks under the default auto engine (plan capture + replay) plus
+# benchmarks under the default auto engine (plan compile + replay) plus
 # the replay micro-benchmarks. The sweep benchmark names are identical in
 # both files, so `benchjson -baseline` can diff them directly. The same
 # replay-engine sweep run also yields BENCH_sweepscale.json, the
@@ -71,7 +71,7 @@ bench:
 #     degrades to the 0.8× anti-regression floor, because no amount of
 #     scheduling can conjure parallel speedup out of one core.
 #
-# The plan-cache breakdown (scheduler vs capture vs compile per point, and
+# The plan-cache breakdown (scheduler vs verify vs compile per point, and
 # one extended family's calibration) is gated against its own record, so
 # a compile-path slowdown cannot hide inside the sweep aggregate.
 BASELINE ?= BENCH_sched.json

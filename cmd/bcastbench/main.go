@@ -38,9 +38,9 @@
 // before sweeping (package perturb's spec syntax, e.g.
 // "straggler:node=0,cpu=2;link:src=0,dst=1,bw=4"); -perturb-random
 // generates one from an intensity in (0,1] and -perturb-seed. -v reports
-// the plan work (points compiled goroutine-free, and points whose
-// compile fell back to a capture), and how many measurements fell back
-// from the replay engine to the scheduler, and why.
+// the plan work (points replayed from a compiled plan, and points whose
+// compile failed), and how many measurements fell back from the replay
+// engine to the scheduler, and why.
 //
 // -metrics writes a JSON observability artifact of the sweep — points
 // measured vs cached, per-engine repetition counts, fallback tallies,

@@ -19,9 +19,9 @@ import (
 // The embedded Stage is what the calibration sweep measures: Name
 // identifies the (collective, algorithm) pair, e.g. "allgather/ring"; Run
 // executes one instance on every rank, with m the same size parameter
-// passed to Coefficients; TimingIndependent makes the sweep compile its
-// points goroutine-free instead of capturing them under the scheduler
-// (every shipped spec sets it).
+// passed to Coefficients; TimingIndependent makes the sweep replay its
+// points from a single compile, skipping the verify pass (every shipped
+// spec sets it).
 // The spec's points are measured in Completion mode, the zero Mode.
 type CollectiveSpec struct {
 	experiment.Stage

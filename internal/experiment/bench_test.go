@@ -79,9 +79,8 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkPlanCache breaks one grid point's cost down by measurement
-// path: the full scheduler loop, the replay engine's capture (scheduler
-// repetition + echo validation + replay, the path of operations not
-// declared timing-independent), and the goroutine-free compile + replay
+// path: the full scheduler loop, compile + verify + replay (the path of
+// operations not declared timing-independent), and compile + replay
 // (every timing-independent point). BENCH_plancache.json records the
 // three side by side.
 func BenchmarkPlanCache(b *testing.B) {
@@ -110,12 +109,12 @@ func BenchmarkPlanCache(b *testing.B) {
 			point(b, set)
 		}
 	})
-	b.Run("path=capture", func(b *testing.B) {
+	b.Run("path=verify", func(b *testing.B) {
 		b.ReportAllocs()
 		set := set
 		set.Engine = EngineReplay
-		// The same operation, not declared timing-independent: a real
-		// capture.
+		// The same operation, not declared timing-independent: compiled
+		// a second time to verify its plan.
 		op := func(p *mpi.Proc) { pt.Stage.Run(p, pt.MsgBytes, pt.SegSize) }
 		for i := 0; i < b.N; i++ {
 			if _, err := MeasureOn(reuse, pt.Procs, set, Completion, op); err != nil {

@@ -12,31 +12,36 @@ import (
 	"mpicollperf/internal/simnet"
 )
 
-// TestCompileFallsBack: a timing-independent point whose program the structural
-// compile cannot handle — payload bytes, a Proc.Now read, ranks that
-// disagree on their barriers, a deadlocking pair — falls back to the
-// capture path: the compile fallback is counted, and the outcome (the
-// measurement, or the error) is the scheduler engine's.
+// TestCompileFallsBack: a timing-independent point whose program the
+// structural compile cannot handle — payload bytes, a Proc.Now read,
+// ranks that disagree on their barriers — or whose compiled plan cannot
+// replay — a deadlocking pair — goes straight to the scheduler: exactly
+// one fallback is counted, with the reason the failure names; no point
+// counts as compiled; and the outcome (the measurement, or the error) is
+// the scheduler engine's.
 func TestCompileFallsBack(t *testing.T) {
 	const nprocs = 4
 	data := []byte("payload")
-	ops := map[string]Op{
-		"payload": func(p *mpi.Proc) {
+	ops := map[string]struct {
+		op  Op
+		why FallbackReason
+	}{
+		"payload": {func(p *mpi.Proc) {
 			if p.Rank() == 0 {
 				p.Send(1, 0, data, -1)
 			} else if p.Rank() == 1 {
 				p.Recv(0, 0, make([]byte, len(data)))
 			}
-		},
-		"now": func(p *mpi.Proc) {
+		}, FallbackPayload},
+		"now": {func(p *mpi.Proc) {
 			if p.Now() >= 0 {
 				coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(8192), 0)
 			}
-		},
+		}, FallbackCompile},
 		// Rank 2 waits for a message rank 0 sends only after a barrier
 		// rank 2 never enters. (A rank that merely skips a barrier would
 		// shift every later barrier of the harness loop out of step.)
-		"barriers": func(p *mpi.Proc) {
+		"barriers": {func(p *mpi.Proc) {
 			switch p.Rank() {
 			case 2:
 				p.Recv(0, 9, nil)
@@ -46,19 +51,20 @@ func TestCompileFallsBack(t *testing.T) {
 			default:
 				p.Barrier()
 			}
-		},
-		"deadlock": func(p *mpi.Proc) {
+		}, FallbackCompile},
+		"deadlock": {func(p *mpi.Proc) {
 			if p.Rank() < 2 {
 				peer := 1 - p.Rank()
 				p.Recv(peer, 0, nil)
 				p.Send(peer, 0, nil, 64)
 			}
-		},
+		}, FallbackPlan},
 	}
 	set := fastSettings()
 	sched := set
 	sched.Engine = EngineScheduler
-	for name, op := range ops {
+	for name, c := range ops {
+		op := c.op
 		refNet, err := simnet.New(noisyConfig(nprocs))
 		if err != nil {
 			t.Fatal(err)
@@ -80,9 +86,18 @@ func TestCompileFallsBack(t *testing.T) {
 			}
 		} else {
 			sameMeasurement(t, name, want, got)
+			if got.Fallback != c.why {
+				t.Fatalf("%s: fallback %q, want %q", name, got.Fallback, c.why)
+			}
 		}
-		if n := reg.Counter(mFallbacksByWhy[FallbackCompile]).Value(); n != 1 {
-			t.Fatalf("%s: %d compile fallbacks counted, want 1", name, n)
+		for _, why := range fallbackReasonSet {
+			want := int64(0)
+			if why == c.why {
+				want = 1
+			}
+			if n := reg.Counter(mFallbacksByWhy[why]).Value(); n != want {
+				t.Fatalf("%s: %d %q fallbacks counted, want %d", name, n, why, want)
+			}
 		}
 		if n := reg.Counter(mPlanCompiles).Value(); n != 0 {
 			t.Fatalf("%s: %d points counted as compiled", name, n)
@@ -93,11 +108,11 @@ func TestCompileFallsBack(t *testing.T) {
 // FuzzCompileMatchesCapture is the compile path's differential fuzz
 // target: for any cluster shape, co-location, collective, message and
 // segment size, noise and time-invariant perturbation, a
-// timing-independent measurement (compiled goroutine-free, no scheduler
-// run) must be bit-identical to the capture-and-echo measurement of the
-// same operation, and to the scheduler engine. One recycled Runner then
-// compiles m1, m2 and m1 again back to back: its warm plan, stream and
-// replay buffers must not leak from one point into the next.
+// timing-independent measurement (one compile, no scheduler run), the
+// same operation as an undeclared closure (compile plus the verify
+// pass) and the scheduler engine must agree bit for bit. One recycled
+// Runner then compiles m1, m2 and m1 again back to back: its warm plan,
+// stream and replay buffers must not leak from one point into the next.
 func FuzzCompileMatchesCapture(f *testing.F) {
 	f.Add(uint8(8), uint8(1), uint8(0), uint16(64), uint16(512), uint8(1), uint8(50), int64(1), uint8(0))
 	f.Add(uint8(16), uint8(2), uint8(9), uint16(256), uint16(16), uint8(2), uint8(30), int64(1001), uint8(0))
@@ -193,25 +208,25 @@ func FuzzCompileMatchesCapture(f *testing.F) {
 			reg := obs.NewRegistry()
 			return mpi.NewRunnerOn(net, mpi.Options{Metrics: reg}), reg
 		}
-		measure := func(r *mpi.Runner, m int, set Settings, compiled bool) Measurement {
-			meas, err := measureOnEngine(r, nprocs, set, mode, opAt(m), compiled)
+		measure := func(r *mpi.Runner, m int, set Settings, declared bool) Measurement {
+			meas, err := measureOnEngine(r, nprocs, set, mode, opAt(m), declared)
 			if err != nil {
-				t.Fatalf("op %d m=%d (compiled=%v): %v", opIdx, m, compiled, err)
+				t.Fatalf("op %d m=%d (declared=%v): %v", opIdx, m, declared, err)
 			}
 			return meas
 		}
-		fresh := func(m int, set Settings, compiled bool) Measurement {
+		fresh := func(m int, set Settings, declared bool) Measurement {
 			r, reg := newRunner()
-			meas := measure(r, m, set, compiled)
-			if compiled && reg.Counter(mPlanCompiles).Value() != 1 {
-				t.Fatalf("op %d m=%d: timing-independent point was not compiled", opIdx, m)
+			meas := measure(r, m, set, declared)
+			if set.Engine != EngineScheduler && reg.Counter(mPlanCompiles).Value() != 1 {
+				t.Fatalf("op %d m=%d (declared=%v): point was not replayed from a plan", opIdx, m, declared)
 			}
 			return meas
 		}
 		m1 := 1024 * (1 + int(m1KB)%1024)
 		m2 := 1024 * (1 + int(m2KB)%1024)
 		want := map[int]Measurement{m1: fresh(m1, sched, false), m2: fresh(m2, sched, false)}
-		sameMeasurement(t, "capture", want[m1], fresh(m1, set, false))
+		sameMeasurement(t, "verify", want[m1], fresh(m1, set, false))
 		sameMeasurement(t, "compile", want[m1], fresh(m1, set, true))
 		recycled, reg := newRunner()
 		for i, m := range []int{m1, m2, m1} {

@@ -1,6 +1,7 @@
 package experiment_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -54,10 +55,10 @@ func shippedStages() []*experiment.Stage {
 
 // TestCompileEquivalentToCapture: every shipped stage is declared
 // timing-independent, and for each at 2 P × 2 m, on grisou, a
-// link-perturbed grisou and the dual-socket grisou, the goroutine-free
-// compile of a repetition (on a second Runner) is EquivalentTo the plan
-// the scheduler capture of that repetition compiles to — the measurement
-// harness's capturing program, preamble and boundary mark included.
+// link-perturbed grisou and the dual-socket grisou, the declaration is
+// honest — a second compile of the measurement harness's repetition
+// verifies against the first (mpi.Runner.Verify) — and the stage's
+// replayed samples match the scheduler engine's bit for bit.
 func TestCompileEquivalentToCapture(t *testing.T) {
 	base, err := cluster.Grisou().WithNodes(16)
 	if err != nil {
@@ -77,17 +78,14 @@ func TestCompileEquivalentToCapture(t *testing.T) {
 		"grisou2-socket": dual,
 	}
 	stages := shippedStages()
+	set := experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 2, MaxReps: 3}
 	for name, pr := range profiles {
 		net, err := pr.Network()
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := mpi.NewRunnerOn(net, mpi.Options{})
-		cnet, err := pr.Network()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := mpi.NewRunnerOn(cnet, mpi.Options{})
+		var points []experiment.Point
 		for _, st := range stages {
 			if !st.TimingIndependent {
 				t.Fatalf("%s: shipped stage is not declared timing-independent", st.Name)
@@ -96,28 +94,35 @@ func TestCompileEquivalentToCapture(t *testing.T) {
 				for _, m := range []int{8192, 1 << 20} {
 					label := fmt.Sprintf("%s %s P=%d m=%d", name, st.Name, procs, m)
 					rep := stageRepetition(st, m, pr.SegmentSize)
-					_, cap, err := r.RunCapture(procs, func(p *mpi.Proc) error {
-						p.Barrier()
-						p.Barrier()
-						if p.Rank() == 0 {
-							p.Mark()
-						}
-						return rep(p)
-					})
-					if err != nil {
-						t.Fatalf("%s: capture: %v", label, err)
-					}
-					want, err := r.CompilePlan(cap, 0, -1)
-					if err != nil {
-						t.Fatalf("%s: plan: %v", label, err)
-					}
-					got, err := c.Compile(procs, rep)
+					plan, err := r.Compile(procs, rep)
 					if err != nil {
 						t.Fatalf("%s: compile: %v", label, err)
 					}
-					if !got.EquivalentTo(want) {
-						t.Fatalf("%s: compiled plan is not equivalent to the captured one", label)
+					if err := r.Verify(plan, rep); err != nil {
+						t.Fatalf("%s: verify: %v", label, err)
 					}
+					points = append(points, experiment.Point{Stage: st, Procs: procs, MsgBytes: m, SegSize: pr.SegmentSize})
+				}
+			}
+		}
+		sweep := func(e experiment.Engine) []experiment.Result {
+			set := set
+			set.Engine = e
+			res, err := experiment.Sweep{Profile: pr, Settings: set, Workers: 2}.Run(context.Background(), points)
+			if err != nil {
+				t.Fatalf("%s: %v sweep: %v", name, e, err)
+			}
+			return res
+		}
+		want, got := sweep(experiment.EngineScheduler), sweep(experiment.EngineReplay)
+		for i := range want {
+			ws, gs := want[i].Meas.Samples, got[i].Meas.Samples
+			if len(ws) != len(gs) {
+				t.Fatalf("%s %v: %d replayed samples, %d scheduled", name, got[i].Point, len(gs), len(ws))
+			}
+			for j := range ws {
+				if gs[j] != ws[j] {
+					t.Fatalf("%s %v sample %d: replay %x, scheduler %x", name, got[i].Point, j, gs[j], ws[j])
 				}
 			}
 		}

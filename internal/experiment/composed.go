@@ -24,10 +24,9 @@ func Composed(stages ...Op) Op {
 // MeasureComposedClass measures the chained stages on a reusable Runner
 // built from pr (see NewRunnerPool): one adaptive measurement of the whole
 // chain in the given mode. At least one stage is required. A non-empty
-// classKey declares that no stage reads Proc.Now or received sizes, or
-// carries payload: the chain is then compiled goroutine-free
-// (mpi.Runner.Compile) instead of captured under the scheduler and
-// echo-validated, with bit-identical samples either way. tmpl is ignored.
+// classKey declares the chain timing-independent (see
+// Stage.TimingIndependent): its single compile is replayed without the
+// verify pass, with bit-identical samples either way. tmpl is ignored.
 //
 // Deprecated: measure a Stage through Sweep, or an Op through MeasureOn.
 func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, classKey string, tmpl *mpi.TemplateStore, stages ...Op) (Measurement, error) {

@@ -55,8 +55,8 @@
 // point cancels the rest through the context. Points whose stage is
 // timing-independent are compiled into plans goroutine-free, with no
 // scheduler run. Measure and MeasureOn remain for callers that time an
-// arbitrary Op outside a grid; they capture under the scheduler and
-// echo-validate.
+// arbitrary Op outside a grid; they compile the same way and add a
+// verify pass, a second compile that must yield the same plan.
 //
 // Cache adds content-addressed memoisation on top: keys hash the full
 // experiment identity (cluster profile including the noise seed, the

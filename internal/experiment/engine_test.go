@@ -49,7 +49,7 @@ func TestEngineReplayBitIdentical(t *testing.T) {
 }
 
 // TestEngineAutoFallsBackOnPayload: programs that move real payload bytes
-// cannot be echo-validated, so auto must quietly run them on the
+// cannot be replayed from a plan, so auto must quietly run them on the
 // scheduler — bit-identically — and the forced replay engine must refuse.
 func TestEngineAutoFallsBackOnPayload(t *testing.T) {
 	data := []byte("payload-bytes-for-engine-test")
@@ -91,45 +91,76 @@ func TestEngineAutoFallsBackOnPayload(t *testing.T) {
 }
 
 // TestEngineAutoFallsBackOnStructuralChange: a program whose operation
-// stream differs between invocations must be caught by the echo
-// validation — auto falls back to the scheduler, forced replay errors.
+// stream differs between invocations, or depends on a received size,
+// must be caught by the verify pass — auto falls back to the scheduler
+// (bit-identically, for a program that is the same on every
+// invocation), forced replay errors.
 func TestEngineAutoFallsBackOnStructuralChange(t *testing.T) {
-	run := func(e Engine) (Measurement, error) {
-		net, err := simnet.New(noisyConfig(2))
+	ops := map[string]func() Op{
+		// A sleep that appears from the second invocation on.
+		"changing": func() Op {
+			var calls [3]int
+			return func(p *mpi.Proc) {
+				r := p.Rank()
+				calls[r]++
+				if calls[r] > 1 && r == 0 {
+					p.Sleep(1e-6)
+				}
+				if r == 0 {
+					p.Send(1, 0, nil, 4096)
+				} else if r == 1 {
+					p.Recv(0, 0, nil)
+				}
+			}
+		},
+		// Rank 1 forwards what it received: the first compile pass reads
+		// 0 bytes, the verify pass the real size.
+		"forwarding": func() Op {
+			return func(p *mpi.Proc) {
+				switch p.Rank() {
+				case 0:
+					p.Send(1, 0, nil, 4096)
+				case 1:
+					p.Send(2, 0, nil, p.Recv(0, 0, nil))
+				case 2:
+					p.Recv(1, 0, nil)
+				}
+			}
+		},
+	}
+	for name, newOp := range ops {
+		run := func(e Engine) (Measurement, error) {
+			net, err := simnet.New(noisyConfig(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := fastSettings()
+			set.Engine = e
+			return Measure(net, 3, set, Completion, newOp())
+		}
+		ma, err := run(EngineAuto)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: auto engine failed to fall back: %v", name, err)
 		}
-		var calls [2]int
-		op := func(p *mpi.Proc) {
-			r := p.Rank()
-			calls[r]++
-			if calls[r] > 1 && r == 0 {
-				p.Sleep(1e-6) // appears from the second invocation on
-			}
-			if r == 0 {
-				p.Send(1, 0, nil, 4096)
-			} else {
-				p.Recv(0, 0, nil)
-			}
+		if ma.Fallback != FallbackEchoDivergence {
+			t.Fatalf("%s: auto engine reported fallback %q, want %q", name, ma.Fallback, FallbackEchoDivergence)
 		}
-		set := fastSettings()
-		set.Engine = e
-		return Measure(net, 2, set, Completion, op)
-	}
-	ma, err := run(EngineAuto)
-	if err != nil {
-		t.Fatalf("auto engine failed to fall back: %v", err)
-	}
-	if ma.Fallback != FallbackEchoDivergence {
-		t.Fatalf("auto engine reported fallback %q, want %q", ma.Fallback, FallbackEchoDivergence)
-	}
-	if _, err := run(EngineReplay); err == nil {
-		t.Fatal("forced replay engine accepted a structure-changing program")
+		if name == "forwarding" {
+			ms, err := run(EngineScheduler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMeasurement(t, name, ms, ma)
+		}
+		if _, err := run(EngineReplay); err == nil {
+			t.Fatalf("%s: forced replay engine accepted a structure-changing program", name)
+		}
 	}
 }
 
 // TestEngineAutoFallsBackOnMarkInOp: an op that calls Mark itself breaks
-// the harness's mark bracketing; auto must fall back, bit-identically.
+// the harness's mark bracketing; auto must fall back, bit-identically,
+// whether or not the op is declared timing-independent.
 func TestEngineAutoFallsBackOnMarkInOp(t *testing.T) {
 	op := func(p *mpi.Proc) {
 		p.Mark()
@@ -139,35 +170,38 @@ func TestEngineAutoFallsBackOnMarkInOp(t *testing.T) {
 			p.Recv(0, 0, nil)
 		}
 	}
-	run := func(e Engine) (Measurement, error) {
-		net, err := simnet.New(noisyConfig(2))
+	for _, declared := range []bool{false, true} {
+		run := func(e Engine) (Measurement, error) {
+			net, err := simnet.New(noisyConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := fastSettings()
+			set.Engine = e
+			return measureOnEngine(mpi.NewRunnerOn(net, mpi.Options{}), 2, set, Completion, op, declared)
+		}
+		label := fmt.Sprintf("mark fallback (declared=%v)", declared)
+		ms, err := run(EngineScheduler)
 		if err != nil {
 			t.Fatal(err)
 		}
-		set := fastSettings()
-		set.Engine = e
-		return Measure(net, 2, set, Completion, op)
-	}
-	ms, err := run(EngineScheduler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, err := run(EngineAuto)
-	if err != nil {
-		t.Fatalf("auto engine failed on mark-calling op: %v", err)
-	}
-	sameMeasurement(t, "mark fallback", ms, ma)
-	if ma.Fallback != FallbackMarkInOp {
-		t.Fatalf("auto engine reported fallback %q, want %q", ma.Fallback, FallbackMarkInOp)
-	}
-	if _, err := run(EngineReplay); err == nil {
-		t.Fatal("forced replay engine accepted a mark-calling op")
+		ma, err := run(EngineAuto)
+		if err != nil {
+			t.Fatalf("%s: auto engine failed on mark-calling op: %v", label, err)
+		}
+		sameMeasurement(t, label, ms, ma)
+		if ma.Fallback != FallbackMarkInOp {
+			t.Fatalf("%s: auto engine reported fallback %q, want %q", label, ma.Fallback, FallbackMarkInOp)
+		}
+		if _, err := run(EngineReplay); err == nil {
+			t.Fatalf("%s: forced replay engine accepted a mark-calling op", label)
+		}
 	}
 }
 
 // TestEngineFallsBackOnTimeVaryingPerturbation: a brownout makes the
-// effective link parameters depend on virtual time, so a captured plan
-// cannot be re-timed. Auto must fall back (before even capturing) with
+// effective link parameters depend on virtual time, so a compiled plan
+// cannot be re-timed. Auto must fall back (before even compiling) with
 // the reason surfaced, bit-identically; forced replay must refuse.
 func TestEngineFallsBackOnTimeVaryingPerturbation(t *testing.T) {
 	spec, err := perturb.Parse("brownout:src=0,dst=1,start=0,end=1,bw=25")

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"mpicollperf/internal/cluster"
@@ -25,14 +26,13 @@ type Engine int
 
 const (
 	// EngineAuto (the default) re-times repetitions with the plan-replay
-	// engine. A point whose stage declares itself timing-independent is
-	// compiled into its plan goroutine-free, with no scheduler run at all.
-	// Any other measurement captures its first repetition under the full
-	// scheduler and validates the captured plan with an echo run (the
-	// program re-executed against replayed clocks, its operation stream
-	// byte-compared to the plan). Measurements that cannot be replayed
-	// fall back to the scheduler. Results are bit-identical to
-	// EngineScheduler either way.
+	// engine: every measurement's repetition is compiled into a plan
+	// goroutine-free (mpi.Runner.Compile) and replayed, with no scheduler
+	// run at all. A point whose stage declares itself timing-independent
+	// is trusted; any other operation is compiled a second time
+	// (mpi.Runner.Verify) and must yield the same plan. Measurements that
+	// cannot be replayed fall back to the scheduler. Results are
+	// bit-identical to EngineScheduler either way.
 	EngineAuto Engine = iota
 	// EngineScheduler runs every repetition under the full MPI scheduler.
 	EngineScheduler
@@ -78,28 +78,29 @@ const (
 	// FallbackNone: the replay engine was used (or was never attempted
 	// because the scheduler engine was forced).
 	FallbackNone FallbackReason = ""
-	// FallbackPayload: the program carries real payload bytes, which an
-	// echo validation run cannot deliver.
+	// FallbackPayload: the program carries real payload bytes, which a
+	// plan cannot deliver (mpi.ErrPayload).
 	FallbackPayload FallbackReason = "payload"
 	// FallbackMarkInOp: the operation itself calls Mark, so the replay
 	// cannot attribute mark clocks to repetition boundaries.
 	FallbackMarkInOp FallbackReason = "mark-in-op"
-	// FallbackPlan: the captured repetition does not compile into (or
-	// replay as) a self-contained plan.
+	// FallbackPlan: the compiled plan does not replay to completion (a
+	// deadlocking program, or a plan that does not fit the network).
 	FallbackPlan FallbackReason = "plan"
-	// FallbackEchoDivergence: the echo run's operation stream diverged
-	// from the plan — the program's structure depends on the jitter drawn.
+	// FallbackEchoDivergence: the verify pass (mpi.Runner.Verify) compiled
+	// a different plan than the first pass — the program's structure
+	// depends on received sizes or changes between invocations. The label
+	// keeps its historical name so the metric series continues.
 	FallbackEchoDivergence FallbackReason = "echo-divergence"
 	// FallbackTimeVarying: the network carries a time-windowed
 	// perturbation (a brownout), whose effective parameters depend on
-	// virtual time; a captured plan cannot be re-timed under it.
+	// virtual time; a compiled plan cannot be re-timed under it.
 	FallbackTimeVarying FallbackReason = "time-varying-perturbation"
-	// FallbackCompile: a timing-independent point could not be compiled
-	// goroutine-free (mpi.Runner.Compile), or its compiled plan did not
-	// replay to completion; the point was re-measured through the capture
-	// path, which reproduces whatever error the program has. The
-	// measurement itself may still replay, so this reason appears only in
-	// the metrics registry, never on a Measurement.
+	// FallbackCompile: the repetition could not be compiled goroutine-free
+	// (mpi.Runner.Compile) for a reason other than payload — the program
+	// reads Proc.Now, its ranks disagree on their barriers, it waits on a
+	// receive no send matches, or it fails. The scheduler run that
+	// replaces it reproduces whatever error the program has.
 	FallbackCompile FallbackReason = "compile"
 )
 
@@ -222,21 +223,20 @@ func Measure(net *simnet.Network, nprocs int, set Settings, mode Mode, op Op) (M
 // network.
 //
 // Settings.Engine selects how repetitions execute: the default (auto)
-// runs the first repetition under the scheduler while capturing its
-// execution plan, and — once an echo run has validated that the
-// program's structure is plan-stable — re-times the remaining
-// repetitions with the allocation-free replay engine, producing
-// bit-identical samples at a fraction of the cost.
+// compiles one repetition of op into a plan, compiles it a second time
+// to verify that op's structure depends neither on received sizes nor
+// on which invocation runs, and re-times every repetition with the
+// allocation-free replay engine, producing bit-identical samples at a
+// fraction of the scheduler's cost. An op that reads Proc.Now, moves
+// payload bytes or forwards a received size runs under the scheduler.
 func MeasureOn(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, error) {
 	return measureOnEngine(r, nprocs, set, mode, op, false)
 }
 
-// measureOnEngine is MeasureOn with the compile fast path available: a
-// timingIndependent measurement on a replay-invariant network is compiled
-// goroutine-free (mpi.Runner.Compile) and replayed with no scheduler run.
-// Any other measurement captures under the scheduler and echo-validates,
-// which is what catches a program whose structure changes across
-// invocations. Samples are bit-identical on every path.
+// measureOnEngine is MeasureOn with the verify pass optional: a
+// timingIndependent op is trusted to compile to the same plan every
+// time, so its single compile is replayed directly. Samples are
+// bit-identical on every path.
 func measureOnEngine(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, timingIndependent bool) (Measurement, error) {
 	set = set.withDefaults()
 	m := r.Metrics()
@@ -247,27 +247,16 @@ func measureOnEngine(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, 
 		}
 		return meas, err
 	}
-	why := FallbackNone
+	// A time-windowed perturbation makes the effective timing depend on
+	// virtual time; don't even compile.
+	why := FallbackTimeVarying
 	if r.Network().ReplayInvariant() {
-		if timingIndependent {
-			if meas, ok := measureCompiled(r, nprocs, set, mode, op); ok {
-				m.Counter(mRepsReplay).Add(int64(meas.Reps))
-				return meas, nil
-			}
-		}
-		meas, reason, err := measureReplay(r, nprocs, set, mode, op)
-		if err != nil {
-			return Measurement{}, err
-		}
+		meas, reason := measureReplay(r, nprocs, set, mode, op, timingIndependent)
 		if reason == FallbackNone {
 			m.Counter(mRepsReplay).Add(int64(meas.Reps))
 			return meas, nil
 		}
 		why = reason
-	} else {
-		// A time-windowed perturbation makes the effective timing depend on
-		// virtual time; don't even capture.
-		why = FallbackTimeVarying
 	}
 	if set.Engine == EngineReplay {
 		return Measurement{}, fmt.Errorf("experiment: replay engine: cannot replay this measurement (%s); use the scheduler engine", why)
@@ -281,32 +270,43 @@ func measureOnEngine(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, 
 	return meas, err
 }
 
-// measureCompiled measures a timing-independent point with no scheduler
-// run: it compiles the point's repetition goroutine-free and replays it.
-// ok is false when the point does not compile, or its plan does not
-// replay to completion; the caller then measures it through the capture
-// path, so errors surface exactly as the scheduler reports them.
-func measureCompiled(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, bool) {
-	m := r.Metrics()
+// measureReplay measures op with no scheduler run: it compiles one
+// repetition into a plan, verifies the plan unless op is declared
+// timingIndependent, and replays every repetition from it. A non-empty
+// reason means the measurement belongs to the scheduler engine, which
+// the caller runs instead; errors surface there exactly as the scheduler
+// reports them.
+func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, timingIndependent bool) (Measurement, FallbackReason) {
 	// Reset first: the replay below must consume the noise stream from
-	// the exact position a capturing run would have.
+	// the exact position a scheduler run starts at.
 	r.Network().Reset()
-	plan, err := r.Compile(nprocs, repetition(op, mode))
-	if err == nil {
-		var meas Measurement
-		if meas, err = replayPoint(r, nprocs, set, mode, plan); err == nil {
-			m.Counter(mPlanCompiles).Inc()
-			return meas, true
-		}
+	rep := repetition(op, mode)
+	plan, err := r.Compile(nprocs, rep)
+	switch {
+	case errors.Is(err, mpi.ErrPayload):
+		return Measurement{}, FallbackPayload
+	case err != nil:
+		return Measurement{}, FallbackCompile
+	case plan.Marks() != 2:
+		// op calls Mark itself: the replay cannot tell its marks from the
+		// sample's.
+		return Measurement{}, FallbackMarkInOp
 	}
-	m.Counter(mFallbacksByWhy[FallbackCompile]).Inc()
-	return Measurement{}, false
+	if !timingIndependent && r.Verify(plan, rep) != nil {
+		return Measurement{}, FallbackEchoDivergence
+	}
+	meas, err := replayPoint(r, nprocs, set, mode, plan)
+	if err != nil {
+		return Measurement{}, FallbackPlan
+	}
+	r.Metrics().Counter(mPlanCompiles).Inc()
+	return meas, FallbackNone
 }
 
 // repetition is one repetition of op as a replayable plan spans it: the
 // open barrier, the sample marks around op, the close barrier in
 // Completion mode, and the decide barrier that chains repetitions —
-// everything a capturing run records after its boundary mark.
+// one iteration of measureScheduler's loop.
 func repetition(op Op, mode Mode) func(*mpi.Proc) error {
 	return func(p *mpi.Proc) error {
 		root := p.Rank() == 0
@@ -321,7 +321,7 @@ func repetition(op Op, mode Mode) func(*mpi.Proc) error {
 		if root {
 			p.Mark() // sample end
 		}
-		p.Barrier() // decide (chains repetitions exactly as captured)
+		p.Barrier() // decide (chains repetitions exactly as the scheduler loop does)
 		return nil
 	}
 }
@@ -455,141 +455,24 @@ func replayUntilDone(rp *mpi.Replayer, smp *sampler, lanes int, mode Mode, bc fl
 	return nil
 }
 
-// measureReplay is the capture-then-replay repetition loop. It executes
-// repetition 0 under the scheduler in a capturing program whose root
-// brackets the repetition with marks, compiles the repetition into a
-// Plan, replays repetition 1, and validates the plan with an echo run:
-// the repetition's closures re-executed against the replayed clocks,
-// every submitted operation byte-compared with the plan (mpi.EchoRun).
-// The echo proves the program's structure does not depend on the jitter
-// drawn, so repetitions 2..N are re-timed by the same mpi.Replayer,
-// which continues the captured program's exact state (clocks, NIC ports,
-// noise-stream position). The sample sequence, and therefore the
-// Measurement, is bit-identical to measureScheduler's.
-//
-// A non-empty reason means the measurement belongs to the scheduler
-// engine — the echo detected structural divergence, the program carries
-// payload bytes (which an echo cannot deliver), or the plan does not
-// close over a repetition — and the caller reruns it there.
-func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op) (Measurement, FallbackReason, error) {
-	var (
-		captured    float64
-		barrierCost float64
-	)
-	res, cap, err := r.RunCapture(nprocs, func(p *mpi.Proc) error {
-		root := p.Rank() == 0
-		// Calibrate the (deterministic) barrier cost, as measureScheduler
-		// does.
-		p.Barrier()
-		t0 := p.Now()
-		p.Barrier()
-		bc := p.Now() - t0
-
-		if root {
-			p.Mark() // repetition boundary
-		}
-		p.Barrier() // open: align all ranks
-		start := p.Now()
-		if root {
-			p.Mark() // sample start
-		}
-		op(p)
-		var sample float64
-		switch mode {
-		case Completion:
-			p.Barrier() // close: wait for global completion
-			sample = p.Now() - start - bc
-		default:
-			sample = p.Now() - start
-		}
-		if root {
-			p.Mark() // sample end
-			captured = sample
-			barrierCost = bc
-		}
-		p.Barrier() // decide (kept so replayed repetitions chain exactly)
-		return nil
-	})
-	if err != nil {
-		return Measurement{}, FallbackNone, err
-	}
-
-	// Payload-carrying programs cannot be echo-validated (plans hold
-	// structure, not data). The capturing root marked 3 points; anything
-	// else means op itself calls Mark, which the replay cannot attribute.
-	if cap.HasPayload() {
-		return Measurement{}, FallbackPayload, nil
-	}
-	if cap.MarkCount() != 3 {
-		return Measurement{}, FallbackMarkInOp, nil
-	}
-	// The plan spans everything after the boundary mark: open barrier,
-	// sample marks, the operation, and the decide barrier — one complete
-	// repetition, chaining into the next exactly as the scheduler's loop
-	// iterations do.
-	plan, perr := r.CompilePlan(cap, 0, -1)
-	if perr != nil || plan.Marks() != 2 {
-		return Measurement{}, FallbackPlan, nil
-	}
-
-	// Replicate the adaptive decision of the scheduler loop's root over
-	// the sample sequence, captured then replayed. Settings are
-	// normalised (MinReps >= 2), so one sample never decides and
-	// repetition 1 is always replayed.
-	smp := newSampler(set)
-	smp.add(captured)
-	lanes := min(replayLanes, set.Warmup+set.MaxReps-smp.rep)
-	// The Runner's recycled replayer: bit-identical to a fresh
-	// mpi.NewReplayer, without rebuilding the lane buffers per point.
-	rp, err := r.NewReplayer(plan, res.FinishTimes, lanes)
-	if err != nil {
-		return Measurement{}, FallbackNone, err
-	}
-	// Replay repetition 1 alone, recording its echo clocks, then
-	// echo-validate the plan against them before trusting any replayed
-	// sample. Later repetitions record nothing.
-	rp.RecordEchoClocks()
-	marks, ok := rp.Replay(1)
-	if !ok {
-		return Measurement{}, FallbackPlan, nil
-	}
-	if r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, repetition(op, mode)) != nil {
-		return Measurement{}, FallbackEchoDivergence, nil
-	}
-	sample := marks[1] - marks[0]
-	if mode == Completion {
-		sample -= barrierCost
-	}
-	smp.add(sample)
-	if replayUntilDone(rp, smp, lanes, mode, barrierCost) != nil {
-		return Measurement{}, FallbackPlan, nil
-	}
-	if m := r.Metrics(); m != nil {
-		// Repetitions 1..rep-1 were re-timed by the replayer, bypassing the
-		// scheduler; each walks the plan's send events once.
-		m.Counter(mReplayTransfers).Add(int64(smp.rep-1) * int64(plan.Sends()))
-	}
-	return smp.result(), FallbackNone, nil
-}
-
 // replayPoint re-times every repetition of a compiled plan, the first
 // included, with no scheduler run at all.
 //
-// Bit-identicality with the capture path: a capturing run's preamble (two
+// Bit-identicality with the scheduler: measureScheduler's preamble (two
 // calibration barriers from clock zero) consumes no jitter and leaves
 // every rank's clock at exactly twice the analytical barrier cost, so
 // replaying the plan from those clocks, idle ports, and a freshly
 // reseeded noise stream (the caller resets the network) performs
 // literally the same floating-point arithmetic as the scheduler run of
-// repetition 0 — and the chained lanes reproduce repetitions 1..N exactly
-// as the capture path replays them. The sample sequence, and hence the
-// Measurement, is bit-identical to both other engines.
+// repetition 0 — and the chained lanes reproduce repetitions 1..N the
+// same way. The sample sequence, and hence the Measurement, is
+// bit-identical to the scheduler engine's.
 //
 // An error means the plan does not replay to completion (a deadlocking
 // program, or a plan that does not fit the Runner's network); the caller
-// falls back to the capture path.
+// falls back to the scheduler.
 func replayPoint(r *mpi.Runner, nprocs int, set Settings, mode Mode, plan *mpi.Plan) (Measurement, error) {
-	// The capturing preamble's two calibration barriers release all ranks
+	// The scheduler preamble's two calibration barriers release all ranks
 	// at exactly bc and then bc+bc; start the replay from those clocks.
 	bc := plan.BarrierCost()
 	start := make([]float64, nprocs)
@@ -613,8 +496,8 @@ func replayPoint(r *mpi.Runner, nprocs int, set Settings, mode Mode, plan *mpi.P
 }
 
 // measurePoint measures one grid point on a Runner built from pr (see
-// newProfileRunner). A point whose stage is timing-independent is
-// compiled goroutine-free.
+// newProfileRunner). A point whose stage is timing-independent skips the
+// verify pass.
 func measurePoint(r *mpi.Runner, pr cluster.Profile, pt Point, set Settings) (Measurement, error) {
 	if pt.Procs > pr.Nodes {
 		return Measurement{}, fmt.Errorf("experiment: %d procs exceed %s's %d nodes", pt.Procs, pr.Name, pr.Nodes)

@@ -24,12 +24,12 @@ type Stage struct {
 	// Mode selects what a repetition's sample measures; the zero value
 	// is Completion.
 	Mode Mode
-	// TimingIndependent declares that the operation never reads
-	// Proc.Now or received sizes and carries no payload, so its points
-	// are compiled goroutine-free (mpi.Runner.Compile) with no scheduler
-	// run; a point that does not compile after all is measured through
-	// the capture path. Otherwise the stage's points are captured under
-	// the scheduler and echo-validated.
+	// TimingIndependent declares that the operation's structure never
+	// depends on received sizes or on how often it has run, so its points
+	// skip the verify pass (mpi.Runner.Verify): one compile
+	// (mpi.Runner.Compile) is replayed directly. Every point is compiled
+	// either way, and one that cannot be compiled or replayed is measured
+	// under the scheduler.
 	TimingIndependent bool
 	// Run executes one instance of the operation on every rank.
 	Run func(p *mpi.Proc, m, segSize int)
@@ -160,8 +160,8 @@ type Sweep struct {
 	Workers int
 	// Pool, if non-nil, lends the workers their Runners instead of each
 	// Run constructing new ones: across repeated sweeps (a calibration
-	// runs several) the simulators and their warm scheduler, capture,
-	// plan, and replay buffers are built once. The pool's Runners must
+	// runs several) the simulators and their warm scheduler, plan, and
+	// replay buffers are built once. The pool's Runners must
 	// have been built for this Profile (NewRunnerPool does exactly that);
 	// lending a pool across different profiles is a programming error.
 	Pool *mpi.RunnerPool

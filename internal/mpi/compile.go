@@ -1,41 +1,49 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 
 	"mpicollperf/internal/simnet"
 )
 
-// Structural compile: the goroutine-free way to build a replayable Plan.
-// The runtime has no wildcard receives, so which send a receive matches
-// is fixed by the per-rank operation streams alone: the k-th receive
-// that rank d posts for (source s, tag t) takes the k-th message s sends
-// to d with tag t — the scheduler's FIFO matching, with no timing
-// involved. Runner.Compile therefore runs each rank's closure once, in
-// rank order, on the caller's goroutine (scheduler off, clocks frozen),
-// records every operation in program order, and then wires sends to
-// receives by that (src, dst, tag, k) rule. The result is exactly the
-// canonical Plan a capturing scheduler run would compile (EquivalentTo
-// holds), without a scheduler run or an echo run.
+// Structural compile: the one way to build a replayable Plan. The runtime
+// has no wildcard receives, so which send a receive matches is fixed by
+// the per-rank operation streams alone: the k-th receive that rank d
+// posts for (source s, tag t) takes the k-th message s sends to d with
+// tag t — the scheduler's FIFO matching, with no timing involved.
+// Runner.Compile therefore runs each rank's closure once, in rank order,
+// on the caller's goroutine (scheduler off, clocks frozen), records every
+// operation in program order, and then wires sends to receives by that
+// (src, dst, tag, k) rule. Replaying the result is bit-identical to the
+// scheduler.
 //
 // Soundness rests on the program's structure being a function of its
 // inputs, never of virtual time or received data. The pass enforces what
 // it can see: a Proc.Now read fails the compile, and so does a send that
 // carries payload bytes (payload delivery is not replayable). Received
-// message sizes read 0 during the pass, so programs must not branch on
-// Request.Bytes; the measurement layer compiles only stages that declare
-// themselves timing-independent, which the shipped collectives satisfy.
+// message sizes read 0 during the pass. Runner.Verify covers the rest: it
+// runs the same pass a second time with every receive reading the size
+// its matched send carries in the first plan, so a program that branches
+// on received sizes, or whose structure changes between invocations,
+// compiles to a different second plan.
+
+// ErrPayload is wrapped by the *CompileError of a program whose send
+// carries payload bytes: plans hold structure, not data, so such a
+// program can only run under the scheduler.
+var ErrPayload = errors.New("send carries payload bytes")
 
 // CompileError reports that a program could not be compiled into a plan
 // goroutine-free. It is the typed signal for the measurement harness to
-// fall back to a scheduler capture of the point, which reproduces
-// whatever error the program really has.
+// fall back to the scheduler, which reproduces whatever error the
+// program really has.
 type CompileError struct {
 	// Rank is the rank whose program failed (-1 for plan-level failures
 	// such as ranks disagreeing on their barrier count).
 	Rank int
 	// Why describes the failure.
 	Why string
+	err error // sentinel the failure wraps (ErrPayload), or nil
 }
 
 func (e *CompileError) Error() string {
@@ -45,13 +53,19 @@ func (e *CompileError) Error() string {
 	return fmt.Sprintf("mpi: compile: rank %d: %s", e.Rank, e.Why)
 }
 
+// Unwrap returns the sentinel the failure wraps, if any.
+func (e *CompileError) Unwrap() error { return e.err }
+
 // compileRank is the state of one rank's compile pass: operations are
 // appended straight to the plan under construction, whose events are
 // rank-major because ranks run in rank order.
 type compileRank struct {
-	r        *Runner
-	cfg      simnet.Config
-	plan     *Plan
+	r    *Runner
+	cfg  simnet.Config
+	plan *Plan
+	// ref, when non-nil, is the plan a Verify pass checks against:
+	// receives read the sizes its matched sends carry.
+	ref      *Plan
 	barriers int // barriers this rank entered
 }
 
@@ -87,7 +101,7 @@ func (p *Proc) compileStep(op *operation) {
 		c.barriers++
 	case opIsend:
 		if op.data != nil {
-			panic(&CompileError{Rank: p.rank, Why: "send carries payload bytes"})
+			panic(&CompileError{Rank: p.rank, Why: ErrPayload.Error(), err: ErrPayload})
 		}
 		pe.kind = evSend
 		pe.peer, pe.tag = op.peer, op.tag
@@ -108,6 +122,9 @@ func (p *Proc) compileStep(op *operation) {
 		pe.slot = pl.newSlot(p.rank, 2, idx)
 		op.req.slot = pe.slot
 		op.req.bytes = 0
+		if ref := c.ref; ref != nil && int(pe.slot) < ref.slots {
+			op.req.bytes = ref.binds[ref.slotEvent[pe.slot]].bytes
+		}
 		s := c.r.stream(streamKey{src: op.peer, dst: p.rank, tag: op.tag})
 		s.slots = append(s.slots, pe.slot)
 	case opWait:
@@ -156,21 +173,51 @@ func (r *Runner) stream(k streamKey) *recvStream {
 // recorded in program order (barriers in every rank's sequence) and
 // receives are matched to sends by the (src, dst, tag) FIFO rule. Link
 // timings, jitter-draw flags and the barrier cost are bound from the
-// Runner's network exactly as Capture.Plan binds them, so the result is
-// EquivalentTo the plan a RunCapture of fn followed by CompilePlan over
-// its whole trace would produce, and replaying it is bit-identical to
-// the scheduler.
+// Runner's network, so replaying the plan is bit-identical to the
+// scheduler. Receives read 0 bytes during the pass; Verify checks that
+// the program did not depend on them.
 //
 // Compile fails with a *CompileError when the program cannot be compiled
-// goroutine-free: a send carries payload, a rank reads Proc.Now, ranks
-// disagree on their barrier count, a rank waits on a receive that no
-// send matches, or a rank returns an error or panics. A plan that
-// compiles may still deadlock (a cycle of waits); a Replayer reports
-// that as a walk that does not close.
+// goroutine-free: a send carries payload (wrapping ErrPayload), a rank
+// reads Proc.Now, ranks disagree on their barrier count, a rank waits on
+// a receive that no send matches, or a rank returns an error or panics.
+// A plan that compiles may still deadlock (a cycle of waits); a Replayer
+// reports that as a walk that does not close.
 //
 // The returned Plan shares the Runner's recycled plan buffers: it is
-// valid only until the next Compile or CompilePlan on this Runner.
+// valid only until the next Compile on this Runner.
 func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
+	p, err := r.compileInto(&r.plan, nil, nprocs, fn)
+	if err == nil {
+		r.opts.Metrics.Histogram("mpi_plan_events").Observe(float64(p.Events()))
+	}
+	return p, err
+}
+
+// Verify runs Compile's pass over fn a second time, into a second
+// recycled plan buffer, with every receive's Request.Bytes reading the
+// size its matched send carries in ref. It returns nil only when the
+// result is EquivalentTo ref. Time cannot enter a compiled structure
+// (Proc.Now fails the pass), so a nil error means the program's
+// structure depended neither on the received sizes nor on which of its
+// two invocations ran: ref replays it bit-identically to the scheduler.
+//
+// ref is normally the plan Compile just returned for fn on this Runner.
+func (r *Runner) Verify(ref *Plan, fn func(*Proc) error) error {
+	got, err := r.compileInto(&r.check, ref, ref.nprocs, fn)
+	if err != nil {
+		return err
+	}
+	if !got.EquivalentTo(ref) {
+		return fmt.Errorf("mpi: verify: the second compile pass differs from the plan")
+	}
+	return nil
+}
+
+// compileInto is the structural pass behind Compile and Verify: it
+// compiles fn into p, reusing p's buffers, with receives reading their
+// sizes from ref when ref is non-nil.
+func (r *Runner) compileInto(p *Plan, ref *Plan, nprocs int, fn func(*Proc) error) (*Plan, error) {
 	if nprocs < 1 {
 		return nil, fmt.Errorf("mpi: nprocs = %d, need >= 1", nprocs)
 	}
@@ -178,16 +225,11 @@ func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
 		return nil, fmt.Errorf("mpi: nprocs %d exceeds cluster size %d", nprocs, r.net.Nodes())
 	}
 	cfg := r.net.Config()
-	if r.plan == nil {
-		r.plan = &Plan{}
-		r.planScratch = &planScratch{}
-	}
-	p := r.plan
 	*p = Plan{
 		nprocs:      nprocs,
 		nics:        cfg.NICs(),
 		barrierCost: barrierCostFor(r.opts, cfg, nprocs),
-		rankOff:     growI32(p.rankOff, nprocs+1),
+		rankOff:     grow(p.rankOff, nprocs+1),
 		events:      p.events[:0],
 		binds:       p.binds[:0],
 		waitSlots:   p.waitSlots[:0],
@@ -203,7 +245,7 @@ func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
 	for len(r.procs) < nprocs {
 		r.procs = append(r.procs, &Proc{rank: len(r.procs)})
 	}
-	r.compileCur = compileRank{r: r, cfg: cfg, plan: p}
+	r.compileCur = compileRank{r: r, cfg: cfg, plan: p, ref: ref}
 	cr := &r.compileCur
 	barriers := 0
 	for rank := 0; rank < nprocs; rank++ {
@@ -211,7 +253,6 @@ func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
 		proc.size = nprocs
 		proc.clock = 0
 		proc.seq = 0
-		proc.echo = nil
 		p.rankOff[rank] = int32(len(p.events))
 		cr.barriers = 0
 		proc.compile = cr
@@ -231,11 +272,8 @@ func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
 
 	// Match: the k-th send of each (src, dst, tag) stream binds the k-th
 	// receive of that stream, and hands the receive its byte count.
-	sc := r.planScratch
-	if cap(sc.bound) < p.slots {
-		sc.bound = make([]bool, p.slots)
-	}
-	bound := sc.bound[:p.slots]
+	bound := grow(r.bound, p.slots)
+	r.bound = bound
 	for i := range bound {
 		bound[i] = false
 	}
@@ -261,7 +299,6 @@ func (r *Runner) Compile(nprocs int, fn func(*Proc) error) (*Plan, error) {
 			return nil, &CompileError{Rank: int(p.slotOwner[m]), Why: "wait on a receive that no send matches"}
 		}
 	}
-	r.opts.Metrics.Histogram("mpi_plan_events").Observe(float64(p.Events()))
 	return p, nil
 }
 

@@ -44,21 +44,9 @@ func sizedPattern(p *Proc, seg, ack int) {
 }
 
 // sizedClosure is one marked repetition of sizedPattern: the span a
-// plan compiled behind a boundary mark covers.
+// measurement's plan covers.
 func sizedClosure(seg, ack int) func(*Proc) error {
-	return func(p *Proc) error {
-		root := p.Rank() == 0
-		p.Barrier()
-		if root {
-			p.Mark()
-		}
-		sizedPattern(p, seg, ack)
-		p.Barrier()
-		if root {
-			p.Mark()
-		}
-		return nil
-	}
+	return markedRep(func(p *Proc) { sizedPattern(p, seg, ack) })
 }
 
 // loosePattern exercises the matching corners a structural compile must
@@ -92,66 +80,43 @@ func loosePattern(p *Proc) {
 	}
 }
 
-// compileVsCapture captures body behind a boundary mark and compiles the
-// segment, and compiles body structurally on a second Runner over the
-// same configuration; the two plans must be equivalent.
-func compileVsCapture(t *testing.T, cfg simnet.Config, nprocs int, body func(*Proc) error) {
+// compileVsScheduler compiles one marked repetition of body, checks that
+// a second compile on the same warm Runner verifies against it, and
+// replays it: every repetition's span must be bit-identical to the
+// scheduler running the same repetition loop.
+func compileVsScheduler(t *testing.T, cfg simnet.Config, nprocs int, body func(*Proc)) {
 	t.Helper()
-	rc, err := NewRunner(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cap, err := rc.RunCapture(nprocs, func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.Mark()
-		}
-		return body(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rc.CompilePlan(cap, 0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const reps = 6
+	want := schedulerSpans(t, cfg, nprocs, reps, body)
 	r, err := NewRunner(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Compile(nprocs, body)
+	plan, err := r.Compile(nprocs, markedRep(body))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if !got.EquivalentTo(want) {
-		t.Fatal("compiled plan is not equivalent to the captured one")
+	// A second pass on the same Runner reuses its buffers and streams.
+	if err := r.Verify(plan, markedRep(body)); err != nil {
+		t.Fatalf("verify on a warm Runner: %v", err)
 	}
-	// A second compile on the same Runner reuses its buffers and streams.
-	again, err := r.Compile(nprocs, body)
-	if err != nil || !again.EquivalentTo(want) {
-		t.Fatalf("recompile on a warm Runner: equivalent=%v err=%v", err == nil && again.EquivalentTo(want), err)
+	got := replaySpans(t, r, plan, preambleClocks(plan), reps, 4)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("repetition %d: replay %x, scheduler %x", i, got[i], want[i])
+		}
 	}
 }
 
 // TestCompileMatchesCapture: for every communication mix the replay tests
 // use, on one- and two-process-per-node networks with and without noise,
-// the goroutine-free compile yields the plan a scheduler capture yields.
+// the goroutine-free compile replays bit-identically to the scheduler.
 func TestCompileMatchesCapture(t *testing.T) {
 	const nprocs = 8
-	bodies := map[string]func(*Proc) error{
-		"pipeline": sizedClosure(8192, 256),
-		"resized":  sizedClosure(4096, 512),
-		"loose": func(p *Proc) error {
-			p.Barrier()
-			if p.Rank() == 0 {
-				p.Mark()
-			}
-			loosePattern(p)
-			p.Barrier()
-			if p.Rank() == 0 {
-				p.Mark()
-			}
-			return nil
-		},
+	bodies := map[string]func(*Proc){
+		"pipeline": func(p *Proc) { sizedPattern(p, 8192, 256) },
+		"resized":  func(p *Proc) { sizedPattern(p, 4096, 512) },
+		"loose":    loosePattern,
 	}
 	for cname, cfg := range map[string]simnet.Config{
 		"one_per_node": replayTestConfig(nprocs),
@@ -160,15 +125,15 @@ func TestCompileMatchesCapture(t *testing.T) {
 	} {
 		for bname, body := range bodies {
 			t.Run(cname+"/"+bname, func(t *testing.T) {
-				compileVsCapture(t, cfg, nprocs, body)
+				compileVsScheduler(t, cfg, nprocs, body)
 			})
 		}
 	}
 }
 
 // TestCompileErrors: each program a structural compile cannot handle is
-// reported as a typed *CompileError, and the Runner compiles and runs
-// normally afterwards.
+// reported as a typed *CompileError (wrapping ErrPayload for payload
+// bytes only), and the Runner compiles and runs normally afterwards.
 func TestCompileErrors(t *testing.T) {
 	const nprocs = 4
 	cases := map[string]struct {
@@ -224,6 +189,9 @@ func TestCompileErrors(t *testing.T) {
 		}
 		if !strings.Contains(ce.Error(), c.why) {
 			t.Fatalf("%s: error %q does not mention %q", name, ce, c.why)
+		}
+		if errors.Is(err, ErrPayload) != (name == "payload") {
+			t.Fatalf("%s: errors.Is(%v, ErrPayload) = %v", name, err, !(name == "payload"))
 		}
 	}
 	if _, err := r.Compile(0, sizedClosure(8192, 256)); err == nil {

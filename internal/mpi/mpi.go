@@ -70,7 +70,7 @@ type Request struct {
 	at       float64 // virtual completion time, valid when bound
 	bytes    int     // received message size, valid for receives when bound
 	consumed bool    // has been waited on
-	slot     int32   // capture-global slot id while a trace is recorded
+	slot     int32   // plan slot a compile pass introduced the request as
 }
 
 // Bytes returns the size of the received message. It is only meaningful
@@ -98,9 +98,6 @@ type Proc struct {
 	// variadic slice allocation of WaitAll.
 	waitBuf [1]*Request
 
-	// echo, when non-nil, routes submitted operations to the echo
-	// validator (echo.go) instead of the scheduler.
-	echo *echoRank
 	// compile, when non-nil, routes submitted operations to the
 	// structural compiler (compile.go): the goroutine-free pass of
 	// Runner.Compile that records the rank's program into a Plan.
@@ -115,7 +112,7 @@ func (p *Proc) Size() int { return p.size }
 
 // Now returns the rank's current virtual time in seconds. A structural
 // compile (Runner.Compile) has no clocks: reading Now there fails the
-// compile, so the caller falls back to a scheduler capture.
+// compile, so the caller falls back to the scheduler.
 func (p *Proc) Now() float64 {
 	if p.compile != nil {
 		panic(&CompileError{Rank: p.rank, Why: "reads Now during a structural compile"})
@@ -232,14 +229,16 @@ func (p *Proc) Barrier() {
 	p.submit(operation{kind: opBarrier})
 }
 
-// Mark records a timing-neutral marker in the execution trace of a
-// capturing run (see Runner.RunCapture): it does not advance the rank's
-// clock, costs no virtual time, and has no effect on any other rank's
-// timing. The measurement harness brackets repetitions and sample points
-// with marks so a captured Plan knows where to read replayed clocks.
-// Outside a capturing run a Mark is a no-op.
+// Mark records a timing-neutral marker in the Plan a compile pass builds
+// (see Runner.Compile): it does not advance the rank's clock, costs no
+// virtual time, and has no effect on any other rank's timing. The
+// measurement harness brackets each sample with marks so a replay knows
+// where to read the sample's clocks. Outside a compile pass a Mark is a
+// no-op.
 func (p *Proc) Mark() {
-	p.submit(operation{kind: opMark})
+	if p.compile != nil {
+		p.submit(operation{kind: opMark})
+	}
 }
 
 func (p *Proc) checkPeer(peer int, op string) {
@@ -252,16 +251,10 @@ func (p *Proc) checkPeer(peer int, op string) {
 }
 
 // submit hands an operation to the scheduler and blocks for the reply.
-// In an echo run there is no scheduler: the operation is validated
-// against the plan and the clock comes from the replayed release times.
-// A compile pass has no scheduler either: it records the operation into
-// a new plan, with the clock frozen.
+// A compile pass has no scheduler: it records the operation into a new
+// plan, with the clock frozen.
 func (p *Proc) submit(op operation) {
 	op.rank = p.rank
-	if p.echo != nil {
-		p.clock = p.echoStep(&op)
-		return
-	}
 	if p.compile != nil {
 		p.compileStep(&op)
 		return

@@ -8,7 +8,7 @@ import (
 )
 
 // RunnerPool hands out warm Runners to concurrent borrowers. A Runner
-// amortizes scheduler, capture, plan, and replay buffers across the runs
+// amortizes scheduler, plan, and replay buffers across the runs
 // it executes — but only for its owner, because a Runner is
 // single-threaded. A parallel measurement sweep therefore wants one warm
 // Runner per live worker, reused across sweeps, instead of constructing a

@@ -7,7 +7,7 @@ import (
 	"mpicollperf/internal/simnet"
 )
 
-// Replayer re-times a captured Plan: one replay pass evaluates the same
+// Replayer re-times a compiled Plan: one replay pass evaluates the same
 // virtual-time arithmetic the scheduler would have — port occupancy
 // through simnet.Ports, request binding through plan-local slots, barrier
 // alignment through the plan's barrier cost — without goroutines,
@@ -49,19 +49,6 @@ type Replayer struct {
 	pend   []uint8   // per-slot halves still outstanding
 	parked []bool    // per-rank: cursor points at a wait with unbound slots
 	front  frontier  // schedulable ranks; the root is the next event's
-	// clk receives each event's release clock — the virtual time the
-	// owning rank's program resumes at after the event — during a Replay
-	// call that RecordEchoClocks armed; an echo run (Runner.EchoRun)
-	// replays user code against these times. Nil after a Replay that did
-	// not record: the stores are pure overhead once the echo validation
-	// has passed. barrierIdx tracks each rank's pending barrier event so
-	// the release can stamp all of them at once.
-	clk        []float64
-	barrierIdx []int32
-	// clkBuf is the backing store for clk, sized by RecordEchoClocks only,
-	// so plans that are never echo-validated never pay for it.
-	clkBuf     []float64
-	recordEcho bool // the next Replay records into clkBuf
 
 	lane       int
 	laneClock  []float64 // current lane's stripe of clocks
@@ -72,8 +59,10 @@ type Replayer struct {
 
 // NewReplayer builds a Replayer for plan continuing the execution state of
 // net (whose ports are snapshotted now and whose noise stream the replays
-// will consume) with the given per-rank clocks — normally the FinishTimes
-// of the capturing run. lanes bounds the batch size of Replay.
+// will consume) with the given per-rank clocks — the clocks the ranks
+// reach before the plan's first repetition (the measurement harness
+// starts from its two calibration barriers). lanes bounds the batch size
+// of Replay.
 func NewReplayer(net *simnet.Network, plan *Plan, clocks []float64, lanes int) (*Replayer, error) {
 	r := &Replayer{}
 	if err := r.reinit(net, plan, clocks, lanes); err != nil {
@@ -87,7 +76,7 @@ func NewReplayer(net *simnet.Network, plan *Plan, clocks []float64, lanes int) (
 // across a sweep's grid points stops allocating once it has seen the
 // largest plan. Replays after reinit are bit-identical to a fresh
 // NewReplayer — every buffer a lane reads is seeded or overwritten before
-// use, and echo-clock recording is off until RecordEchoClocks.
+// use.
 func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64, lanes int) error {
 	if lanes < 1 {
 		return fmt.Errorf("mpi: %d replay lanes, need >= 1", lanes)
@@ -108,8 +97,6 @@ func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64, lan
 	r.pend = grow(r.pend, plan.slots)
 	r.parked = grow(r.parked, plan.nprocs)
 	r.front.size(plan.nprocs)
-	r.clk, r.recordEcho = nil, false
-	r.barrierIdx = grow(r.barrierIdx, plan.nprocs)
 	r.last = 0
 	copy(r.clocks[:plan.nprocs], clocks)
 	return nil
@@ -148,10 +135,6 @@ func (r *Replayer) Replay(k int) (marks []float64, ok bool) {
 	// order, so lane l's stripe holds exactly the factors the scheduler
 	// would have drawn during repetition l of the batch.
 	r.net.DrawJitterInto(r.jit[:k*p.draws])
-	r.clk = nil
-	if r.recordEcho {
-		r.clk, r.recordEcho = r.clkBuf, false
-	}
 	for l := 0; l < k; l++ {
 		// Chain the lane from the previous repetition's end state.
 		r.ports.SeedLane(l, r.last)
@@ -239,9 +222,6 @@ func (r *Replayer) replayLane(l int) bool {
 			key += b.lt.SendOv
 			r.laneClock[rank] = key
 		}
-		if r.clk != nil {
-			r.clk[cur] = key
-		}
 		r.advance(rank)
 	}
 	// A well-formed repetition ends with every rank's program exhausted.
@@ -273,7 +253,6 @@ func (r *Replayer) advance(rank int) {
 	case evBarrier:
 		r.front.clear(rank)
 		r.cursor[rank] = cur + 1
-		r.barrierIdx[rank] = cur
 		r.barrierMax = math.Max(r.barrierMax, r.laneClock[rank])
 		if r.barrierN++; r.barrierN == p.nprocs {
 			t := r.barrierMax + p.barrierCost
@@ -281,11 +260,6 @@ func (r *Replayer) advance(rank int) {
 			r.barrierMax = 0
 			for i := range r.laneClock {
 				r.laneClock[i] = t
-			}
-			if r.clk != nil {
-				for i := 0; i < p.nprocs; i++ {
-					r.clk[r.barrierIdx[i]] = t
-				}
 			}
 			for i := 0; i < p.nprocs; i++ {
 				r.advance(i)
@@ -337,20 +311,4 @@ func (r *Replayer) wake(rank int) {
 func (r *Replayer) Clocks() []float64 {
 	n := r.plan.nprocs
 	return r.clocks[r.last*n : (r.last+1)*n]
-}
-
-// EchoClocks returns the release clock of every plan event in the most
-// recently replayed repetition, indexed like the plan's events, when that
-// Replay call recorded them (RecordEchoClocks) and nil otherwise. The
-// slice is owned by the Replayer and overwritten by the next recording
-// Replay; it is the time source for Runner.EchoRun.
-func (r *Replayer) EchoClocks() []float64 { return r.clk }
-
-// RecordEchoClocks makes the next Replay call record every event's
-// release clock for EchoClocks. Recording is off otherwise: the
-// measurement harness arms it for the one repetition an echo run
-// validates, and every later repetition skips one store per event.
-func (r *Replayer) RecordEchoClocks() {
-	r.clkBuf = grow(r.clkBuf, len(r.plan.events))
-	r.recordEcho = true
 }

@@ -10,7 +10,7 @@ import (
 // Runner's recycled replayer, re-initialised across plans of different
 // shapes (rank counts, lane counts — growing and shrinking its buffers),
 // must replay bit-identically to a fresh package-level NewReplayer on an
-// identical capture. This is the contract the sweep's warm path rests on.
+// identical compile. This is the contract the sweep's warm path rests on.
 func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
 	cfg := cluster.Gros().Net
 	recycled, err := NewRunner(cfg, Options{})
@@ -25,43 +25,23 @@ func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
 		{3, 2},   // down to a 4-leaf frontier inside the grown tree
 	}
 	for _, tc := range cases {
-		// Fresh reference: identical capture on an identical, fresh Runner.
-		fr, fplan, fres := captureOneRep(t, cfg, tc.nprocs)
-		want, err := NewReplayer(fr.Network(), fplan, fres.FinishTimes, tc.lanes)
+		// Fresh reference: identical compile on an identical, fresh Runner.
+		fr, fplan, start := compileOneRep(t, cfg, tc.nprocs)
+		want, err := NewReplayer(fr.Network(), fplan, start, tc.lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Same capture on the long-lived Runner, replayer recycled.
-		res, cap, err := recycled.RunCapture(tc.nprocs, func(p *Proc) error {
-			root := p.Rank() == 0
-			if root {
-				p.Mark()
-			}
-			p.Barrier()
-			if root {
-				p.Mark()
-			}
-			replayPattern(p)
-			p.Barrier()
-			if root {
-				p.Mark()
-			}
-			return nil
-		})
+		// Same compile on the long-lived Runner, replayer recycled.
+		plan, err := recycled.Compile(tc.nprocs, markedRep(replayPattern))
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := recycled.CompilePlan(cap, 0, -1)
+		recycled.Network().Reset()
+		got, err := recycled.NewReplayer(plan, start, tc.lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := recycled.NewReplayer(plan, res.FinishTimes, tc.lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.RecordEchoClocks()
-		got.RecordEchoClocks()
 
 		for batch, k := range []int{1, tc.lanes, tc.lanes - 1} {
 			wm, wok := want.Replay(k)
@@ -79,22 +59,6 @@ func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
 				if gm[i] != wm[i] {
 					t.Fatalf("nprocs=%d lanes=%d batch %d mark %d: %v != %v", tc.nprocs, tc.lanes, batch, i, gm[i], wm[i])
 				}
-			}
-			we, ge := want.EchoClocks(), got.EchoClocks()
-			if batch == 0 {
-				// Echo clocks are recorded (and identical) for the armed
-				// first batch even though the previous plan's later
-				// batches recorded none.
-				if ge == nil || len(ge) != len(we) {
-					t.Fatalf("nprocs=%d lanes=%d: recycled replayer recorded %d echo clocks, want %d", tc.nprocs, tc.lanes, len(ge), len(we))
-				}
-				for i := range we {
-					if ge[i] != we[i] {
-						t.Fatalf("nprocs=%d lanes=%d echo clock %d: %v != %v", tc.nprocs, tc.lanes, i, ge[i], we[i])
-					}
-				}
-			} else if we != nil || ge != nil {
-				t.Fatalf("nprocs=%d lanes=%d batch %d: unarmed replay recorded echo clocks", tc.nprocs, tc.lanes, batch)
 			}
 		}
 		wc, gc := want.Clocks(), got.Clocks()

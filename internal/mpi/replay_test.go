@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"testing"
 
 	"mpicollperf/internal/simnet"
@@ -58,50 +59,111 @@ func replayPattern(p *Proc) {
 	}
 }
 
-// captureOneRep runs one marked repetition of replayPattern on a fresh
-// Runner and compiles it into a plan: boundary mark, open barrier, start
-// mark, pattern, close barrier, end mark.
-func captureOneRep(t testing.TB, cfg simnet.Config, nprocs int) (*Runner, *Plan, Result) {
-	t.Helper()
-	r, err := NewRunner(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, cap, err := r.RunCapture(nprocs, func(p *Proc) error {
+// markedRep is one marked repetition of body: open barrier, start mark,
+// body, close barrier, end mark.
+func markedRep(body func(*Proc)) func(*Proc) error {
+	return func(p *Proc) error {
 		root := p.Rank() == 0
-		if root {
-			p.Mark()
-		}
 		p.Barrier()
 		if root {
 			p.Mark()
 		}
-		replayPattern(p)
+		body(p)
 		p.Barrier()
 		if root {
 			p.Mark()
 		}
 		return nil
-	})
+	}
+}
+
+// preambleClocks are the clocks a scheduler program reaches after two
+// barriers from clock zero — where the measurement harness starts
+// replaying a plan from.
+func preambleClocks(plan *Plan) []float64 {
+	start := make([]float64, plan.nprocs)
+	for i := range start {
+		start[i] = 2 * plan.BarrierCost()
+	}
+	return start
+}
+
+// compileOneRep compiles one marked repetition of replayPattern on a
+// fresh Runner, returning the plan and the clocks to replay it from.
+func compileOneRep(t testing.TB, cfg simnet.Config, nprocs int) (*Runner, *Plan, []float64) {
+	t.Helper()
+	r, err := NewRunner(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := cap.Plan(0, -1)
+	plan, err := r.Compile(nprocs, markedRep(replayPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Marks() != 2 {
 		t.Fatalf("plan has %d marks, want 2", plan.Marks())
 	}
-	return r, plan, res
+	return r, plan, preambleClocks(plan)
+}
+
+// schedulerSpans runs reps marked repetitions of body in one scheduler
+// program after a two-barrier preamble, and returns each repetition's
+// span between its start and end marks, as rank 0 reads its clock.
+func schedulerSpans(t testing.TB, cfg simnet.Config, nprocs, reps int, body func(*Proc)) []float64 {
+	t.Helper()
+	r, err := NewRunner(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []float64
+	if _, err := r.Run(nprocs, func(p *Proc) error {
+		p.Barrier()
+		p.Barrier()
+		for rep := 0; rep < reps; rep++ {
+			p.Barrier()
+			start := p.Now()
+			body(p)
+			p.Barrier()
+			if p.Rank() == 0 {
+				spans = append(spans, p.Now()-start)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return spans
+}
+
+// replaySpans replays reps repetitions of plan from start in batches of
+// up to lanes, and returns each repetition's span between its two marks.
+func replaySpans(t testing.TB, r *Runner, plan *Plan, start []float64, reps, lanes int) []float64 {
+	t.Helper()
+	r.Network().Reset()
+	rp, err := r.NewReplayer(plan, start, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []float64
+	for len(spans) < reps {
+		k := min(lanes, reps-len(spans))
+		marks, ok := rp.Replay(k)
+		if !ok {
+			t.Fatal("replay did not close over the plan")
+		}
+		for l := 0; l < k; l++ {
+			spans = append(spans, marks[l*2+1]-marks[l*2])
+		}
+	}
+	return spans
 }
 
 // TestReplayMatchesScheduler is the engine differential: replaying a
-// captured repetition R times must produce per-repetition durations
+// compiled repetition R times must produce per-repetition durations
 // bit-identical to a scheduler run executing the same repetition loop
-// R+1 times, on both one-process-per-node and co-located clusters.
+// R times, on both one-process-per-node and co-located clusters.
 func TestReplayMatchesScheduler(t *testing.T) {
-	const nprocs, extra = 8, 11
+	const nprocs, reps = 8, 12
 	for name, cfg := range map[string]simnet.Config{
 		"one_per_node":  replayTestConfig(nprocs),
 		"two_per_node":  replayDualConfig(nprocs),
@@ -109,47 +171,9 @@ func TestReplayMatchesScheduler(t *testing.T) {
 		"dual_no_noise": func() simnet.Config { c := replayDualConfig(nprocs); c.NoiseAmplitude = 0; return c }(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			// Scheduler reference: one program running the repetition loop.
-			var want []float64
-			ref, err := NewRunner(cfg, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ref.Run(nprocs, func(p *Proc) error {
-				for rep := 0; rep < extra+1; rep++ {
-					p.Barrier()
-					start := p.Now()
-					replayPattern(p)
-					p.Barrier()
-					if p.Rank() == 0 {
-						want = append(want, p.Now()-start)
-					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			// Capture one repetition, replay the rest.
-			r, plan, res := captureOneRep(t, cfg, nprocs)
-			rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := []float64{want[0]} // repetition 0 is the captured one
-			for len(got) < extra+1 {
-				k := 4
-				if rem := extra + 1 - len(got); rem < k {
-					k = rem
-				}
-				marks, ok := rp.Replay(k)
-				if !ok {
-					t.Fatal("replay did not close over the plan")
-				}
-				for l := 0; l < k; l++ {
-					got = append(got, marks[l*2+1]-marks[l*2])
-				}
-			}
+			want := schedulerSpans(t, cfg, nprocs, reps, replayPattern)
+			r, plan, start := compileOneRep(t, cfg, nprocs)
+			got := replaySpans(t, r, plan, start, reps, 4)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("repetition %d: replay %x, scheduler %x", i, got[i], want[i])
@@ -159,10 +183,12 @@ func TestReplayMatchesScheduler(t *testing.T) {
 	}
 }
 
-// TestCaptureIsTimingNeutral asserts that recording a trace — including
-// Mark calls — changes nothing about a run's virtual timing.
-func TestCaptureIsTimingNeutral(t *testing.T) {
-	cfg := replayTestConfig(6)
+// TestMarkIsTimingNeutral asserts that Mark calls change nothing about
+// a program's virtual timing: under the scheduler a Mark is a no-op, and
+// a compiled plan's mark events cost nothing when replayed.
+func TestMarkIsTimingNeutral(t *testing.T) {
+	const nprocs = 6
+	cfg := replayTestConfig(nprocs)
 	plain := func(p *Proc) error {
 		p.Barrier()
 		replayPattern(p)
@@ -188,7 +214,7 @@ func TestCaptureIsTimingNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r1.Run(6, plain)
+	want, err := r1.Run(nprocs, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,28 +222,51 @@ func TestCaptureIsTimingNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, cap, err := r2.RunCapture(6, marked)
+	got, err := r2.Run(nprocs, marked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MakeSpan != want.MakeSpan || got.Transfers != want.Transfers {
-		t.Fatalf("capture changed timing: %x/%d vs %x/%d", got.MakeSpan, got.Transfers, want.MakeSpan, want.Transfers)
+	if got.MakeSpan != want.MakeSpan || got.Transfers != want.Transfers || got.Ops != want.Ops {
+		t.Fatalf("marks changed the run: %x/%d/%d vs %x/%d/%d", got.MakeSpan, got.Transfers, got.Ops, want.MakeSpan, want.Transfers, want.Ops)
 	}
 	for i := range want.FinishTimes {
 		if got.FinishTimes[i] != want.FinishTimes[i] {
 			t.Fatalf("rank %d finish: %x vs %x", i, got.FinishTimes[i], want.FinishTimes[i])
 		}
 	}
-	if cap.MarkCount() != 3 {
-		t.Fatalf("recorded %d marks, want 3", cap.MarkCount())
+	// Replayed, the marked plan ends every rank exactly where the plain
+	// one does.
+	var clocks [2][]float64
+	for i, fn := range []func(*Proc) error{plain, marked} {
+		plan, err := r2.Compile(nprocs, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 3 * i; plan.Marks() != want {
+			t.Fatalf("plan %d has %d marks, want %d", i, plan.Marks(), want)
+		}
+		r2.Network().Reset()
+		rp, err := r2.NewReplayer(plan, make([]float64, nprocs), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rp.Replay(1); !ok {
+			t.Fatal("replay failed")
+		}
+		clocks[i] = append([]float64(nil), rp.Clocks()...)
+	}
+	for i := range clocks[0] {
+		if clocks[1][i] != clocks[0][i] || clocks[0][i] != want.FinishTimes[i] {
+			t.Fatalf("rank %d: replayed %x (marked) and %x (plain), scheduler %x", i, clocks[1][i], clocks[0][i], want.FinishTimes[i])
+		}
 	}
 }
 
 // TestReplayZeroAllocsPerRep pins the steady-state replay pass at zero
 // heap allocations: every buffer is sized at construction.
 func TestReplayZeroAllocsPerRep(t *testing.T) {
-	r, plan, res := captureOneRep(t, replayTestConfig(8), 8)
-	rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 2)
+	r, plan, start := compileOneRep(t, replayTestConfig(8), 8)
+	rp, err := NewReplayer(r.Network(), plan, start, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,80 +280,74 @@ func TestReplayZeroAllocsPerRep(t *testing.T) {
 	}
 }
 
-// TestEchoValidatesAndDetectsDivergence: an echo run of the captured
-// program against replayed clocks must succeed, and any structural
-// deviation — a changed size, an extra operation, a missing one — must be
-// reported as an error.
+// TestEchoValidatesAndDetectsDivergence: Runner.Verify accepts a program
+// compiled a second time unchanged, and rejects any structural deviation
+// from the reference plan — a changed size, an extra operation, a
+// missing one, a program that forwards a received size.
 func TestEchoValidatesAndDetectsDivergence(t *testing.T) {
 	const nprocs = 6
-	r, plan, res := captureOneRep(t, replayTestConfig(nprocs), nprocs)
-	rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 1)
+	r, err := NewRunner(replayTestConfig(nprocs), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp.RecordEchoClocks()
-	if _, ok := rp.Replay(1); !ok {
-		t.Fatal("replay failed")
+	faithful := markedRep(func(p *Proc) { sizedPattern(p, 8192, 256) })
+	plan, err := r.Compile(nprocs, faithful)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep := func(mutate func(p *Proc)) func(*Proc) error {
-		return func(p *Proc) error {
-			p.Barrier()
-			if p.Rank() == 0 {
-				p.Mark()
-			}
-			replayPattern(p)
-			if mutate != nil {
-				mutate(p)
-			}
-			p.Barrier()
-			if p.Rank() == 0 {
-				p.Mark()
-			}
-			return nil
-		}
+	if err := r.Verify(plan, faithful); err != nil {
+		t.Fatalf("faithful program rejected: %v", err)
 	}
-	if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, rep(nil)); err != nil {
-		t.Fatalf("faithful echo rejected: %v", err)
+	// Verifying the same plan twice must work (buffers reset per pass).
+	if err := r.Verify(plan, faithful); err != nil {
+		t.Fatalf("second faithful verify rejected: %v", err)
 	}
-	// Echoing the same plan twice must work (cursors reset per call).
-	if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, rep(nil)); err != nil {
-		t.Fatalf("second faithful echo rejected: %v", err)
-	}
-	for name, mutate := range map[string]func(p *Proc){
-		"extra_sleep":   func(p *Proc) { p.Sleep(1e-9) },
-		"extra_message": func(p *Proc) { sendRecvPair(p) },
+	for name, body := range map[string]func(p *Proc){
+		"changed_size":  func(p *Proc) { sizedPattern(p, 8192, 257) },
+		"extra_sleep":   func(p *Proc) { sizedPattern(p, 8192, 256); p.Sleep(1e-9) },
+		"extra_message": func(p *Proc) { sizedPattern(p, 8192, 256); sendRecvPair(p) },
+		"reordered": func(p *Proc) {
+			sendRecvPair(p)
+			sizedPattern(p, 8192, 256)
+		},
 	} {
-		if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, rep(mutate)); err == nil {
-			t.Errorf("%s: diverging echo accepted", name)
+		if err := r.Verify(plan, markedRep(body)); err == nil {
+			t.Errorf("%s: diverging program accepted", name)
 		}
 	}
-	// A changed byte count inside the pattern must also be flagged.
-	altered := func(p *Proc) error {
-		p.Barrier()
-		if p.Rank() == 0 {
-			p.Mark()
-		}
-		if p.Rank() == 0 {
-			p.Send(1, 99, nil, 1) // wrong size, wrong point in the stream
-		} else if p.Rank() == 1 {
-			p.Recv(0, 99, nil)
-		}
-		replayPattern(p)
-		p.Barrier()
-		if p.Rank() == 0 {
-			p.Mark()
-		}
-		return nil
+	// A missing operation: the reference carries one more sleep.
+	longer, err := r.Compile(nprocs, markedRep(func(p *Proc) { sizedPattern(p, 8192, 256); p.Sleep(1e-9) }))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes, altered); err == nil {
-		t.Error("reordered echo accepted")
+	if err := r.Verify(longer, faithful); err == nil {
+		t.Error("missing operation accepted")
 	}
-	// After echoing, the Runner must still run normal programs.
+	// A program that forwards a received size compiles with a 0-byte
+	// forward, then verifies with the real size.
+	forward := markedRep(func(p *Proc) {
+		switch p.Rank() {
+		case 0:
+			p.Send(1, 0, nil, 4096)
+		case 1:
+			p.Send(2, 0, nil, p.Recv(0, 0, nil))
+		case 2:
+			p.Recv(1, 0, nil)
+		}
+	})
+	fplan, err := r.Compile(nprocs, forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Verify(fplan, forward); err == nil {
+		t.Error("size-forwarding program accepted")
+	}
+	// After verifying, the Runner must still run normal programs.
 	if _, err := r.Run(nprocs, func(p *Proc) error {
 		p.Barrier()
 		return nil
 	}); err != nil {
-		t.Fatalf("runner broken after echo runs: %v", err)
+		t.Fatalf("runner broken after verify passes: %v", err)
 	}
 }
 
@@ -316,57 +359,22 @@ func sendRecvPair(p *Proc) {
 	}
 }
 
-// TestEchoRunValidation covers the argument checks of EchoRun.
+// TestEchoRunValidation covers the failure modes of Runner.Verify that
+// are not structural mismatches: a reference plan wider than the
+// Runner's network, and a program that no longer compiles.
 func TestEchoRunValidation(t *testing.T) {
-	r, plan, res := captureOneRep(t, replayTestConfig(4), 4)
-	rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 1)
+	_, plan, _ := compileOneRep(t, replayTestConfig(8), 8)
+	narrow, err := NewRunner(replayTestConfig(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp.RecordEchoClocks()
-	rp.Replay(1)
-	if err := r.EchoRun(plan, rp.EchoClocks()[:1], res.FinishTimes, nil); err == nil {
-		t.Error("short clock slice accepted")
+	if err := narrow.Verify(plan, markedRep(replayPattern)); err == nil {
+		t.Error("plan wider than the network accepted")
 	}
-	if err := r.EchoRun(plan, rp.EchoClocks(), res.FinishTimes[:2], nil); err == nil {
-		t.Error("short start slice accepted")
-	}
-}
-
-// TestPlanRejectsOpenSegments: a plan whose communication reaches across
-// its mark boundaries cannot be replayed in isolation and must be refused.
-func TestPlanRejectsOpenSegments(t *testing.T) {
-	r, err := NewRunner(replayTestConfig(2), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A request posted before the mark but waited on after it.
-	_, cap, err := r.RunCapture(2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			req := p.Isend(1, 0, nil, 4096)
-			p.Mark()
-			p.Wait(req)
-		} else {
-			p.Recv(0, 0, nil)
-		}
-		p.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, perr := cap.Plan(0, -1); perr == nil {
-		t.Error("plan with a request posted outside the segment accepted")
-	}
-	// Mark-range validation.
-	if _, perr := cap.Plan(-1, -1); perr == nil {
-		t.Error("negative fromMark accepted")
-	}
-	if _, perr := cap.Plan(0, 0); perr == nil {
-		t.Error("empty mark range accepted")
-	}
-	if _, perr := cap.Plan(5, -1); perr == nil {
-		t.Error("out-of-range fromMark accepted")
+	r, plan, _ := compileOneRep(t, replayTestConfig(4), 4)
+	var ce *CompileError
+	if err := r.Verify(plan, func(p *Proc) error { _ = p.Now(); return nil }); !errors.As(err, &ce) {
+		t.Errorf("program reading Now: got %v, want a *CompileError", err)
 	}
 }
 
@@ -376,8 +384,8 @@ func TestPlanRejectsOpenSegments(t *testing.T) {
 // territory: the same structure under the scheduler costs a full run).
 func BenchmarkReplayRep(b *testing.B) {
 	b.ReportAllocs()
-	r, plan, res := captureOneRep(b, replayTestConfig(16), 16)
-	rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 1)
+	r, plan, start := compileOneRep(b, replayTestConfig(16), 16)
+	rp, err := NewReplayer(r.Network(), plan, start, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -393,8 +401,8 @@ func BenchmarkReplayRep(b *testing.B) {
 // the jitter pre-draw and port stripes amortise across the batch.
 func BenchmarkReplayBatch8(b *testing.B) {
 	b.ReportAllocs()
-	r, plan, res := captureOneRep(b, replayTestConfig(16), 16)
-	rp, err := NewReplayer(r.Network(), plan, res.FinishTimes, 8)
+	r, plan, start := compileOneRep(b, replayTestConfig(16), 16)
+	rp, err := NewReplayer(r.Network(), plan, start, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -406,31 +414,24 @@ func BenchmarkReplayBatch8(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayCapture measures the one-off cost of the capturing run
-// plus plan compilation — what the replay engine pays before its first
-// fast repetition.
-func BenchmarkReplayCapture(b *testing.B) {
+// BenchmarkReplayCompile measures the one-off cost of a point that is
+// not declared timing-independent: the compile of one repetition plus
+// the verify pass — what the replay engine pays before its first
+// replayed repetition.
+func BenchmarkReplayCompile(b *testing.B) {
 	b.ReportAllocs()
-	cfg := replayTestConfig(16)
-	r, err := NewRunner(cfg, Options{})
+	r, err := NewRunner(replayTestConfig(16), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	rep := markedRep(replayPattern)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, cap, err := r.RunCapture(16, func(p *Proc) error {
-			if p.Rank() == 0 {
-				p.Mark()
-			}
-			p.Barrier()
-			replayPattern(p)
-			p.Barrier()
-			return nil
-		})
+		plan, err := r.Compile(16, rep)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cap.Plan(0, -1); err != nil {
+		if err := r.Verify(plan, rep); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,11 +50,6 @@ type scheduler struct {
 	// runs when the scheduler is reused by a Runner).
 	opFree []*operation
 
-	// rec, when non-nil, records the structural execution trace of the run
-	// (see plan.go). Recording observes processing order and matching
-	// outcomes only; it never changes timing.
-	rec *capture
-
 	finish  []float64
 	failErr error
 	aborted bool
@@ -404,21 +399,9 @@ func (s *scheduler) takeNext() *operation {
 func (s *scheduler) process(op *operation) {
 	switch op.kind {
 	case opSleep:
-		if s.rec != nil {
-			s.rec.sleep(op)
-		}
 		s.release(op.rank, reply{clock: op.clock + op.dur})
 		s.putOp(op)
-	case opMark:
-		if s.rec != nil {
-			s.rec.mark(op)
-		}
-		s.release(op.rank, reply{clock: op.clock})
-		s.putOp(op)
 	case opWait:
-		if s.rec != nil {
-			s.rec.wait(op)
-		}
 		s.release(op.rank, reply{clock: op.key})
 		s.putOp(op)
 	case opIsend:
@@ -431,9 +414,6 @@ func (s *scheduler) process(op *operation) {
 		}
 		op.req.bound = true
 		op.req.at = tr.SendComplete
-		if s.rec != nil {
-			s.rec.send(op)
-		}
 		s.deliver(op.rank, op.peer, op.tag, op.data, op.bytes, tr.Delivered)
 		if s.aborted {
 			s.release(op.rank, reply{abort: true})
@@ -447,9 +427,6 @@ func (s *scheduler) process(op *operation) {
 		key := matchKey{src: op.peer, tag: op.tag}
 		if q := ms.unexpected[key]; q != nil && !q.empty() {
 			msg := q.pop()
-			if s.rec != nil {
-				s.rec.recvPending(op, key)
-			}
 			if !s.bindRecv(op, msg) {
 				s.release(op.rank, reply{abort: true})
 				s.putOp(op)
@@ -458,9 +435,6 @@ func (s *scheduler) process(op *operation) {
 			s.release(op.rank, reply{clock: op.clock})
 			s.putOp(op)
 		} else {
-			if s.rec != nil {
-				s.rec.recvPosted(op)
-			}
 			q := ms.posted[key]
 			if q == nil {
 				q = &opQueue{}
@@ -483,18 +457,12 @@ func (s *scheduler) deliver(src, dst, tag int, data []byte, bytes int, delivered
 	key := matchKey{src: src, tag: tag}
 	if q := ms.posted[key]; q != nil && !q.empty() {
 		recvOp := q.pop()
-		if s.rec != nil {
-			s.rec.deliverPosted(recvOp)
-		}
 		ok := s.bindRecv(recvOp, inFlight{data: data, bytes: bytes, delivered: delivered})
 		if ok {
 			s.wakeWaiters(recvOp.rank)
 		}
 		s.putOp(recvOp)
 		return
-	}
-	if s.rec != nil {
-		s.rec.deliverUnexpected(dst, key)
 	}
 	q := ms.unexpected[key]
 	if q == nil {
@@ -545,9 +513,6 @@ func (s *scheduler) maybeReleaseBarrier() {
 		t = math.Max(t, op.clock)
 	}
 	t += s.barrierCost()
-	if s.rec != nil {
-		s.rec.barrier()
-	}
 	for i, op := range s.inBarrier {
 		s.release(op.rank, reply{clock: t})
 		s.putOp(op)
@@ -568,7 +533,7 @@ func (s *scheduler) barrierCost() float64 {
 
 // barrierCostFor is the barrier-cost formula shared by the scheduler and
 // Runner.Compile: a compiled plan must carry bit-for-bit the barrier cost
-// a capturing run on the same network and options would have recorded.
+// a scheduler run on the same network and options releases barriers with.
 func barrierCostFor(opts Options, cfg simnet.Config, nprocs int) float64 {
 	rounds := opts.BarrierRounds
 	if rounds <= 0 {

@@ -15,7 +15,7 @@ import "mpicollperf/internal/perturb"
 // per-byte times), the wire latency, and the endpoint CPU overheads —
 // after any time-invariant perturbations (stragglers, link degradation)
 // have been applied. It is the unit the plan-replay engine stores per
-// captured transfer, so scheduler and replay cannot disagree about what a
+// compiled transfer, so scheduler and replay cannot disagree about what a
 // perturbation did to a link.
 type LinkTiming struct {
 	// Local marks a transfer between co-located processes (shared NIC):
@@ -187,7 +187,7 @@ func (n *Network) SendOverheadOf(proc int) float64 {
 
 // ReplayInvariant reports whether the network's effective timing
 // parameters are independent of virtual time. Time-windowed perturbations
-// (brownouts) make them time-varying, and a captured plan cannot be
+// (brownouts) make them time-varying, and a compiled plan cannot be
 // re-timed under them: the measurement harness must stay on the scheduler
 // engine and reports the fallback.
 func (n *Network) ReplayInvariant() bool {

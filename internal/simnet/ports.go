@@ -2,7 +2,7 @@ package simnet
 
 import "fmt"
 
-// This file is the timing-replay side of the simulator. A captured
+// This file is the timing-replay side of the simulator. A compiled
 // execution plan (package mpi) re-times a communication structure many
 // times without re-running the scheduler; the per-NIC port bookkeeping and
 // the transfer arithmetic it needs live here, next to Transmit, so the two

@@ -164,7 +164,7 @@ type Network struct {
 	// used records whether any port state or noise draw has been consumed
 	// since the last Reset, letting Reset skip the port sweep and reseed on
 	// an already-pristine network — the common case on the replay warm
-	// path, where echo validation touches no network state between runs.
+	// path, where compiling a plan touches no network state between runs.
 	used bool
 	// pert holds the expanded perturbation tables; nil on an unperturbed
 	// network, which keeps the hot path on the exact legacy arithmetic.
