@@ -73,9 +73,12 @@ bench:
 #
 # The plan-cache breakdown (scheduler vs verify vs compile per point, and
 # one extended family's calibration) is gated against its own record, so
-# a compile-path slowdown cannot hide inside the sweep aggregate.
+# a compile-path slowdown cannot hide inside the sweep aggregate; so are
+# the wide replay benchmarks, whose calib cases compile and replay the
+# calibration's largest plan (a layout regression shows there first).
 BASELINE ?= BENCH_sched.json
 PLANCACHE_BASELINE ?= BENCH_plancache.json
+REPLAY_BASELINE ?= BENCH_replay.json
 SCALING_THRESHOLD ?= 0.5
 SCALING_MIN_SPEEDUP ?= 2.0
 benchdiff:
@@ -87,6 +90,9 @@ benchdiff:
 	$(GO) test -bench=AlphaBetaFamily -benchmem -run='^$$' ./internal/estimate/ >> .bench_pc_diff.txt
 	$(GO) run ./cmd/benchjson -baseline $(PLANCACHE_BASELINE) < .bench_pc_diff.txt
 	@rm -f .bench_pc_diff.txt
+	$(GO) test -bench=ReplayWide -benchmem -run='^$$' ./internal/mpi/ > .bench_rw_diff.txt
+	$(GO) run ./cmd/benchjson -baseline $(REPLAY_BASELINE) < .bench_rw_diff.txt
+	@rm -f .bench_rw_diff.txt
 
 # The per-artifact paper benchmarks (tables and figures at reduced scale).
 benchpaper:

@@ -49,7 +49,7 @@ func AlphaBetaCollective(pr cluster.Profile, spec CollectiveSpec, g model.Gamma,
 // mode — the operations involve every rank symmetrically, so there is no
 // root-only finish to exploit. The results, indexed like specs, are
 // bit-identical to measuring each point serially on a fresh simulator. A
-// cancelled ctx stops the sweep within one chunk of points.
+// cancelled ctx stops the sweep within one point per worker.
 func AlphaBetaFamily(ctx context.Context, pr cluster.Profile, specs []CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) ([]AlphaBetaResult, error) {
 	cfg, err := cfg.withDefaults(pr)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -136,9 +137,11 @@ type Progress func(done, total int, r Result)
 // bit-identical to running the same grid serially with a fresh simulator
 // per point — the scheduler inside each simulated MPI run, the noise
 // stream, and the adaptive repetition loop are all per-measurement
-// deterministic. Work is handed out in contiguous chunks of grid points
-// claimed from an atomic cursor, so workers synchronise once per chunk,
-// not once per point.
+// deterministic. Workers claim one point at a time from an atomic cursor
+// over the grid sorted heaviest first (descending Procs·MsgBytes), so the
+// costliest points start early and the grid's tail is its cheapest
+// points: workers finish together instead of one waiting on the last big
+// point.
 //
 // The zero value is not usable; Profile must be set. All other fields are
 // optional.
@@ -159,11 +162,13 @@ type Sweep struct {
 	// results.
 	Workers int
 	// Pool, if non-nil, lends the workers their Runners instead of each
-	// Run constructing new ones: across repeated sweeps (a calibration
-	// runs several) the simulators and their warm scheduler, plan, and
-	// replay buffers are built once. The pool's Runners must
-	// have been built for this Profile (NewRunnerPool does exactly that);
-	// lending a pool across different profiles is a programming error.
+	// Run constructing new ones: across repeated sweeps over one profile
+	// (cmd/bcastbench's worker-scaling curve runs one per worker count)
+	// the simulators and their warm scheduler, plan, and replay buffers
+	// are built once. A calibration runs a single sweep and attaches no
+	// pool. The pool's Runners must have been built for this Profile
+	// (NewRunnerPool does exactly that); lending a pool across different
+	// profiles is a programming error.
 	Pool *mpi.RunnerPool
 	// Cache, if non-nil, is consulted before and filled after each
 	// measurement, keyed by the full experiment identity (profile,
@@ -173,10 +178,11 @@ type Sweep struct {
 	Progress Progress
 	// Metrics, if non-nil, receives sweep counters (points measured and
 	// served from cache, per-engine repetition counts, fallback tallies,
-	// chunks claimed), level gauges (effective workers, points not yet
-	// completed), a sweep_run_seconds span per Run, and the cache size
-	// gauge. Workers share the registry; it is never consulted for
-	// decisions, so results are bit-identical with or without it.
+	// points claimed, as sweep_chunks_total), level gauges (effective
+	// workers, points not yet completed), a sweep_run_seconds span per
+	// Run, and the cache size gauge. Workers share the registry; it is
+	// never consulted for decisions, so results are bit-identical with or
+	// without it.
 	Metrics *obs.Registry
 }
 
@@ -191,22 +197,16 @@ func NewRunnerPool(pr cluster.Profile, capacity int, m *obs.Registry) (*mpi.Runn
 	}, m)
 }
 
-// sweepChunk returns the number of grid points a worker claims per visit
-// to the shared cursor: enough that claiming is a rounding error next to
-// measuring, small enough that the grid tail stays balanced (each worker
-// gets ~4 claims' worth of slack to even out point-cost variance).
-func sweepChunk(points, workers int) int {
-	if workers <= 1 {
-		return points
+// claimOrder returns the grid indices in the order workers claim them:
+// descending Procs·MsgBytes, the points' cost proxy, ties by grid index.
+func claimOrder(points []Point) []int {
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
 	}
-	chunk := points / (workers * 4)
-	if chunk < 1 {
-		return 1
-	}
-	if chunk > 32 {
-		return 32
-	}
-	return chunk
+	weight := func(i int) int64 { return int64(points[i].Procs) * int64(points[i].MsgBytes) }
+	sort.SliceStable(order, func(a, b int) bool { return weight(order[a]) > weight(order[b]) })
+	return order
 }
 
 // Run measures every point of the grid and returns the results in grid
@@ -247,7 +247,7 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	s.Metrics.Gauge("sweep_workers").Set(float64(workers))
 	pending := s.Metrics.Gauge("sweep_points_pending")
 	pending.Set(float64(len(points)))
-	chunks := s.Metrics.Counter("sweep_chunks_total")
+	claims := s.Metrics.Counter("sweep_chunks_total")
 	sp := s.Metrics.Span("sweep_run")
 	defer func() {
 		sp.End()
@@ -261,8 +261,8 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 
 	var (
 		results  = make([]Result, len(points))
-		next     atomic.Int64 // cursor: index of the first unclaimed point
-		chunk    = int64(sweepChunk(len(points), workers))
+		order    = claimOrder(points)
+		next     atomic.Int64 // cursor: position of the first unclaimed point in order
 		wg       sync.WaitGroup
 		mu       sync.Mutex // guards firstErr, done, and serialises Progress
 		firstErr error
@@ -325,24 +325,15 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 				pending.Add(-1)
 				return true
 			}
-			// Claim contiguous chunks of the grid until it is exhausted.
+			// Claim points, heaviest first, until the grid is exhausted.
 			for {
-				end := next.Add(chunk)
-				start := end - chunk
-				if start >= int64(len(points)) {
+				k := next.Add(1) - 1
+				if k >= int64(len(order)) || ctx.Err() != nil {
 					return
 				}
-				if end > int64(len(points)) {
-					end = int64(len(points))
-				}
-				chunks.Inc()
-				for i := start; i < end; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					if !work(int(i)) {
-						return
-					}
+				claims.Inc()
+				if !work(order[k]) {
+					return
 				}
 			}
 		}()

@@ -69,14 +69,22 @@ type compileRank struct {
 	barriers int // barriers this rank entered
 }
 
-// streamKey names one FIFO message stream: sends from src to dst with tag.
-type streamKey struct{ src, dst, tag int }
+// sendKey is the compile-only matching key of one send, parallel to
+// Plan.sends: its stream's (src, dst) pair index, its tag, and its own
+// request slot (whose byte count a matched receive takes).
+type sendKey struct {
+	pair int32
+	slot int32
+	tag  int
+}
 
-// recvStream holds a stream's receive slots in the destination's program
-// order; head is the next one a send binds. Streams persist across
-// compiles on a Runner (reset, never deleted), so steady-state matching
-// allocates nothing.
+// recvStream holds one (src, dst, tag) stream's receive slots in the
+// destination's program order; head is the next one a send binds. The
+// streams of one (src, dst) pair form a short list through next.
 type recvStream struct {
+	pair  int32
+	next  int32 // next stream of the same pair, -1 at the end
+	tag   int
 	slots []int32
 	head  int
 }
@@ -86,13 +94,12 @@ type recvStream struct {
 func (p *Proc) compileStep(op *operation) {
 	c := p.compile
 	pl := c.plan
-	pe := planEvent{peerSlot: -1}
-	pb := planBind{}
-	idx := int32(len(pl.events))
+	pe := planEvent{}
 	switch op.kind {
 	case opSleep:
 		pe.kind = evSleep
-		pb.dur = op.dur
+		pe.arg = int32(len(pl.durs))
+		pl.durs = append(pl.durs, op.dur)
 	case opMark:
 		pe.kind = evMark
 		pl.marks++
@@ -104,33 +111,37 @@ func (p *Proc) compileStep(op *operation) {
 			panic(&CompileError{Rank: p.rank, Why: ErrPayload.Error(), err: ErrPayload})
 		}
 		pe.kind = evSend
-		pe.peer, pe.tag = op.peer, op.tag
-		pe.slot = pl.newSlot(p.rank, 1, idx)
-		pe.srcNIC = int32(c.cfg.NIC(p.rank))
-		pe.dstNIC = int32(c.cfg.NIC(op.peer))
-		pb.bytes = op.bytes
-		pb.lt = c.r.net.TimingFor(p.rank, op.peer, op.bytes)
-		if !pb.lt.Local && c.cfg.NoiseAmplitude > 0 && pb.lt.TxTime > 0 {
-			pb.draws = true
+		pe.slot = pl.newSlot(p.rank, 1, op.bytes)
+		pe.arg = int32(len(pl.sends))
+		ps := planSend{
+			lt:       c.r.net.TimingFor(p.rank, op.peer, op.bytes),
+			srcNIC:   int32(c.cfg.NIC(p.rank)),
+			dstNIC:   int32(c.cfg.NIC(op.peer)),
+			peerSlot: -1,
+		}
+		if !ps.lt.Local && c.cfg.NoiseAmplitude > 0 && ps.lt.TxTime > 0 {
+			ps.draws = true
 			pl.draws++
 		}
-		pl.sends++
+		pl.sends = append(pl.sends, ps)
+		c.r.sendKeys = append(c.r.sendKeys, sendKey{
+			pair: int32(p.rank*pl.nprocs + op.peer), slot: pe.slot, tag: op.tag,
+		})
 		op.req.slot = pe.slot
 	case opIrecv:
 		pe.kind = evRecv
-		pe.peer, pe.tag = op.peer, op.tag
-		pe.slot = pl.newSlot(p.rank, 2, idx)
+		pe.slot = pl.newSlot(p.rank, 2, 0)
 		op.req.slot = pe.slot
 		op.req.bytes = 0
 		if ref := c.ref; ref != nil && int(pe.slot) < ref.slots {
-			op.req.bytes = ref.binds[ref.slotEvent[pe.slot]].bytes
+			op.req.bytes = ref.slotBytes[pe.slot]
 		}
-		s := c.r.stream(streamKey{src: op.peer, dst: p.rank, tag: op.tag})
+		s := c.r.stream(int32(op.peer*pl.nprocs+p.rank), op.tag)
 		s.slots = append(s.slots, pe.slot)
 	case opWait:
 		pe.kind = evWait
-		pe.wOff = int32(len(pl.waitSlots))
-		pe.wLen = int32(len(op.reqs))
+		pe.slot = int32(len(op.reqs))
+		pe.arg = int32(len(pl.waitSlots))
 		for _, r := range op.reqs {
 			pl.waitSlots = append(pl.waitSlots, r.slot)
 		}
@@ -138,32 +149,40 @@ func (p *Proc) compileStep(op *operation) {
 		panic(&CompileError{Rank: p.rank, Why: fmt.Sprintf("%v is not replayable", op.kind)})
 	}
 	pl.events = append(pl.events, pe)
-	pl.binds = append(pl.binds, pb)
 }
 
-// newSlot introduces the next canonical request slot, owned by rank and
-// introduced by event idx, with pend halves to complete.
-func (p *Plan) newSlot(rank int, pend uint8, idx int32) int32 {
+// newSlot introduces the next canonical request slot, owned by rank,
+// with pend halves to complete and bytes as its message size.
+func (p *Plan) newSlot(rank int, pend uint8, bytes int) int32 {
 	s := int32(len(p.slotOwner))
 	p.slotOwner = append(p.slotOwner, int32(rank))
 	p.slotPend = append(p.slotPend, pend)
-	p.slotEvent = append(p.slotEvent, idx)
+	p.slotBytes = append(p.slotBytes, bytes)
 	return s
 }
 
-// stream returns the receive stream for k, creating it on first use.
-func (r *Runner) stream(k streamKey) *recvStream {
-	s := r.streams[k]
-	if s == nil {
-		if r.streams == nil {
-			r.streams = make(map[streamKey]*recvStream)
+// stream returns the receive stream of (pair, tag), creating it on first
+// use (a send nobody receives gets an empty one). pairStream indexes each
+// (src, dst) pair's first stream, so a lookup walks only that pair's
+// tags. Streams are recycled across compiles: a new one reuses an old
+// entry's slot buffer, so steady-state matching allocates nothing.
+func (r *Runner) stream(pair int32, tag int) *recvStream {
+	for i := r.pairStream[pair]; i >= 0; {
+		s := &r.streams[i]
+		if s.tag == tag {
+			return s
 		}
-		s = &recvStream{}
-		r.streams[k] = s
+		i = s.next
 	}
-	if len(s.slots) == 0 {
-		r.touched = append(r.touched, s)
+	i := int32(len(r.streams))
+	if cap(r.streams) > len(r.streams) {
+		r.streams = r.streams[:i+1]
+	} else {
+		r.streams = append(r.streams, recvStream{})
 	}
+	s := &r.streams[i]
+	*s = recvStream{pair: pair, next: r.pairStream[pair], tag: tag, slots: s.slots[:0]}
+	r.pairStream[pair] = i
 	return s
 }
 
@@ -231,16 +250,24 @@ func (r *Runner) compileInto(p *Plan, ref *Plan, nprocs int, fn func(*Proc) erro
 		barrierCost: barrierCostFor(r.opts, cfg, nprocs),
 		rankOff:     grow(p.rankOff, nprocs+1),
 		events:      p.events[:0],
-		binds:       p.binds[:0],
+		sends:       p.sends[:0],
+		durs:        p.durs[:0],
 		waitSlots:   p.waitSlots[:0],
 		slotOwner:   p.slotOwner[:0],
 		slotPend:    p.slotPend[:0],
-		slotEvent:   p.slotEvent[:0],
+		slotBytes:   p.slotBytes[:0],
 	}
-	for _, s := range r.touched {
-		s.slots, s.head = s.slots[:0], 0
+	for _, s := range r.streams {
+		r.pairStream[s.pair] = -1
 	}
-	r.touched = r.touched[:0]
+	r.streams = r.streams[:0]
+	r.sendKeys = r.sendKeys[:0]
+	if len(r.pairStream) < nprocs*nprocs {
+		r.pairStream = make([]int32, nprocs*nprocs)
+		for i := range r.pairStream {
+			r.pairStream[i] = -1
+		}
+	}
 
 	for len(r.procs) < nprocs {
 		r.procs = append(r.procs, &Proc{rank: len(r.procs)})
@@ -277,22 +304,16 @@ func (r *Runner) compileInto(p *Plan, ref *Plan, nprocs int, fn func(*Proc) erro
 	for i := range bound {
 		bound[i] = false
 	}
-	for rank := 0; rank < nprocs; rank++ {
-		for i := p.rankOff[rank]; i < p.rankOff[rank+1]; i++ {
-			e := &p.events[i]
-			if e.kind != evSend {
-				continue
-			}
-			s := r.streams[streamKey{src: rank, dst: e.peer, tag: e.tag}]
-			if s == nil || s.head == len(s.slots) {
-				continue // never received: the message stays unexpected
-			}
-			m := s.slots[s.head]
-			s.head++
-			e.peerSlot = m
-			bound[m] = true
-			p.binds[p.slotEvent[m]].bytes = p.binds[i].bytes
+	for i, k := range r.sendKeys {
+		s := r.stream(k.pair, k.tag)
+		if s.head == len(s.slots) {
+			continue // never received: the message stays unexpected
 		}
+		m := s.slots[s.head]
+		s.head++
+		p.sends[i].peerSlot = m
+		bound[m] = true
+		p.slotBytes[m] = p.slotBytes[k.slot]
 	}
 	for _, m := range p.waitSlots {
 		if p.slotPend[m] == 2 && !bound[m] {

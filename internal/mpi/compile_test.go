@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -291,5 +292,68 @@ func TestCompileSteadyStateAllocs(t *testing.T) {
 	point() // grow the buffers
 	if avg := testing.AllocsPerRun(20, point); avg > 0 {
 		t.Errorf("steady-state compile+replay allocates %v times per point, want 0", avg)
+	}
+}
+
+// clonePlan deep-copies p's tables, so a test can mutate the copy.
+func clonePlan(p *Plan) *Plan {
+	q := *p
+	q.rankOff = slices.Clone(p.rankOff)
+	q.events = slices.Clone(p.events)
+	q.sends = slices.Clone(p.sends)
+	q.durs = slices.Clone(p.durs)
+	q.waitSlots = slices.Clone(p.waitSlots)
+	q.slotOwner = slices.Clone(p.slotOwner)
+	q.slotPend = slices.Clone(p.slotPend)
+	q.slotBytes = slices.Clone(p.slotBytes)
+	return &q
+}
+
+// TestPlanEquivalentToDetectsEveryField: Verify's soundness rests on
+// EquivalentTo comparing every table replay reads, so changing exactly
+// one entry of any of them — a send's timing, NICs, bound receive or
+// jitter draw, a sleep's duration, one slot a wait joins or its length,
+// a slot's bytes, owner or pend count, a rank's event offset — must make
+// two otherwise identical plans differ.
+func TestPlanEquivalentToDetectsEveryField(t *testing.T) {
+	const nprocs = 8
+	r, err := NewRunner(replayDualConfig(nprocs), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := r.Compile(nprocs, sizedClosure(8192, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.EquivalentTo(clonePlan(plan)) {
+		t.Fatal("a plan is not equivalent to its copy")
+	}
+	lastSleep := len(plan.durs) - 1
+	wait := slices.IndexFunc(plan.events, func(e planEvent) bool { return e.kind == evWait && e.slot > 0 })
+	send, matched := 0, slices.IndexFunc(plan.sends, func(s planSend) bool { return s.peerSlot >= 0 })
+	if lastSleep < 0 || wait < 0 || matched < 0 || plan.durs[lastSleep] == 0 {
+		t.Fatal("the program compiled no nonzero sleep, wait or matched send")
+	}
+	mutations := map[string]func(q *Plan){
+		"send timing":    func(q *Plan) { q.sends[send].lt.TxTime *= 2 },
+		"send local":     func(q *Plan) { q.sends[send].lt.Local = !q.sends[send].lt.Local },
+		"send src NIC":   func(q *Plan) { q.sends[send].srcNIC++ },
+		"send dst NIC":   func(q *Plan) { q.sends[send].dstNIC++ },
+		"send peer slot": func(q *Plan) { q.sends[matched].peerSlot = -1 },
+		"send draws":     func(q *Plan) { q.sends[send].draws = !q.sends[send].draws },
+		"sleep duration": func(q *Plan) { q.durs[lastSleep] *= 2 },
+		"wait slot":      func(q *Plan) { q.waitSlots[q.events[wait].arg]++ },
+		"wait length":    func(q *Plan) { q.events[wait].slot-- },
+		"slot bytes":     func(q *Plan) { q.slotBytes[0]++ },
+		"slot owner":     func(q *Plan) { q.slotOwner[0]++ },
+		"slot pend":      func(q *Plan) { q.slotPend[0]++ },
+		"rank offset":    func(q *Plan) { q.rankOff[1]++ },
+	}
+	for name, mutate := range mutations {
+		q := clonePlan(plan)
+		mutate(q)
+		if plan.EquivalentTo(q) || q.EquivalentTo(plan) {
+			t.Errorf("%s: a plan with one changed entry is still equivalent", name)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package mpi
 
-import "mpicollperf/internal/simnet"
+import (
+	"slices"
+
+	"mpicollperf/internal/simnet"
+)
 
 // Plans: Runner.Compile records the complete structure of one
 // repetition of a program — every transfer with its matched receive,
@@ -45,42 +49,37 @@ func (k evKind) String() string {
 	return "unknown"
 }
 
-// planEvent is one structural event of a compiled Plan: the part of an
-// event that is a function of the program's communication pattern alone —
-// kind, endpoints, request wiring — and therefore the same for every
-// byte count the program is run at. The owning rank is implicit: events
-// are stored rank-major (see Plan.rankOff). Per-point quantities (byte
-// counts, link timings, sleep durations, jitter-draw flags) live in the
-// parallel planBind array.
+// planEvent is one event of a compiled Plan, 12 bytes: the replay walks
+// these in order, so everything only some kinds need lives in side
+// tables the event indexes. The owning rank is implicit: events are
+// stored rank-major (see Plan.rankOff).
+//
+//	kind     slot                    arg
+//	send     its request slot        index into Plan.sends
+//	recv     its request slot        -
+//	sleep    -                       index into Plan.durs
+//	wait     number of joined slots  offset into Plan.waitSlots
+//	barrier  -                       -
+//	mark     -                       -
 type planEvent struct {
-	kind   evKind
-	srcNIC int32
-	dstNIC int32
-	slot   int32
-	// send: the recv slot the message binds, -1 if never received.
-	peerSlot int32
-	// peer rank and message tag: the (src, dst, tag) stream a compile
-	// pass matches sends to receives on.
-	peer int
-	tag  int
-	wOff int32
-	wLen int32
+	kind evKind
+	slot int32
+	arg  int32
 }
 
-// planBind is the per-point binding of one plan event: everything replay
-// reads that depends on the operation's sizes rather than its structure.
-// All times are precomputed constants (the send's effective LinkTiming
-// from simnet.Network.TimingFor, which folds in any time-invariant
+// planSend is the per-send record replay reads at a send event. The
+// timing is a precomputed constant (the send's effective LinkTiming from
+// simnet.Network.TimingFor, which folds in any time-invariant
 // perturbations); virtual times are produced only at replay.
-type planBind struct {
-	// bytes is the message size (for a receive: the matched message's
-	// size, back-filled from the send).
-	bytes int
-	// lt is the send's effective timing parameters (zero for non-sends);
-	// lt.Local marks a co-located send: shared NIC, no ports, no jitter.
-	lt simnet.LinkTiming
-	// dur is the sleep duration (zero for non-sleeps).
-	dur float64
+type planSend struct {
+	// lt is the send's effective timing parameters; lt.Local marks a
+	// co-located send: shared NIC, no ports, no jitter.
+	lt     simnet.LinkTiming
+	srcNIC int32
+	dstNIC int32
+	// peerSlot is the receive slot the message binds, -1 if never
+	// received.
+	peerSlot int32
 	// draws reports that the send consumes one jitter factor.
 	draws bool
 }
@@ -103,24 +102,23 @@ type Plan struct {
 	slots       int
 	draws       int // jitter factors consumed per replay pass
 	marks       int // mark events per replay pass
-	sends       int // send events per replay pass (precomputed for Sends)
 	barrierCost float64
 	// rankOff[r]..rankOff[r+1] bound rank r's events; len nprocs+1.
 	rankOff []int32
-	// events is the structural skeleton; binds is its parallel per-point
-	// binding (binds[i] belongs to events[i]).
+	// events is the walk; sends, durs and waitSlots are the side tables
+	// its send, sleep and wait events index.
 	events    []planEvent
-	binds     []planBind
+	sends     []planSend
+	durs      []float64
 	waitSlots []int32
 	// slotOwner is the rank whose send/recv introduced each slot; slotPend
 	// is the number of halves that must complete before the slot's request
 	// is bound (1 for a send, 2 for a matched receive: the receive itself
-	// and its message's delivery). slotEvent maps each slot to the event
-	// that introduced it, so receive byte counts are back-filled from
-	// their matched sends without a scratch pass.
+	// and its message's delivery); slotBytes is the size of the slot's
+	// message (for a receive: the matched send's, 0 if unmatched).
 	slotOwner []int32
 	slotPend  []uint8
-	slotEvent []int32
+	slotBytes []int
 }
 
 // Marks returns the number of mark events one replay pass produces.
@@ -133,9 +131,8 @@ func (p *Plan) Draws() int { return p.draws }
 func (p *Plan) Events() int { return len(p.events) }
 
 // Sends returns the number of send events one replay pass walks — the
-// transfers a single replayed repetition simulates. The count is
-// precomputed at compile time; Sends is a field read, never a scan.
-func (p *Plan) Sends() int { return p.sends }
+// transfers a single replayed repetition simulates.
+func (p *Plan) Sends() int { return len(p.sends) }
 
 // BarrierCost returns the analytical cost of one barrier under the plan's
 // runtime options — the constant a replay adds at every barrier release.
@@ -144,35 +141,19 @@ func (p *Plan) Sends() int { return p.sends }
 func (p *Plan) BarrierCost() float64 { return p.barrierCost }
 
 // EquivalentTo reports whether two plans describe bit-for-bit the same
-// communication structure: same per-rank programs, same NICs, byte
-// times, request wiring, and barrier cost. Runner.Verify uses it to
-// compare a program's second compile pass with its first.
+// communication structure: same per-rank programs, same NICs, link
+// timings, byte counts, sleeps, request wiring, and barrier cost.
+// Runner.Verify uses it to compare a program's second compile pass with
+// its first.
 func (p *Plan) EquivalentTo(q *Plan) bool {
-	if p.nprocs != q.nprocs || p.nics != q.nics || p.slots != q.slots ||
-		p.draws != q.draws || p.marks != q.marks || p.sends != q.sends ||
-		p.barrierCost != q.barrierCost ||
-		len(p.events) != len(q.events) || len(p.waitSlots) != len(q.waitSlots) {
-		return false
-	}
-	for i, o := range p.rankOff {
-		if o != q.rankOff[i] {
-			return false
-		}
-	}
-	for i := range p.events {
-		if p.events[i] != q.events[i] || p.binds[i] != q.binds[i] {
-			return false
-		}
-	}
-	for i := range p.waitSlots {
-		if p.waitSlots[i] != q.waitSlots[i] {
-			return false
-		}
-	}
-	for i := range p.slotOwner {
-		if p.slotOwner[i] != q.slotOwner[i] || p.slotPend[i] != q.slotPend[i] {
-			return false
-		}
-	}
-	return true
+	return p.nprocs == q.nprocs && p.nics == q.nics && p.slots == q.slots &&
+		p.draws == q.draws && p.marks == q.marks && p.barrierCost == q.barrierCost &&
+		slices.Equal(p.rankOff, q.rankOff) &&
+		slices.Equal(p.events, q.events) &&
+		slices.Equal(p.sends, q.sends) &&
+		slices.Equal(p.durs, q.durs) &&
+		slices.Equal(p.waitSlots, q.waitSlots) &&
+		slices.Equal(p.slotOwner, q.slotOwner) &&
+		slices.Equal(p.slotPend, q.slotPend) &&
+		slices.Equal(p.slotBytes, q.slotBytes)
 }

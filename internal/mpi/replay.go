@@ -185,7 +185,7 @@ func (r *Replayer) replayLane(l int) bool {
 		e := &p.events[cur]
 		switch e.kind {
 		case evSleep:
-			key += p.binds[cur].dur
+			key += p.durs[e.arg]
 			r.laneClock[rank] = key
 		case evMark:
 			r.marks[r.mi] = key
@@ -199,27 +199,27 @@ func (r *Replayer) replayLane(l int) bool {
 			// The receive's own rank is busy here, so no wait can be
 			// parked on it; no wake needed.
 		case evSend:
-			b := &p.binds[cur]
+			sd := &p.sends[e.arg]
 			var sc, delivered float64
-			if b.lt.Local {
-				sc, delivered = r.ports.TransmitLocal(b.lt, key)
+			if sd.lt.Local {
+				sc, delivered = r.ports.TransmitLocal(sd.lt, key)
 			} else {
 				f := 1.0
-				if b.draws {
+				if sd.draws {
 					f = r.jit[r.ji]
 					r.ji++
 				}
-				sc, delivered = r.ports.Transmit(l, int(e.srcNIC), int(e.dstNIC), b.lt, key, f)
+				sc, delivered = r.ports.Transmit(l, int(sd.srcNIC), int(sd.dstNIC), sd.lt, key, f)
 			}
 			r.reqAt[e.slot] = sc
 			r.pend[e.slot] = 0
-			if ps := e.peerSlot; ps >= 0 {
+			if ps := sd.peerSlot; ps >= 0 {
 				r.reqAt[ps] = math.Max(r.reqAt[ps], delivered)
 				if r.pend[ps]--; r.pend[ps] == 0 {
 					r.wake(int(p.slotOwner[ps]))
 				}
 			}
-			key += b.lt.SendOv
+			key += sd.lt.SendOv
 			r.laneClock[rank] = key
 		}
 		r.advance(rank)
@@ -266,7 +266,7 @@ func (r *Replayer) advance(rank int) {
 			}
 		}
 	case evWait:
-		for _, s := range p.waitSlots[e.wOff : e.wOff+e.wLen] {
+		for _, s := range p.waitSlots[e.arg : e.arg+e.slot] {
 			if r.pend[s] != 0 {
 				r.parked[rank] = true
 				r.front.clear(rank)
@@ -283,7 +283,7 @@ func (r *Replayer) advance(rank int) {
 // clock and its requests' completion times — the scheduler's scheduleKey.
 func (r *Replayer) waitKey(rank int, e *planEvent) float64 {
 	t := r.laneClock[rank]
-	for _, s := range r.plan.waitSlots[e.wOff : e.wOff+e.wLen] {
+	for _, s := range r.plan.waitSlots[e.arg : e.arg+e.slot] {
 		if v := r.reqAt[s]; v > t {
 			t = v
 		}
@@ -297,7 +297,7 @@ func (r *Replayer) wake(rank int) {
 		return
 	}
 	e := &r.plan.events[r.cursor[rank]]
-	for _, s := range r.plan.waitSlots[e.wOff : e.wOff+e.wLen] {
+	for _, s := range r.plan.waitSlots[e.arg : e.arg+e.slot] {
 		if r.pend[s] != 0 {
 			return
 		}

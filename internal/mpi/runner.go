@@ -31,13 +31,15 @@ type Runner struct {
 	// Recycled across NewReplayer calls.
 	replayer *Replayer
 	// Recycled across Compile and Verify calls (compile.go): the plans
-	// each builds, the pass's rank state, the per-(src, dst, tag) receive
-	// streams with the streams the last pass filled, and the matching
-	// scratch.
+	// each builds, the pass's rank state, and its matching scratch — the
+	// per-(src, dst, tag) receive streams, each (src, dst) pair's first
+	// stream (-1 if none), every send's stream key, and the matched-slot
+	// flags.
 	plan, check Plan
 	compileCur  compileRank
-	streams     map[streamKey]*recvStream
-	touched     []*recvStream
+	streams     []recvStream
+	pairStream  []int32
+	sendKeys    []sendKey
 	bound       []bool
 }
 
