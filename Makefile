@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race doccheck deadpkgcheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck
+.PHONY: ci vet fmtcheck build test race doccheck deadpkgcheck bench benchdiff benchpaper benchsmoke fuzzseed covercheck apicheck apiupdate guidelines servecheck perfbenchcheck
 
-ci: vet fmtcheck build test race benchsmoke fuzzseed guidelines servecheck covercheck doccheck deadpkgcheck apicheck
+ci: vet fmtcheck build test race perfbenchcheck benchsmoke fuzzseed guidelines servecheck covercheck doccheck deadpkgcheck apicheck
 
 vet:
 	$(GO) vet ./...
@@ -25,6 +25,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark harness is a separate module (perfbench/), so
+# the root's ./... skips it; it calls internal APIs, so a change to one
+# must be caught here rather than by the benchmark run.
+perfbenchcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Hot-path and sweep-engine benchmarks, recorded twice: BENCH_sched.json
 # forces the scheduler engine (SWEEP_ENGINE=scheduler) and covers the

@@ -492,6 +492,22 @@ func BenchmarkCalibrateExtended(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyGuidelines measures regenerating the guideline
+// artifact: the default verify-guidelines grid (grisou and gros, each
+// quiet and under two random perturbations), the grid
+// TestGoldenGuidelineArtifact pins.
+// Every point re-reads its platform's noise stream from the start, so
+// this is where drawing jitter shows.
+func BenchmarkVerifyGuidelines(b *testing.B) {
+	b.ReportAllocs()
+	h := goldenGuidelineHarness()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ----------------------------------------------------- Substrate micro
 
 // BenchmarkSimulatorTransmit measures the raw event rate of the network

@@ -298,6 +298,17 @@ func TestGoldenSweepCallers(t *testing.T) {
 	}
 }
 
+// goldenGuidelineHarness is the default verify-guidelines grid the
+// recorded results/guidelines.json was produced with.
+func goldenGuidelineHarness() guideline.Harness {
+	return guideline.Harness{
+		RandomPerturbations: 2,
+		Seed:                1,
+		Intensity:           0.5,
+		Settings:            experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1},
+	}
+}
+
 // TestGoldenGuidelineArtifact regenerates the default `mpicollperf
 // verify-guidelines` grid — grisou and gros at 16 nodes, two random
 // perturbations of each (seed 1, intensity 0.5), P ∈ {4, 8, 16} × four
@@ -307,12 +318,7 @@ func TestGoldenSweepCallers(t *testing.T) {
 // max ratio (the perturbed platforms' included) is pinned.
 func TestGoldenGuidelineArtifact(t *testing.T) {
 	want := readArtifact(t, "results/guidelines.json")
-	h := guideline.Harness{
-		RandomPerturbations: 2,
-		Seed:                1,
-		Intensity:           0.5,
-		Settings:            experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1},
-	}
+	h := goldenGuidelineHarness()
 	rep, err := h.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

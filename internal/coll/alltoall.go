@@ -89,7 +89,7 @@ func Alltoall(p *mpi.Proc, alg AlltoallAlgorithm, send, recv Msg, blockSize int)
 func alltoallLinear(p *mpi.Proc, send, recv Msg, bs int) {
 	size := p.Size()
 	me := p.Rank()
-	reqs := make([]*mpi.Request, 0, 2*(size-1))
+	reqs := p.Requests(2 * (size - 1))
 	for r := 0; r < size; r++ {
 		if r == me {
 			continue

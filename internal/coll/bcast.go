@@ -93,15 +93,15 @@ func Bcast(p *mpi.Proc, alg BcastAlgorithm, root int, m Msg, segSize int) {
 	case BcastLinear:
 		bcastBasicLinear(p, root, m)
 	case BcastChain:
-		bcastGeneric(p, root, m, segSize, mustTree(topo.BuildChain(p.Size(), root, 1)))
+		bcastGeneric(p, root, m, segSize, sharedTree(shapeChain, p.Size(), root))
 	case BcastKChain:
-		bcastGeneric(p, root, m, segSize, mustTree(topo.BuildChain(p.Size(), root, DefaultKChainFanout)))
+		bcastGeneric(p, root, m, segSize, sharedTree(shapeKChain, p.Size(), root))
 	case BcastBinary:
-		bcastGeneric(p, root, m, segSize, mustTree(topo.BuildKAry(p.Size(), root, 2)))
+		bcastGeneric(p, root, m, segSize, sharedTree(shapeBinary, p.Size(), root))
 	case BcastSplitBinary:
 		bcastSplitBinary(p, root, m, segSize)
 	case BcastBinomial:
-		bcastGeneric(p, root, m, segSize, mustTree(topo.BuildBinomial(p.Size(), root)))
+		bcastGeneric(p, root, m, segSize, sharedTree(shapeBinomial, p.Size(), root))
 	default:
 		panic(fmt.Errorf("coll: unknown broadcast algorithm %d", int(alg)))
 	}
@@ -118,7 +118,7 @@ func bcastBasicLinear(p *mpi.Proc, root int, m Msg) {
 		p.Recv(root, tagBcast, m.Data)
 		return
 	}
-	reqs := make([]*mpi.Request, 0, p.Size()-1)
+	reqs := p.Requests(p.Size() - 1)
 	for r := 0; r < p.Size(); r++ {
 		if r == root {
 			continue
@@ -128,15 +128,14 @@ func bcastBasicLinear(p *mpi.Proc, root int, m Msg) {
 	p.WaitAll(reqs...)
 }
 
-// splitPlan captures the deterministic structure every rank derives
-// locally for the split-binary broadcast: which subtree each rank is in,
-// the two halves, and the pairing for the final exchange.
-type splitPlan struct {
+// splitShape captures the deterministic structure every rank derives for
+// the split-binary broadcast: which subtree each rank is in and the
+// pairing for the final exchange. It depends only on (size, root), so it
+// is built once and shared (see cachedShape); it must not be modified.
+type splitShape struct {
 	tree *topo.Tree
 	// subtree[r] is 0 (left), 1 (right) or -1 for the root.
 	subtree []int
-	// halves[h] is the byte range [lo,hi) of half h.
-	lo, hi [2]int
 	// partner[r] is the rank r exchanges halves with, or -1 if r has no
 	// partner (the subtrees differ in size).
 	partner []int
@@ -147,9 +146,35 @@ type splitPlan struct {
 	server map[int]int
 }
 
-// planSplitBinary computes the split-binary structure for P >= 3.
+// splitPlan is a split-binary broadcast of one message: the shared shape
+// plus the two halves.
+type splitPlan struct {
+	*splitShape
+	// halves[h] is the byte range [lo,hi) of half h.
+	lo, hi [2]int
+}
+
+// planSplitBinary computes the split-binary plan for P >= 3.
 func planSplitBinary(size, root int, m Msg, segSize int) splitPlan {
-	pl := splitPlan{tree: mustTree(topo.BuildKAry(size, root, 2))}
+	pl := splitPlan{splitShape: cachedShape(shapeKey{shape: shapeSplitBinary, size: size, root: root}).split}
+	// Split the segments between the halves: the left half gets
+	// ceil(ns/2) segments, like Open MPI rounds the split point to a
+	// segment boundary.
+	s := segmented(m, segSize)
+	nsLeft := (s.segments + 1) / 2
+	pl.lo[0], pl.hi[0] = 0, min(nsLeft*s.segSize, m.Size)
+	if s.segments == 1 {
+		pl.hi[0] = m.Size
+	}
+	pl.lo[1], pl.hi[1] = pl.hi[0], m.Size
+	return pl
+}
+
+// buildSplitShape builds the split-binary shape over the binary tree t,
+// for P >= 3.
+func buildSplitShape(t *topo.Tree, root int) *splitShape {
+	size := t.Size
+	pl := &splitShape{tree: t}
 	pl.subtree = make([]int, size)
 	pl.partner = make([]int, size)
 	for r := range pl.subtree {
@@ -169,16 +194,6 @@ func planSplitBinary(size, root int, m Msg, segSize int) splitPlan {
 			queue = append(queue, pl.tree.Children[r]...)
 		}
 	}
-	// Split the segments between the halves: the left half gets
-	// ceil(ns/2) segments, like Open MPI rounds the split point to a
-	// segment boundary.
-	s := segmented(m, segSize)
-	nsLeft := (s.segments + 1) / 2
-	pl.lo[0], pl.hi[0] = 0, min(nsLeft*s.segSize, m.Size)
-	if s.segments == 1 {
-		pl.hi[0] = m.Size
-	}
-	pl.lo[1], pl.hi[1] = pl.hi[0], m.Size
 	// Pair the i-th node of the left BFS order with the i-th of the right.
 	n := min(len(order[0]), len(order[1]))
 	for i := 0; i < n; i++ {
@@ -219,7 +234,7 @@ func bcastSplitBinary(p *mpi.Proc, root int, m Msg, segSize int) {
 	size := p.Size()
 	s := segmented(m, segSize)
 	if size < 3 || s.segments < 2 || m.Size < 2 {
-		bcastGeneric(p, root, m, segSize, mustTree(topo.BuildKAry(size, root, 2)))
+		bcastGeneric(p, root, m, segSize, sharedTree(shapeBinary, size, root))
 		return
 	}
 	pl := planSplitBinary(size, root, m, segSize)
@@ -236,7 +251,7 @@ func bcastSplitBinary(p *mpi.Proc, root int, m Msg, segSize int) {
 		if len(children) > 1 && halves[1].segments > steps {
 			steps = halves[1].segments
 		}
-		var reqs []*mpi.Request
+		reqs := p.Requests(len(children))
 		for i := 0; i < steps; i++ {
 			reqs = reqs[:0]
 			for h, child := range children {
@@ -259,7 +274,7 @@ func bcastSplitBinary(p *mpi.Proc, root int, m Msg, segSize int) {
 	// unpaired surplus nodes of the opposite subtree additionally send
 	// them their native half; unpaired ranks receive from their server.
 	other := m.slice(pl.lo[1-h], pl.hi[1-h])
-	var reqs []*mpi.Request
+	reqs := p.Requests(2 + len(pl.serves[me]))
 	if partner := pl.partner[me]; partner >= 0 {
 		reqs = append(reqs,
 			p.Irecv(partner, tagXchg, other.Data),
@@ -281,7 +296,7 @@ func bcastHalfPipelined(p *mpi.Proc, tree *topo.Tree, half Msg, segSize int) {
 	parent := tree.Parent[me]
 	children := tree.Children[me]
 	var recvReqs [2]*mpi.Request
-	sendReqs := make([]*mpi.Request, len(children))
+	sendReqs := p.Requests(len(children))[:len(children)]
 	recvReqs[0] = p.Irecv(parent, tagBcast, s.seg(0).Data)
 	for i := 1; i < s.segments; i++ {
 		cur := i & 1

@@ -138,7 +138,7 @@ func bcastGeneric(p *mpi.Proc, root int, m Msg, segSize int, tree *topo.Tree) {
 	children := tree.Children[me]
 	switch {
 	case me == root:
-		reqs := make([]*mpi.Request, len(children))
+		reqs := p.Requests(len(children))[:len(children)]
 		for i := 0; i < s.segments; i++ {
 			seg := s.seg(i)
 			for c, child := range children {
@@ -149,7 +149,7 @@ func bcastGeneric(p *mpi.Proc, root int, m Msg, segSize int, tree *topo.Tree) {
 	case len(children) > 0:
 		parent := tree.Parent[me]
 		var recvReqs [2]*mpi.Request
-		sendReqs := make([]*mpi.Request, len(children))
+		sendReqs := p.Requests(len(children))[:len(children)]
 		recvReqs[0] = p.Irecv(parent, tagBcast, s.seg(0).Data)
 		for i := 1; i < s.segments; i++ {
 			cur := i & 1

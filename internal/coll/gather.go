@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpicollperf/internal/mpi"
-	"mpicollperf/internal/topo"
 )
 
 // GatherAlgorithm identifies a gather implementation.
@@ -104,7 +103,7 @@ func gatherLinear(p *mpi.Proc, root int, m Msg, blockSize int, sync bool) {
 		}
 		return
 	}
-	reqs := make([]*mpi.Request, 0, p.Size()-1)
+	reqs := p.Requests(p.Size() - 1)
 	for r := 0; r < p.Size(); r++ {
 		if r == root {
 			continue
@@ -122,7 +121,7 @@ func gatherLinear(p *mpi.Proc, root int, m Msg, blockSize int, sync bool) {
 func gatherBinomial(p *mpi.Proc, root int, m Msg, blockSize int) {
 	size := p.Size()
 	me := p.Rank()
-	tree := mustTree(topo.BuildBinomial(size, root))
+	tree := sharedTree(shapeBinomial, size, root)
 	vr := func(r int) int { return (r - root + size) % size }
 	sub := binomialSubtreeSize(vr(me), size)
 
@@ -144,7 +143,7 @@ func gatherBinomial(p *mpi.Proc, root int, m Msg, blockSize int) {
 	}
 	// Receive each child's contiguous subtree block.
 	children := tree.Children[me]
-	reqs := make([]*mpi.Request, 0, len(children))
+	reqs := p.Requests(len(children))
 	for _, c := range children {
 		off := (vr(c) - vr(me)) * blockSize
 		csub := binomialSubtreeSize(vr(c), size)

@@ -84,7 +84,7 @@ func Reduce(p *mpi.Proc, alg ReduceAlgorithm, root int, m Msg, op ReduceOp, segS
 	case ReduceLinear:
 		reduceLinear(p, root, m, op)
 	case ReduceBinomial:
-		reduceTree(p, root, m, op, mustTree(topo.BuildBinomial(p.Size(), root)))
+		reduceTree(p, root, m, op, sharedTree(shapeBinomial, p.Size(), root))
 	case ReducePipeline:
 		reducePipeline(p, root, m, op, segSize)
 	default:
@@ -126,7 +126,7 @@ func reduceTree(p *mpi.Proc, root int, m Msg, op ReduceOp, tree *topo.Tree) {
 // combining at each hop: the reduction mirror of the chain broadcast, with
 // the same (P-2+n_s)-stage cost structure.
 func reducePipeline(p *mpi.Proc, root int, m Msg, op ReduceOp, segSize int) {
-	tree := mustTree(topo.BuildChain(p.Size(), root, 1))
+	tree := sharedTree(shapeChain, p.Size(), root)
 	s := segmented(m, segSize)
 	me := p.Rank()
 	children := tree.Children[me]

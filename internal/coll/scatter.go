@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpicollperf/internal/mpi"
-	"mpicollperf/internal/topo"
 )
 
 // ScatterAlgorithm identifies a scatter implementation.
@@ -76,7 +75,7 @@ func scatterLinear(p *mpi.Proc, root int, m Msg, blockSize int) {
 		p.Recv(root, tagScatter, m.Data)
 		return
 	}
-	reqs := make([]*mpi.Request, 0, p.Size()-1)
+	reqs := p.Requests(p.Size() - 1)
 	for r := 0; r < p.Size(); r++ {
 		if r == root {
 			continue
@@ -92,7 +91,7 @@ func scatterLinear(p *mpi.Proc, root int, m Msg, blockSize int) {
 func scatterBinomial(p *mpi.Proc, root int, m Msg, blockSize int) {
 	size := p.Size()
 	me := p.Rank()
-	tree := mustTree(topo.BuildBinomial(size, root))
+	tree := sharedTree(shapeBinomial, size, root)
 	vr := func(r int) int { return (r - root + size) % size }
 	sub := binomialSubtreeSize(vr(me), size)
 
@@ -115,7 +114,7 @@ func scatterBinomial(p *mpi.Proc, root int, m Msg, blockSize int) {
 	}
 	// Forward each child its subtree slice, largest subtree first (the
 	// children are already in that order).
-	reqs := make([]*mpi.Request, 0, len(tree.Children[me]))
+	reqs := p.Requests(len(tree.Children[me]))
 	for _, c := range tree.Children[me] {
 		off := (vr(c) - vr(me)) * blockSize
 		csub := binomialSubtreeSize(vr(c), size)

@@ -277,8 +277,8 @@ func measureOnEngine(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, 
 // the caller runs instead; errors surface there exactly as the scheduler
 // reports them.
 func measureReplay(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op, timingIndependent bool) (Measurement, FallbackReason) {
-	// Reset first: the replay below must consume the noise stream from
-	// the exact position a scheduler run starts at.
+	// Reset first: the replay below must read the noise stream from the
+	// exact position a scheduler run starts at.
 	r.Network().Reset()
 	rep := repetition(op, mode)
 	plan, err := r.Compile(nprocs, rep)
@@ -416,57 +416,20 @@ func measureScheduler(r *mpi.Runner, nprocs int, set Settings, mode Mode, op Op)
 	return smp.result(), nil
 }
 
-// replayLanes bounds how many repetitions one replay batch re-times; the
-// jitter for the whole batch is drawn up front and the mark buffers are
-// lane-major (see mpi.Replayer).
-const replayLanes = 8
-
-// replayUntilDone re-times repetitions with rp until smp stops.
-// Repetitions up to the first possible convergence decision are batched
-// (at most lanes per Replay); after that each repetition may be the last
-// and is replayed alone. Each repetition's sample is the span between its
-// two marks, less the barrier cost bc in Completion mode. It fails when
-// the repetition budget runs out before a decision or the plan does not
-// close over a repetition.
-func replayUntilDone(rp *mpi.Replayer, smp *sampler, lanes int, mode Mode, bc float64) error {
-	set := smp.set
-	firstDecision := set.Warmup + set.MinReps - 1
-	for !smp.done {
-		k := 1
-		if smp.rep <= firstDecision {
-			k = firstDecision - smp.rep + 1
-		}
-		k = min(k, lanes, set.Warmup+set.MaxReps-smp.rep)
-		if k < 1 {
-			return fmt.Errorf("experiment: replay budget exhausted before a decision")
-		}
-		marks, ok := rp.Replay(k)
-		if !ok {
-			return fmt.Errorf("experiment: plan does not close over a repetition")
-		}
-		for l := 0; l < k && !smp.done; l++ {
-			sample := marks[l*2+1] - marks[l*2]
-			if mode == Completion {
-				sample -= bc
-			}
-			smp.add(sample)
-		}
-	}
-	return nil
-}
-
 // replayPoint re-times every repetition of a compiled plan, the first
-// included, with no scheduler run at all.
+// included, with no scheduler run at all. Each repetition's sample is the
+// span between its two marks, less the barrier cost in Completion mode.
 //
 // Bit-identicality with the scheduler: measureScheduler's preamble (two
 // calibration barriers from clock zero) consumes no jitter and leaves
 // every rank's clock at exactly twice the analytical barrier cost, so
-// replaying the plan from those clocks, idle ports, and a freshly
-// reseeded noise stream (the caller resets the network) performs
-// literally the same floating-point arithmetic as the scheduler run of
-// repetition 0 — and the chained lanes reproduce repetitions 1..N the
-// same way. The sample sequence, and hence the Measurement, is
-// bit-identical to the scheduler engine's.
+// replaying the plan from those clocks, idle ports, and a rewound noise
+// stream (the caller resets the network) performs literally the same
+// floating-point arithmetic as the scheduler run of repetition 0. Each
+// later repetition continues from the ports and clocks the one before
+// left behind and reads the next Plan.Draws() factors of the same stream,
+// so repetitions 1..N follow the same way. The sample sequence, and hence
+// the Measurement, is bit-identical to the scheduler engine's.
 //
 // An error means the plan does not replay to completion (a deadlocking
 // program, or a plan that does not fit the Runner's network); the caller
@@ -479,14 +442,23 @@ func replayPoint(r *mpi.Runner, nprocs int, set Settings, mode Mode, plan *mpi.P
 	for i := range start {
 		start[i] = bc + bc
 	}
-	smp := newSampler(set)
-	lanes := min(replayLanes, set.Warmup+set.MaxReps-smp.rep)
-	rp, err := r.NewReplayer(plan, start, lanes)
+	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		return Measurement{}, err
 	}
-	if err := replayUntilDone(rp, smp, lanes, mode, bc); err != nil {
-		return Measurement{}, err
+	// The sampler stops at MaxReps at the latest (withDefaults keeps
+	// MaxReps >= MinReps), so the loop is bounded.
+	smp := newSampler(set)
+	for !smp.done {
+		marks, ok := rp.Replay()
+		if !ok {
+			return Measurement{}, fmt.Errorf("experiment: plan does not close over a repetition")
+		}
+		sample := marks[1] - marks[0]
+		if mode == Completion {
+			sample -= bc
+		}
+		smp.add(sample)
 	}
 	if m := r.Metrics(); m != nil {
 		// Every repetition was re-timed by the replayer.

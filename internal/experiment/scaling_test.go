@@ -122,8 +122,10 @@ func TestSweepPoolBitIdenticalAndClamped(t *testing.T) {
 	if pending := m.Gauge("sweep_points_pending").Value(); pending != 0 {
 		t.Fatalf("sweep_points_pending = %v after a complete sweep, want 0", pending)
 	}
-	if chunks := m.Counter("sweep_chunks_total").Value(); chunks == 0 {
-		t.Fatal("sweep_chunks_total = 0; workers claimed no chunks")
+	measured := m.Counter("sweep_points_measured_total").Value()
+	cached := m.Counter("sweep_points_cached_total").Value()
+	if total := measured + cached; total != int64(3*len(grid)) {
+		t.Fatalf("points measured %d + cached %d = %d over 3 sweeps, want %d", measured, cached, total, 3*len(grid))
 	}
 }
 

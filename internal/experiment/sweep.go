@@ -177,10 +177,9 @@ type Sweep struct {
 	// Progress, if non-nil, is invoked after each point completes.
 	Progress Progress
 	// Metrics, if non-nil, receives sweep counters (points measured and
-	// served from cache, per-engine repetition counts, fallback tallies,
-	// points claimed, as sweep_chunks_total), level gauges (effective
-	// workers, points not yet completed), a sweep_run_seconds span per
-	// Run, and the cache size gauge. Workers share the registry; it is
+	// served from cache, per-engine repetition counts, fallback tallies),
+	// level gauges (effective workers, points not yet completed), a
+	// sweep_run_seconds span per Run, and the cache size gauge. Workers share the registry; it is
 	// never consulted for decisions, so results are bit-identical with or
 	// without it.
 	Metrics *obs.Registry
@@ -247,7 +246,6 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	s.Metrics.Gauge("sweep_workers").Set(float64(workers))
 	pending := s.Metrics.Gauge("sweep_points_pending")
 	pending.Set(float64(len(points)))
-	claims := s.Metrics.Counter("sweep_chunks_total")
 	sp := s.Metrics.Span("sweep_run")
 	defer func() {
 		sp.End()
@@ -331,7 +329,6 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 				if k >= int64(len(order)) || ctx.Err() != nil {
 					return
 				}
-				claims.Inc()
 				if !work(order[k]) {
 					return
 				}

@@ -101,7 +101,7 @@ func compileVsScheduler(t *testing.T, cfg simnet.Config, nprocs int, body func(*
 	if err := r.Verify(plan, markedRep(body)); err != nil {
 		t.Fatalf("verify on a warm Runner: %v", err)
 	}
-	got := replaySpans(t, r, plan, preambleClocks(plan), reps, 4)
+	got := replaySpans(t, r, plan, preambleClocks(plan), reps)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("repetition %d: replay %x, scheduler %x", i, got[i], want[i])
@@ -233,65 +233,12 @@ func TestCompileDeadlockDoesNotReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rp, err := r.NewReplayer(plan, make([]float64, nprocs), 1)
+	rp, err := r.NewReplayer(plan, make([]float64, nprocs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rp.Replay(1); ok {
+	if _, ok := rp.Replay(); ok {
 		t.Fatal("a deadlocking plan replayed to completion")
-	}
-}
-
-// TestCompileSteadyStateAllocs: a warm Runner compiles and replays a
-// point without allocating. The program uses blocking calls only: a
-// WaitAll over a caller-built request slice would allocate that slice in
-// the program itself, whatever the engine.
-func TestCompileSteadyStateAllocs(t *testing.T) {
-	const nprocs, lanes = 8, 4
-	r, err := NewRunner(replayTestConfig(nprocs), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := func(p *Proc) error {
-		n, rank := p.Size(), p.Rank()
-		p.Barrier()
-		if rank == 0 {
-			p.Mark()
-		}
-		for s := 0; s < 3; s++ {
-			if rank == 0 {
-				p.Send(1, s, nil, 4096)
-			} else {
-				p.Recv(rank-1, s, nil)
-				if rank+1 < n {
-					p.Send(rank+1, s, nil, 4096)
-				}
-			}
-		}
-		p.Barrier()
-		if rank == 0 {
-			p.Mark()
-		}
-		return nil
-	}
-	start := make([]float64, nprocs)
-	point := func() {
-		plan, err := r.Compile(nprocs, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Network().Reset()
-		rp, err := r.NewReplayer(plan, start, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := rp.Replay(lanes); !ok {
-			t.Fatal("replay failed")
-		}
-	}
-	point() // grow the buffers
-	if avg := testing.AllocsPerRun(20, point); avg > 0 {
-		t.Errorf("steady-state compile+replay allocates %v times per point, want 0", avg)
 	}
 }
 

@@ -97,6 +97,8 @@ type Proc struct {
 	// waitBuf backs the single-request Wait fast path, avoiding the
 	// variadic slice allocation of WaitAll.
 	waitBuf [1]*Request
+	// reqBuf backs Requests; it persists across runs like reqFree.
+	reqBuf []*Request
 
 	// compile, when non-nil, routes submitted operations to the
 	// structural compiler (compile.go): the goroutine-free pass of
@@ -205,6 +207,17 @@ func (p *Proc) waitAll(rs []*Request) {
 		r.consumed = true
 		p.reqFree = append(p.reqFree, r)
 	}
+}
+
+// Requests returns an empty rank-owned slice with room for n request
+// handles, for building a WaitAll argument without allocating once the
+// rank is warm. Each call reuses the same backing array, so the slice is
+// valid only until the next Requests call on p.
+func (p *Proc) Requests(n int) []*Request {
+	if cap(p.reqBuf) < n {
+		p.reqBuf = make([]*Request, 0, n)
+	}
+	return p.reqBuf[:0]
 }
 
 // Send is a blocking send: it returns when the send buffer is reusable

@@ -19,86 +19,50 @@ import (
 // of a winner tree over ranks (frontier). The replayed clocks are
 // therefore bit-identical to the scheduler's.
 //
-// Repetitions are evaluated in noise lanes (struct-of-arrays): Replay(k)
-// draws the jitter factors for k successive repetitions from the
-// network's single noise stream up front (lane l holds the stream stripe
-// of repetition l of the batch), then walks each lane over its own port
-// stripe, chained from its predecessor's barrier-aligned end state. The
+// Each Replay call re-times the next repetition: it takes the
+// repetition's Plan.Draws() jitter factors from the network's noise stream
+// as a view of the stream's memo (simnet.Network.Jitter), in the order the
+// scheduler would have consumed them, and walks one port state and one set
+// of rank clocks that carry over from the repetition before. The
 // steady-state pass allocates nothing: every buffer is sized at
 // construction.
 type Replayer struct {
-	plan  *Plan
-	net   *simnet.Network
-	ports *simnet.Ports
-	lanes int
-	// clocks holds per-lane rank clocks, lane-major stripes of nprocs.
-	clocks []float64
-	// jit holds the batch's jitter factors, lane-major stripes of
-	// plan.Draws().
-	jit []float64
-	// marks holds the batch's mark clocks, lane-major stripes of
-	// plan.Marks().
-	marks []float64
-	// last is the lane holding the most recently replayed repetition's
-	// end state; the next batch chains from it.
-	last int
+	plan   *Plan
+	net    *simnet.Network
+	ports  *simnet.Ports
+	clocks []float64 // per-rank clocks
+	marks  []float64 // the repetition's mark clocks
 
-	// Per-lane scratch, reset at the start of each lane's walk.
+	// Per-repetition scratch, reset at the start of each walk.
 	cursor []int32   // per-rank index of the next unprocessed event
 	reqAt  []float64 // per-slot bound completion time (max of its halves)
 	pend   []uint8   // per-slot halves still outstanding
 	parked []bool    // per-rank: cursor points at a wait with unbound slots
 	front  frontier  // schedulable ranks; the root is the next event's
 
-	lane       int
-	laneClock  []float64 // current lane's stripe of clocks
 	barrierN   int
 	barrierMax float64
-	ji, mi     int
-}
-
-// NewReplayer builds a Replayer for plan continuing the execution state of
-// net (whose ports are snapshotted now and whose noise stream the replays
-// will consume) with the given per-rank clocks — the clocks the ranks
-// reach before the plan's first repetition (the measurement harness
-// starts from its two calibration barriers). lanes bounds the batch size
-// of Replay.
-func NewReplayer(net *simnet.Network, plan *Plan, clocks []float64, lanes int) (*Replayer, error) {
-	r := &Replayer{}
-	if err := r.reinit(net, plan, clocks, lanes); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // reinit (re)shapes r for plan, reusing every backing buffer that is
 // already large enough. Buffers grow monotonically: a Replayer recycled
 // across a sweep's grid points stops allocating once it has seen the
 // largest plan. Replays after reinit are bit-identical to a fresh
-// NewReplayer — every buffer a lane reads is seeded or overwritten before
+// Replayer's — every buffer a walk reads is seeded or overwritten before
 // use.
-func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64, lanes int) error {
-	if lanes < 1 {
-		return fmt.Errorf("mpi: %d replay lanes, need >= 1", lanes)
-	}
+func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64) error {
 	if len(clocks) != plan.nprocs {
 		return fmt.Errorf("mpi: %d start clocks for a %d-rank plan", len(clocks), plan.nprocs)
 	}
-	ports, err := net.SnapshotPortsInto(r.ports, lanes)
-	if err != nil {
-		return err
-	}
-	r.plan, r.net, r.ports, r.lanes = plan, net, ports, lanes
-	r.clocks = grow(r.clocks, lanes*plan.nprocs)
-	r.jit = grow(r.jit, lanes*plan.draws)
-	r.marks = grow(r.marks, lanes*plan.marks)
+	r.plan, r.net = plan, net
+	r.ports = net.SnapshotPortsInto(r.ports)
+	r.clocks = append(r.clocks[:0], clocks...)
+	r.marks = grow(r.marks, plan.marks)
 	r.cursor = grow(r.cursor, plan.nprocs)
 	r.reqAt = grow(r.reqAt, plan.slots)
 	r.pend = grow(r.pend, plan.slots)
 	r.parked = grow(r.parked, plan.nprocs)
 	r.front.size(plan.nprocs)
-	r.last = 0
-	copy(r.clocks[:plan.nprocs], clocks)
 	return nil
 }
 
@@ -112,49 +76,19 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Lanes returns the maximum batch size.
-func (r *Replayer) Lanes() int { return r.lanes }
-
-// Replay re-times the next k repetitions (1 <= k <= Lanes) and returns
-// the mark clocks, lane-major: the clocks of lane l's marks are
-// marks[l*plan.Marks() : (l+1)*plan.Marks()], in the marking rank's
-// program order. The returned slice is owned by the Replayer and valid
-// until the next call.
+// Replay re-times the next repetition and returns its mark clocks, in the
+// marking rank's program order. The returned slice is owned by the
+// Replayer and valid until the next call.
 //
-// ok is false when a lane's walk does not close over the plan (a rank
-// left parked or mid-program); that means the plan does not describe a
+// ok is false when the walk does not close over the plan (a rank left
+// parked or mid-program); that means the plan does not describe a
 // self-contained repetition, and the caller must fall back to the
 // scheduler engine.
-func (r *Replayer) Replay(k int) (marks []float64, ok bool) {
-	if k < 1 || k > r.lanes {
-		panic(fmt.Errorf("mpi: Replay(%d) outside 1..%d", k, r.lanes))
-	}
+func (r *Replayer) Replay() (marks []float64, ok bool) {
 	p := r.plan
 	n := p.nprocs
-	// One pre-draw for the whole batch: the stream order is repetition
-	// order, so lane l's stripe holds exactly the factors the scheduler
-	// would have drawn during repetition l of the batch.
-	r.net.DrawJitterInto(r.jit[:k*p.draws])
-	for l := 0; l < k; l++ {
-		// Chain the lane from the previous repetition's end state.
-		r.ports.SeedLane(l, r.last)
-		if l != r.last {
-			copy(r.clocks[l*n:(l+1)*n], r.clocks[r.last*n:(r.last+1)*n])
-		}
-		if !r.replayLane(l) {
-			return nil, false
-		}
-		r.last = l
-	}
-	return r.marks[:k*p.marks], true
-}
-
-// replayLane walks one repetition on lane l.
-func (r *Replayer) replayLane(l int) bool {
-	p := r.plan
-	n := p.nprocs
-	r.lane = l
-	r.laneClock = r.clocks[l*n : (l+1)*n]
+	// The repetition's jitter factors: a view of the network's memo.
+	jit := r.net.Jitter(p.draws)
 	copy(r.cursor, p.rankOff[:n])
 	copy(r.pend, p.slotPend)
 	for i := range r.reqAt {
@@ -166,8 +100,7 @@ func (r *Replayer) replayLane(l int) bool {
 	r.front.reset()
 	r.barrierN = 0
 	r.barrierMax = 0
-	r.ji = l * p.draws
-	r.mi = l * p.marks
+	ji, mi := 0, 0 // next jitter factor, next mark
 	for rank := 0; rank < n; rank++ {
 		r.advance(rank)
 	}
@@ -186,12 +119,12 @@ func (r *Replayer) replayLane(l int) bool {
 		switch e.kind {
 		case evSleep:
 			key += p.durs[e.arg]
-			r.laneClock[rank] = key
+			r.clocks[rank] = key
 		case evMark:
-			r.marks[r.mi] = key
-			r.mi++
+			r.marks[mi] = key
+			mi++
 		case evWait:
-			r.laneClock[rank] = key
+			r.clocks[rank] = key
 		case evRecv:
 			s := e.slot
 			r.reqAt[s] = math.Max(r.reqAt[s], key)
@@ -206,10 +139,10 @@ func (r *Replayer) replayLane(l int) bool {
 			} else {
 				f := 1.0
 				if sd.draws {
-					f = r.jit[r.ji]
-					r.ji++
+					f = jit[ji]
+					ji++
 				}
-				sc, delivered = r.ports.Transmit(l, int(sd.srcNIC), int(sd.dstNIC), sd.lt, key, f)
+				sc, delivered = r.ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), sd.lt, key, f)
 			}
 			r.reqAt[e.slot] = sc
 			r.pend[e.slot] = 0
@@ -220,20 +153,20 @@ func (r *Replayer) replayLane(l int) bool {
 				}
 			}
 			key += sd.lt.SendOv
-			r.laneClock[rank] = key
+			r.clocks[rank] = key
 		}
 		r.advance(rank)
 	}
 	// A well-formed repetition ends with every rank's program exhausted.
 	if r.barrierN != 0 {
-		return false
+		return nil, false
 	}
 	for rank := 0; rank < n; rank++ {
 		if r.parked[rank] || r.cursor[rank] != p.rankOff[rank+1] {
-			return false
+			return nil, false
 		}
 	}
-	return true
+	return r.marks, true
 }
 
 // advance schedules rank's next event: barriers park the rank until all
@@ -253,13 +186,13 @@ func (r *Replayer) advance(rank int) {
 	case evBarrier:
 		r.front.clear(rank)
 		r.cursor[rank] = cur + 1
-		r.barrierMax = math.Max(r.barrierMax, r.laneClock[rank])
+		r.barrierMax = math.Max(r.barrierMax, r.clocks[rank])
 		if r.barrierN++; r.barrierN == p.nprocs {
 			t := r.barrierMax + p.barrierCost
 			r.barrierN = 0
 			r.barrierMax = 0
-			for i := range r.laneClock {
-				r.laneClock[i] = t
+			for i := range r.clocks {
+				r.clocks[i] = t
 			}
 			for i := 0; i < p.nprocs; i++ {
 				r.advance(i)
@@ -275,14 +208,14 @@ func (r *Replayer) advance(rank int) {
 		}
 		r.front.set(rank, r.waitKey(rank, e))
 	default:
-		r.front.set(rank, r.laneClock[rank])
+		r.front.set(rank, r.clocks[rank])
 	}
 }
 
 // waitKey is the virtual time a wait resolves at: the later of the rank's
 // clock and its requests' completion times — the scheduler's scheduleKey.
 func (r *Replayer) waitKey(rank int, e *planEvent) float64 {
-	t := r.laneClock[rank]
+	t := r.clocks[rank]
 	for _, s := range r.plan.waitSlots[e.arg : e.arg+e.slot] {
 		if v := r.reqAt[s]; v > t {
 			t = v
@@ -308,7 +241,4 @@ func (r *Replayer) wake(rank int) {
 
 // Clocks returns the per-rank clocks after the most recently replayed
 // repetition. The slice is owned by the Replayer.
-func (r *Replayer) Clocks() []float64 {
-	n := r.plan.nprocs
-	return r.clocks[r.last*n : (r.last+1)*n]
-}
+func (r *Replayer) Clocks() []float64 { return r.clocks }

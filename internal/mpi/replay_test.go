@@ -135,25 +135,22 @@ func schedulerSpans(t testing.TB, cfg simnet.Config, nprocs, reps int, body func
 	return spans
 }
 
-// replaySpans replays reps repetitions of plan from start in batches of
-// up to lanes, and returns each repetition's span between its two marks.
-func replaySpans(t testing.TB, r *Runner, plan *Plan, start []float64, reps, lanes int) []float64 {
+// replaySpans replays reps repetitions of plan from start and returns
+// each repetition's span between its two marks.
+func replaySpans(t testing.TB, r *Runner, plan *Plan, start []float64, reps int) []float64 {
 	t.Helper()
 	r.Network().Reset()
-	rp, err := r.NewReplayer(plan, start, lanes)
+	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var spans []float64
 	for len(spans) < reps {
-		k := min(lanes, reps-len(spans))
-		marks, ok := rp.Replay(k)
+		marks, ok := rp.Replay()
 		if !ok {
 			t.Fatal("replay did not close over the plan")
 		}
-		for l := 0; l < k; l++ {
-			spans = append(spans, marks[l*2+1]-marks[l*2])
-		}
+		spans = append(spans, marks[1]-marks[0])
 	}
 	return spans
 }
@@ -173,7 +170,7 @@ func TestReplayMatchesScheduler(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := schedulerSpans(t, cfg, nprocs, reps, replayPattern)
 			r, plan, start := compileOneRep(t, cfg, nprocs)
-			got := replaySpans(t, r, plan, start, reps, 4)
+			got := replaySpans(t, r, plan, start, reps)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("repetition %d: replay %x, scheduler %x", i, got[i], want[i])
@@ -246,11 +243,11 @@ func TestMarkIsTimingNeutral(t *testing.T) {
 			t.Fatalf("plan %d has %d marks, want %d", i, plan.Marks(), want)
 		}
 		r2.Network().Reset()
-		rp, err := r2.NewReplayer(plan, make([]float64, nprocs), 1)
+		rp, err := r2.NewReplayer(plan, make([]float64, nprocs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := rp.Replay(1); !ok {
+		if _, ok := rp.Replay(); !ok {
 			t.Fatal("replay failed")
 		}
 		clocks[i] = append([]float64(nil), rp.Clocks()...)
@@ -263,20 +260,23 @@ func TestMarkIsTimingNeutral(t *testing.T) {
 }
 
 // TestReplayZeroAllocsPerRep pins the steady-state replay pass at zero
-// heap allocations: every buffer is sized at construction.
+// heap allocations: every buffer is sized at construction, and once the
+// noise memo holds a repetition's factors, a rewound stream re-reads them.
 func TestReplayZeroAllocsPerRep(t *testing.T) {
 	r, plan, start := compileOneRep(t, replayTestConfig(8), 8)
-	rp, err := NewReplayer(r.Network(), plan, start, 2)
+	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp.Replay(2) // warm: nothing left to grow
-	if avg := testing.AllocsPerRun(20, func() {
-		if _, ok := rp.Replay(2); !ok {
+	rep := func() {
+		r.Network().Reset()
+		if _, ok := rp.Replay(); !ok {
 			t.Fatal("replay failed")
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state Replay allocates %v times per batch, want 0", avg)
+	}
+	rep() // warm: nothing left to grow
+	if avg := testing.AllocsPerRun(20, rep); avg != 0 {
+		t.Fatalf("steady-state Replay allocates %v times per repetition, want 0", avg)
 	}
 }
 
@@ -382,33 +382,19 @@ func TestEchoRunValidation(t *testing.T) {
 // pipeline/fan-in pattern — the unit of work the measurement harness pays
 // per repetition on the replay engine (compare BenchmarkSchedulerPingPong
 // territory: the same structure under the scheduler costs a full run).
+// The noise stream is rewound every iteration, so the memo stays one
+// repetition long and each pass reads it warm.
 func BenchmarkReplayRep(b *testing.B) {
 	b.ReportAllocs()
 	r, plan, start := compileOneRep(b, replayTestConfig(16), 16)
-	rp, err := NewReplayer(r.Network(), plan, start, 1)
+	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := rp.Replay(1); !ok {
-			b.Fatal("replay failed")
-		}
-	}
-}
-
-// BenchmarkReplayBatch8 is BenchmarkReplayRep with full 8-lane batches:
-// the jitter pre-draw and port stripes amortise across the batch.
-func BenchmarkReplayBatch8(b *testing.B) {
-	b.ReportAllocs()
-	r, plan, start := compileOneRep(b, replayTestConfig(16), 16)
-	rp, err := NewReplayer(r.Network(), plan, start, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := rp.Replay(8); !ok {
+		r.Network().Reset()
+		if _, ok := rp.Replay(); !ok {
 			b.Fatal("replay failed")
 		}
 	}

@@ -45,10 +45,11 @@ func BenchmarkReplayWide(b *testing.B) {
 	}
 	b.Run("calib/op=compile", func(b *testing.B) {
 		r, plan := compileWide(b, calibP, false, calib)
+		rep := wideRep(false, calib)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Compile(calibP, wideRep(false, calib)); err != nil {
+			if _, err := r.Compile(calibP, rep); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -99,8 +100,7 @@ func compileWide(b *testing.B, nprocs int, closed bool, op func(*mpi.Proc)) (*mp
 }
 
 // benchReplay times one replayed repetition of plan on nprocs ranks per
-// iteration,
-// starting from the harness's two calibration barriers.
+// iteration, starting from the harness's two calibration barriers.
 func benchReplay(b *testing.B, r *mpi.Runner, plan *mpi.Plan, nprocs int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -108,13 +108,14 @@ func benchReplay(b *testing.B, r *mpi.Runner, plan *mpi.Plan, nprocs int) {
 	for i := range start {
 		start[i] = 2 * plan.BarrierCost()
 	}
-	rp, err := r.NewReplayer(plan, start, 1)
+	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := rp.Replay(1); !ok {
+		r.Network().Reset() // rewind the noise stream: the memo stays one repetition long
+		if _, ok := rp.Replay(); !ok {
 			b.Fatal("replay failed")
 		}
 	}
@@ -125,4 +126,70 @@ func benchReplay(b *testing.B, r *mpi.Runner, plan *mpi.Plan, nprocs int) {
 func reportPlan(b *testing.B, plan *mpi.Plan) {
 	b.ReportMetric(float64(plan.Events()), "events/op")
 	b.ReportMetric(float64(mpi.PlanBytes(plan))/float64(plan.Events()), "plan-B/event")
+}
+
+// TestCompileSteadyStateAllocs: a warm Runner compiles and replays a
+// point without allocating — for a hand-written pipeline and for the tree
+// broadcasts, whose trees are shared across ranks and calls and whose
+// WaitAll arguments come from Proc.Requests.
+func TestCompileSteadyStateAllocs(t *testing.T) {
+	pr := cluster.Grisou()
+	const nprocs, reps = 16, 4
+	pipeline := func(p *mpi.Proc) {
+		n, rank := p.Size(), p.Rank()
+		for s := 0; s < 3; s++ {
+			if rank == 0 {
+				p.Send(1, s, nil, 4096)
+			} else {
+				p.Recv(rank-1, s, nil)
+				if rank+1 < n {
+					p.Send(rank+1, s, nil, 4096)
+				}
+			}
+		}
+	}
+	bcast := func(alg coll.BcastAlgorithm) func(*mpi.Proc) {
+		return func(p *mpi.Proc) {
+			coll.Bcast(p, alg, 0, coll.Synthetic(256<<10), pr.SegmentSize)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		op   func(*mpi.Proc)
+	}{
+		{"pipeline", pipeline},
+		{"binomial", bcast(coll.BcastBinomial)},
+		{"chain", bcast(coll.BcastChain)},
+		{"split_binary", bcast(coll.BcastSplitBinary)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := pr.Network()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := mpi.NewRunnerOn(net, mpi.Options{})
+			rep := wideRep(true, tc.op)
+			start := make([]float64, nprocs)
+			point := func() {
+				plan, err := r.Compile(nprocs, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Network().Reset()
+				rp, err := r.NewReplayer(plan, start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < reps; i++ {
+					if _, ok := rp.Replay(); !ok {
+						t.Fatal("replay failed")
+					}
+				}
+			}
+			point() // grow the buffers and the noise memo
+			if avg := testing.AllocsPerRun(20, point); avg > 0 {
+				t.Errorf("steady-state compile+replay allocates %v times per point, want 0", avg)
+			}
+		})
+	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // Runs on a Runner are bit-identical to Run/RunOn with the same network
 // configuration: the network is Reset before every run (ports idle, noise
-// stream reseeded), and scheduler reuse only recycles memory, never
+// stream rewound), and scheduler reuse only recycles memory, never
 // timing state.
 //
 // A Runner is not safe for concurrent use; each worker goroutine should
@@ -102,17 +102,21 @@ func (r *Runner) Run(nprocs int, fn func(*Proc) error) (Result, error) {
 	return res, err
 }
 
-// NewReplayer builds a Replayer for plan on the Runner's network exactly
-// like the package-level NewReplayer, but recycles the Runner's replay
-// buffers: the returned Replayer is valid only until the next NewReplayer
-// on this Runner. Replays are bit-identical to a fresh Replayer's. A
-// measurement sweep builds one replayer per grid point, so the recycled
-// buffers flatten what was the largest per-point allocation.
-func (r *Runner) NewReplayer(plan *Plan, clocks []float64, lanes int) (*Replayer, error) {
+// NewReplayer builds a Replayer for plan continuing the execution state
+// of the Runner's network (whose ports are snapshotted now and whose
+// noise stream the replays will read) with the given per-rank clocks —
+// the clocks the ranks reach before the plan's first repetition (the
+// measurement harness starts from its two calibration barriers). The
+// Runner recycles one Replayer's buffers, so the result is valid only
+// until the next NewReplayer on this Runner; replays are bit-identical to
+// a fresh Replayer's. A measurement sweep builds one replayer per grid
+// point, so the recycled buffers flatten what was the largest per-point
+// allocation.
+func (r *Runner) NewReplayer(plan *Plan, clocks []float64) (*Replayer, error) {
 	if r.replayer == nil {
 		r.replayer = &Replayer{}
 	}
-	if err := r.replayer.reinit(r.net, plan, clocks, lanes); err != nil {
+	if err := r.replayer.reinit(r.net, plan, clocks); err != nil {
 		return nil, err
 	}
 	return r.replayer, nil

@@ -194,11 +194,13 @@ func (n *Network) ReplayInvariant() bool {
 	return n.pert == nil || n.pert.spec.TimeInvariant()
 }
 
-// jitterFactor draws the (1+ε) transmission factor for one transfer from
-// the network's noise stream, under the configured jitter distribution.
-// Callers must have checked n.rng != nil.
-func (n *Network) jitterFactor() float64 {
-	u := n.rng.Float64()
+// draw produces the next factor of the seeded stream under the configured
+// jitter distribution (1 on a noise-free network).
+func (n *Network) draw() float64 {
+	if n.gen == nil {
+		return 1
+	}
+	u := n.gen.Float64()
 	if n.pert == nil {
 		return 1 + n.cfg.NoiseAmplitude*u
 	}

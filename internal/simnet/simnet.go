@@ -158,14 +158,17 @@ type Network struct {
 	cfg      Config
 	sendFree []float64
 	recvFree []float64
-	rng      *rand.Rand
-	nTx      int64
-	trace    func(Transfer)
-	// used records whether any port state or noise draw has been consumed
-	// since the last Reset, letting Reset skip the port sweep and reseed on
-	// an already-pristine network — the common case on the replay warm
-	// path, where compiling a plan touches no network state between runs.
-	used bool
+	// memo holds every (1+ε) factor the noise stream has produced so far,
+	// in stream order, and cur is the position of the next factor to read.
+	// gen, the seeded generator, always sits at the memo's end: factors
+	// are drawn from it only when a reader passes the end, so every point
+	// after the first on a network re-reads its prefix instead of
+	// reseeding and recomputing it. gen is nil on a noise-free network.
+	memo  []float64
+	cur   int
+	gen   *rand.Rand
+	nTx   int64
+	trace func(Transfer)
 	// pert holds the expanded perturbation tables; nil on an unperturbed
 	// network, which keeps the hot path on the exact legacy arithmetic.
 	pert *pertState
@@ -185,7 +188,7 @@ func New(cfg Config) (*Network, error) {
 		recvFree: make([]float64, cfg.NICs()),
 	}
 	if cfg.NoiseAmplitude > 0 {
-		n.rng = rand.New(rand.NewSource(cfg.NoiseSeed))
+		n.gen = rand.New(rand.NewSource(cfg.NoiseSeed))
 	}
 	n.pert = newPertState(cfg)
 	return n, nil
@@ -220,7 +223,6 @@ func (n *Network) Transmit(src, dst, bytes int, now float64) (Transfer, error) {
 	if bytes < 0 {
 		return Transfer{}, fmt.Errorf("simnet: negative size %d", bytes)
 	}
-	n.used = true
 	t := Transfer{Src: src, Dst: dst, Bytes: bytes, Issued: now}
 	srcNIC, dstNIC := n.cfg.nic(src), n.cfg.nic(dst)
 	lt := n.TimingFor(src, dst, bytes)
@@ -237,8 +239,8 @@ func (n *Network) Transmit(src, dst, bytes int, now float64) (Transfer, error) {
 		return t, nil
 	}
 	txTime := lt.TxTime
-	if n.rng != nil && txTime > 0 {
-		txTime *= n.jitterFactor()
+	if n.gen != nil && txTime > 0 {
+		txTime *= n.Jitter(1)[0]
 	}
 	t.StartTx = max(now+lt.SendOv, n.sendFree[srcNIC])
 	if n.pert != nil && n.pert.brown != nil {
@@ -271,24 +273,35 @@ func (c Config) PointToPointTime(bytes int) float64 {
 		float64(bytes)*(c.ByteTimeSend+c.ByteTimeRecv)
 }
 
-// Reset returns all ports to idle at time zero and restarts the jitter
+// Reset returns all ports to idle at time zero and rewinds the jitter
 // stream, so that consecutive experiments on the same Network are
-// independent and reproducible. The existing generator is reseeded in
-// place — Reset allocates nothing, which matters inside measurement
-// sweeps that Reset once per repetition. Resetting a network that has not
-// transmitted or drawn noise since its last Reset is a no-op, so
-// back-to-back Resets on the warm path cost one branch.
+// independent and reproducible. Rewinding moves the memo's cursor back to
+// the first factor: nothing is reseeded or redrawn, and Reset allocates
+// nothing.
 func (n *Network) Reset() {
-	if !n.used {
-		return
-	}
-	for i := range n.sendFree {
-		n.sendFree[i] = 0
-		n.recvFree[i] = 0
-	}
-	if n.rng != nil {
-		n.rng.Seed(n.cfg.NoiseSeed)
-	}
+	clear(n.sendFree)
+	clear(n.recvFree)
+	n.cur = 0
 	n.nTx = 0
-	n.used = false
+}
+
+// Jitter returns the next k (1+ε) transmission-time factors of the noise
+// stream and advances past them: exactly the factors the next k noisy
+// Transmit calls would use (each consumes one, whatever the jitter
+// distribution). The slice is a read-only view of the network's memo;
+// factors past the memo's end are drawn into it first. On a noise-free
+// network every factor is 1.
+func (n *Network) Jitter(k int) []float64 {
+	end := n.cur + k
+	if end > cap(n.memo) {
+		// Double, where append would grow a large slice by a quarter:
+		// the memo reaches a calibration's largest point in a few copies.
+		n.memo = append(make([]float64, 0, max(end, 2*cap(n.memo))), n.memo...)
+	}
+	for len(n.memo) < end {
+		n.memo = append(n.memo, n.draw())
+	}
+	f := n.memo[n.cur:end:end]
+	n.cur = end
+	return f
 }

@@ -2,9 +2,9 @@ package simnet
 
 import "testing"
 
-// TestResetFastPathPreservesDeterminism checks that the Reset no-op on an
-// untouched network cannot be observed: jitter streams and port state
-// behave exactly as if every Reset did the full sweep.
+// TestResetFastPathPreservesDeterminism checks that Reset — on a pristine
+// network, after draws, back to back — always leaves the jitter stream
+// rewound to its first factor and every port idle.
 func TestResetFastPathPreservesDeterminism(t *testing.T) {
 	cfg := testConfig()
 	cfg.NoiseAmplitude = 0.05
@@ -13,15 +13,11 @@ func TestResetFastPathPreservesDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw := func() []float64 {
-		out := make([]float64, 16)
-		n.DrawJitterInto(out)
-		return out
-	}
-	n.Reset() // pristine network: no-op, but must still leave it pristine
+	draw := func() []float64 { return append([]float64(nil), n.Jitter(16)...) }
+	n.Reset() // pristine network: must leave it pristine
 	first := draw()
-	n.Reset() // consumed draws: must reseed
-	n.Reset() // back-to-back: no-op
+	n.Reset() // consumed draws: must rewind
+	n.Reset() // back to back: still rewound
 	second := draw()
 	for i := range first {
 		if first[i] != second[i] {
@@ -29,7 +25,7 @@ func TestResetFastPathPreservesDeterminism(t *testing.T) {
 		}
 	}
 
-	// Transfers mark the network used too: Reset must clear port state.
+	// Reset must clear port state too.
 	if _, err := n.Transmit(0, 1, 4096, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -54,44 +50,38 @@ func TestResetFastPathPreservesDeterminism(t *testing.T) {
 }
 
 // TestSnapshotPortsIntoReuse checks that re-snapshotting into a recycled
-// Ports — growing and shrinking the lane count — is indistinguishable
-// from a fresh NewPorts.
+// Ports — across networks of different widths, growing and shrinking its
+// stripes — is indistinguishable from a fresh single-lane NewPorts.
 func TestSnapshotPortsIntoReuse(t *testing.T) {
-	cfg := testConfig()
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Occupy some ports so snapshots carry real state.
-	for i := 0; i < 3; i++ {
-		if _, err := n.Transmit(0, 1, 1<<16, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var recycled *Ports
-	lt := n.TimingFor(2, 3, 8192)
-	for _, lanes := range []int{4, 1, 6} {
-		fresh, err := n.NewPorts(lanes)
+	for _, nodes := range []int{8, 4, 12} {
+		cfg := testConfig()
+		cfg.Nodes = nodes
+		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recycled, err = n.SnapshotPortsInto(recycled, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recycled.Lanes() != lanes || recycled.NICs() != fresh.NICs() {
-			t.Fatalf("lanes=%d: shape %d×%d, want %d×%d",
-				lanes, recycled.Lanes(), recycled.NICs(), fresh.Lanes(), fresh.NICs())
-		}
-		for l := 0; l < lanes; l++ {
-			s1, d1 := fresh.Transmit(l, 2, 3, lt, float64(l)*1e-6, 1.01)
-			s2, d2 := recycled.Transmit(l, 2, 3, lt, float64(l)*1e-6, 1.01)
-			if s1 != s2 || d1 != d2 {
-				t.Fatalf("lanes=%d lane %d: (%v,%v) != (%v,%v)", lanes, l, s2, d2, s1, d1)
+		// Occupy some ports so snapshots carry real state.
+		for i := 0; i < 3; i++ {
+			if _, err := n.Transmit(0, 1, 1<<16, 0); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	if _, err := n.SnapshotPortsInto(nil, 0); err == nil {
-		t.Fatal("0 lanes accepted")
+		fresh, err := n.NewPorts(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycled = n.SnapshotPortsInto(recycled)
+		if recycled.NICs() != fresh.NICs() || len(recycled.sendFree) != nodes {
+			t.Fatalf("nodes=%d: %d NICs, %d send ports; want %d", nodes, recycled.NICs(), len(recycled.sendFree), fresh.NICs())
+		}
+		lt := n.TimingFor(0, 1, 8192)
+		for i := 0; i < 3; i++ {
+			s1, d1 := fresh.Transmit(0, 0, 1+i, lt, float64(i)*1e-6, 1.01)
+			s2, d2 := recycled.Transmit(0, 0, 1+i, lt, float64(i)*1e-6, 1.01)
+			if s1 != s2 || d1 != d2 {
+				t.Fatalf("nodes=%d transfer %d: (%v,%v) != (%v,%v)", nodes, i, s2, d2, s1, d1)
+			}
+		}
 	}
 }
