@@ -2,10 +2,11 @@
 // simulated cluster and prints the measured execution times — the raw
 // experimental curves behind the paper's figures.
 //
-// The (size × algorithm) grid fans out over a worker pool (one fresh
-// simulator per grid point, so the numbers are identical to a serial
-// run), and an optional on-disk cache lets repeated sweeps over
-// overlapping grids skip already-measured points.
+// The (size × algorithm) grid fans out over concurrent workers, each
+// reusing one simulator across its points (every Run resets it, so the
+// numbers are identical to a serial run), and an optional on-disk cache
+// lets repeated sweeps over overlapping grids skip already-measured
+// points.
 //
 // Usage:
 //
@@ -23,10 +24,10 @@
 // parameters kept, which is how the paper-scale P≈1000 grids run.
 //
 // -scaling replaces the measurement table with a worker-scaling curve:
-// the same grid is timed once per listed worker count, sharing one
-// warm RunnerPool, and the speedup relative to the first count is
-// printed. Mutually exclusive with -cache (cached points would make
-// every count after the first trivially fast).
+// the same grid is timed once per listed worker count as a plain sweep,
+// simulator construction included, and the speedup relative to the
+// first count is printed. Mutually exclusive with -cache (cached points
+// would make every count after the first trivially fast).
 //
 // -engine selects how repetitions execute: auto (the default) compiles
 // each point's execution plan goroutine-free and re-times repetitions
@@ -112,30 +113,21 @@ func parseWorkerCounts(spec string) ([]int, error) {
 }
 
 // runScaling times the same grid at each worker count and prints the
-// speedup curve relative to the first count. One RunnerPool sized to the
-// largest count is shared across all runs and warmed by an untimed
-// sweep, so the curve isolates sweep concurrency from simulator
-// construction. Sweep.Run clamps the effective worker count to
-// GOMAXPROCS, so counts beyond the core count report that plateau
-// rather than oversubscription overhead.
+// speedup curve relative to the first count. Each count runs a plain
+// sweep that builds its own Runners, as every caller's sweep does. One
+// untimed sweep first warms what outlives a sweep — the process-wide
+// coll shape cache and the heap — so the first count is not charged for
+// them. Sweep.Run clamps the effective worker count to GOMAXPROCS, so
+// counts beyond the core count report that plateau rather than
+// oversubscription overhead.
 func runScaling(out io.Writer, pr cluster.Profile, set experiment.Settings, grid []experiment.Point, counts []int, metrics *obs.Registry) error {
-	maxWorkers := 1
-	for _, c := range counts {
-		if c > maxWorkers {
-			maxWorkers = c
-		}
-	}
-	pool, err := experiment.NewRunnerPool(pr, maxWorkers, metrics)
-	if err != nil {
-		return err
-	}
-	warm := experiment.Sweep{Profile: pr, Settings: set, Workers: maxWorkers, Pool: pool, Metrics: metrics}
+	warm := experiment.Sweep{Profile: pr, Settings: set, Workers: counts[0], Metrics: metrics}
 	if _, err := warm.Run(context.Background(), grid); err != nil {
 		return err
 	}
 	secs := make([]float64, len(counts))
 	for i, c := range counts {
-		sw := experiment.Sweep{Profile: pr, Settings: set, Workers: c, Pool: pool, Metrics: metrics}
+		sw := experiment.Sweep{Profile: pr, Settings: set, Workers: c, Metrics: metrics}
 		start := time.Now()
 		if _, err := sw.Run(context.Background(), grid); err != nil {
 			return err

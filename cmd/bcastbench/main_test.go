@@ -129,7 +129,7 @@ func TestScalingFlag(t *testing.T) {
 }
 
 // TestScalingFlagMetrics: -scaling composes with -metrics — the artifact
-// must record the pooled sweep's gauges.
+// must record the sweeps' worker gauge and measured-point counter.
 func TestScalingFlagMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	err := run([]string{
@@ -143,7 +143,7 @@ func TestScalingFlagMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"mpi_runner_pool_created_total", "sweep_workers"} {
+	for _, want := range []string{"sweep_workers", "sweep_points_measured_total"} {
 		if !strings.Contains(string(blob), want) {
 			t.Errorf("metrics artifact missing %q", want)
 		}

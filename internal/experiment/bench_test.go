@@ -59,10 +59,10 @@ func BenchmarkSweep(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			// One untimed warm-up sweep grows the workers' buffers so every
-			// timed iteration measures the homogeneous steady state, as
-			// BenchmarkSweepWarmPool and BenchmarkSweepCached do; the cost
-			// of one point is recorded per path by BenchmarkPlanCache.
+			// One untimed warm-up sweep warms the shape cache and the heap
+			// so every timed iteration measures the homogeneous steady
+			// state, as BenchmarkSweepCached does; the cost of one point is
+			// recorded per path by BenchmarkPlanCache.
 			sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Workers: workers}
 			b.ReportMetric(float64(len(grid)), "points/sweep")
 			if _, err := sw.Run(context.Background(), grid); err != nil {
@@ -130,33 +130,6 @@ func BenchmarkPlanCache(b *testing.B) {
 			point(b, set)
 		}
 	})
-}
-
-// BenchmarkSweepWarmPool is BenchmarkSweep with a pre-warmed RunnerPool
-// attached: the delta against the pool-less workers=N line is what Runner
-// (and simulator) construction costs a repeated sweep — the situation of
-// every multi-stage calibration.
-func BenchmarkSweepWarmPool(b *testing.B) {
-	pr, grid := benchGrid(b)
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			pool, err := NewRunnerPool(pr, workers, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sw := Sweep{Profile: pr, Settings: benchSweepSettings(b), Workers: workers, Pool: pool}
-			if _, err := sw.Run(context.Background(), grid); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sw.Run(context.Background(), grid); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSweepCached measures a fully warm sweep: every point served

@@ -22,11 +22,11 @@ func Composed(stages ...Op) Op {
 }
 
 // MeasureComposedClass measures the chained stages on a reusable Runner
-// built from pr (see NewRunnerPool): one adaptive measurement of the whole
-// chain in the given mode. At least one stage is required. A non-empty
-// classKey declares the chain timing-independent (see
-// Stage.TimingIndependent): its single compile is replayed without the
-// verify pass, with bit-identical samples either way. tmpl is ignored.
+// built from pr: one adaptive measurement of the whole chain in the given
+// mode. At least one stage is required. A non-empty classKey declares the
+// chain timing-independent (see Stage.TimingIndependent): its single
+// compile is replayed without the verify pass, with bit-identical samples
+// either way. tmpl is ignored.
 //
 // Deprecated: measure a Stage through Sweep, or an Op through MeasureOn.
 func MeasureComposedClass(r *mpi.Runner, pr cluster.Profile, nprocs int, set Settings, mode Mode, classKey string, tmpl *mpi.TemplateStore, stages ...Op) (Measurement, error) {

@@ -155,21 +155,13 @@ type Sweep struct {
 	// Workers bounds the number of concurrently measured points.
 	// 0 (or negative) means runtime.GOMAXPROCS(0); 1 reproduces the
 	// serial path. The effective count is additionally clamped to
-	// GOMAXPROCS, the grid size, and (when a Pool is attached) the pool
-	// capacity: measurements are pure CPU, so workers beyond the
-	// schedulable cores only thrash caches and interleave working sets —
-	// the anti-scaling this clamp removes. Worker count never changes
+	// GOMAXPROCS and the grid size: measurements are pure CPU, so
+	// workers beyond the schedulable cores only thrash caches and
+	// interleave working sets — the anti-scaling this clamp removes.
+	// Each worker builds one Runner on its first uncached point and
+	// reuses it for the rest of the Run. Worker count never changes
 	// results.
 	Workers int
-	// Pool, if non-nil, lends the workers their Runners instead of each
-	// Run constructing new ones: across repeated sweeps over one profile
-	// (cmd/bcastbench's worker-scaling curve runs one per worker count)
-	// the simulators and their warm scheduler, plan, and replay buffers
-	// are built once. A calibration runs a single sweep and attaches no
-	// pool. The pool's Runners must have been built for this Profile
-	// (NewRunnerPool does exactly that); lending a pool across different
-	// profiles is a programming error.
-	Pool *mpi.RunnerPool
 	// Cache, if non-nil, is consulted before and filled after each
 	// measurement, keyed by the full experiment identity (profile,
 	// point, settings).
@@ -183,17 +175,6 @@ type Sweep struct {
 	// never consulted for decisions, so results are bit-identical with or
 	// without it.
 	Metrics *obs.Registry
-}
-
-// NewRunnerPool builds a RunnerPool whose Runners are constructed for pr
-// exactly as a pool-less sweep would construct them (a fresh network of
-// the profile's full size, metrics threaded through), sized for capacity
-// concurrent borrowers. Attach it to every Sweep over pr to amortize
-// simulator construction across Runs.
-func NewRunnerPool(pr cluster.Profile, capacity int, m *obs.Registry) (*mpi.RunnerPool, error) {
-	return mpi.NewRunnerPool(capacity, func() (*mpi.Runner, error) {
-		return newProfileRunner(pr, m)
-	}, m)
 }
 
 // claimOrder returns the grid indices in the order workers claim them:
@@ -240,9 +221,6 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if workers > len(points) {
 		workers = len(points)
 	}
-	if s.Pool != nil && workers > s.Pool.Cap() {
-		workers = s.Pool.Cap()
-	}
 	s.Metrics.Gauge("sweep_workers").Set(float64(workers))
 	pending := s.Metrics.Gauge("sweep_points_pending")
 	pending.Set(float64(len(points)))
@@ -278,37 +256,17 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one reusable Runner — borrowed from the
-			// pool, or built lazily on its first uncached point — so
-			// consecutive grid points share warm scheduler state instead of
-			// rebuilding it; measurements stay bit-identical to fresh
-			// per-point simulators.
+			// Each worker owns one reusable Runner, built lazily on its
+			// first uncached point, so consecutive grid points share warm
+			// scheduler state instead of rebuilding it; measurements stay
+			// bit-identical to fresh per-point simulators.
 			var runner *mpi.Runner
-			if s.Pool != nil {
-				defer func() {
-					if runner != nil {
-						s.Pool.Put(runner)
-					}
-				}()
-			}
-			acquire := func() (*mpi.Runner, error) {
-				if runner != nil {
-					return runner, nil
-				}
-				var err error
-				if s.Pool != nil {
-					runner, err = s.Pool.Get()
-				} else {
-					runner, err = newProfileRunner(s.Profile, s.Metrics)
-				}
-				return runner, err
-			}
 			// work measures grid point i and records its result. results
 			// indices are disjoint across workers, so the slice needs no
 			// lock — the WaitGroup publishes the writes to Run's return.
 			// Only Progress (serialised by contract) takes the mutex.
 			work := func(i int) bool {
-				r, err := s.measure(points[i], acquire)
+				r, err := s.measure(points[i], &runner)
 				if err != nil {
 					fail(fmt.Errorf("sweep point %d (%v): %w", i, points[i], err))
 					return false
@@ -346,9 +304,9 @@ func (s Sweep) Run(ctx context.Context, points []Point) ([]Result, error) {
 }
 
 // measure serves one point, through the cache when one is attached.
-// acquire returns the worker's Runner, creating or borrowing it on the
-// first measured point; cached points never touch a Runner.
-func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error)) (Result, error) {
+// runner is the worker's Runner, built here on its first measured point;
+// cached points never touch it.
+func (s Sweep) measure(pt Point, runner **mpi.Runner) (Result, error) {
 	var key string
 	if s.Cache != nil {
 		key = cacheKey(s.Profile, pt, s.Settings)
@@ -357,11 +315,14 @@ func (s Sweep) measure(pt Point, acquire func() (*mpi.Runner, error)) (Result, e
 			return Result{Point: pt, Meas: m, Cached: true}, nil
 		}
 	}
-	runner, err := acquire()
-	if err != nil {
-		return Result{}, err
+	if *runner == nil {
+		r, err := newProfileRunner(s.Profile, s.Metrics)
+		if err != nil {
+			return Result{}, err
+		}
+		*runner = r
 	}
-	m, err := measurePoint(runner, s.Profile, pt, s.Settings)
+	m, err := measurePoint(*runner, s.Profile, pt, s.Settings)
 	if err != nil {
 		return Result{}, err
 	}

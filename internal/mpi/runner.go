@@ -62,7 +62,7 @@ func NewRunnerOn(net *simnet.Network, opts Options) *Runner {
 func (r *Runner) Network() *simnet.Network { return r.net }
 
 // Metrics returns the registry from the Runner's Options (possibly nil),
-// so layers that drive a Runner — the replay engine, the sweep pool — can
+// so layers that drive a Runner — the replay engine, the sweep — can
 // record into the same registry without threading it separately.
 func (r *Runner) Metrics() *obs.Registry { return r.opts.Metrics }
 

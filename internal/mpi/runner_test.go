@@ -48,12 +48,7 @@ func TestRunnerMatchesRunOn(t *testing.T) {
 }
 
 func TestRunnerVaryingNprocs(t *testing.T) {
-	cfg := testConfig(16)
-	r, err := NewRunner(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := func(p *Proc) error {
+	fanout := func(p *Proc) error {
 		if p.Rank() == 0 {
 			for d := 1; d < p.Size(); d++ {
 				p.Send(d, 0, nil, 1024)
@@ -63,19 +58,43 @@ func TestRunnerVaryingNprocs(t *testing.T) {
 		}
 		return nil
 	}
-	// Grow, shrink, regrow: per-rank state must be resized and reset
-	// correctly, and each size must match a fresh dedicated run.
-	for _, np := range []int{4, 16, 2, 9, 16} {
-		got, err := r.Run(np, prog)
-		if err != nil {
-			t.Fatalf("nprocs %d: %v", np, err)
-		}
-		want, err := Run(cfg, np, prog)
+	pattern := func(p *Proc) error {
+		replayPattern(p)
+		return nil
+	}
+	// The noisy input checks that a Runner dirtied by runs at other sizes
+	// draws the same jitter as a fresh one.
+	for _, tc := range []struct {
+		name string
+		cfg  simnet.Config
+		prog func(*Proc) error
+	}{
+		{"quiet", testConfig(16), fanout},
+		{"noisy", replayTestConfig(16), pattern},
+	} {
+		r, err := NewRunner(tc.cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.MakeSpan != want.MakeSpan || got.Transfers != want.Transfers {
-			t.Fatalf("nprocs %d diverged: %v/%d vs %v/%d", np, got.MakeSpan, got.Transfers, want.MakeSpan, want.Transfers)
+		// Grow, shrink, regrow: per-rank state must be resized and reset
+		// correctly, and each size must match a fresh dedicated run.
+		for _, np := range []int{4, 16, 2, 9, 16} {
+			got, err := r.Run(np, tc.prog)
+			if err != nil {
+				t.Fatalf("%s nprocs %d: %v", tc.name, np, err)
+			}
+			want, err := Run(tc.cfg, np, tc.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.MakeSpan != want.MakeSpan || got.Transfers != want.Transfers {
+				t.Fatalf("%s nprocs %d diverged: %v/%d vs %v/%d", tc.name, np, got.MakeSpan, got.Transfers, want.MakeSpan, want.Transfers)
+			}
+			for rk := range want.FinishTimes {
+				if got.FinishTimes[rk] != want.FinishTimes[rk] {
+					t.Fatalf("%s nprocs %d: rank %d finish %v vs fresh %v", tc.name, np, rk, got.FinishTimes[rk], want.FinishTimes[rk])
+				}
+			}
 		}
 	}
 }
