@@ -60,10 +60,12 @@ bench:
 	@rm -f .bench_plancache.txt
 	@echo "wrote BENCH_sched.json, BENCH_replay.json, BENCH_sweepscale.json and BENCH_plancache.json"
 
-# Regression gate: re-run the sweep benchmarks and compare against a
-# recorded baseline (default: the scheduler-engine record). Fails when
-# any benchmark's ns/op regresses by more than 20%, and — via the
-# -scaling pass over the same run — when the worker-scaling curve fails
+# Regression gate: re-run the sweep benchmarks once per engine and
+# compare each run against the record made with the same engine: the
+# scheduler-engine run (SWEEP_ENGINE=scheduler) against BASELINE, the
+# default auto-engine run against REPLAY_BASELINE. Fails when any
+# benchmark's ns/op regresses by more than 20%, and — via the -scaling
+# pass over the auto-engine run — when the worker-scaling curve fails
 # either bound:
 #
 #   * SCALING_THRESHOLD (anti-regression): no workers>1 line may be more
@@ -88,8 +90,10 @@ REPLAY_BASELINE ?= BENCH_replay.json
 SCALING_THRESHOLD ?= 0.5
 SCALING_MIN_SPEEDUP ?= 2.0
 benchdiff:
-	$(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
+	SWEEP_ENGINE=scheduler $(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
 	$(GO) run ./cmd/benchjson -baseline $(BASELINE) < .bench_diff.txt
+	$(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
+	$(GO) run ./cmd/benchjson -baseline $(REPLAY_BASELINE) < .bench_diff.txt
 	$(GO) run ./cmd/benchjson -scaling -threshold $(SCALING_THRESHOLD) -min-speedup $(SCALING_MIN_SPEEDUP) < .bench_diff.txt
 	@rm -f .bench_diff.txt
 	$(GO) test -bench=PlanCache -benchmem -run='^$$' ./internal/experiment/ > .bench_pc_diff.txt

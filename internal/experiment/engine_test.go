@@ -355,17 +355,33 @@ func TestParseEngine(t *testing.T) {
 }
 
 // FuzzReplayMatchesScheduler fuzzes the engine equivalence over cluster
-// shape, co-location, algorithm, message and segment size, noise, and
-// random perturbation specs: for any configuration, the auto engine
-// (replay with fallback) must produce a measurement bit-identical to the
-// scheduler engine.
+// shape, co-location, operation, message and segment size, noise, link
+// costs and random perturbation specs: for any configuration, the auto
+// engine (replay with fallback) must produce a measurement bit-identical
+// to the scheduler engine.
+//
+// The replay runs each rank ahead to its next send, so the operations
+// and costs cover that premise's edges: family picks a broadcast, an
+// allreduce or an alltoall (several sends per rank, waits that join send
+// and receive requests), or a broadcast behind a chain of barriers with
+// no send between them; cost zeroes the latency and CPU overheads, so a
+// woken rank's wait ties its sender's clock and the rank tie-break
+// decides, or zeroes the byte times too, so every key ties.
 func FuzzReplayMatchesScheduler(f *testing.F) {
-	f.Add(uint8(8), uint8(1), uint8(0), uint16(64), uint8(1), uint8(50), int64(1), uint8(0))
-	f.Add(uint8(16), uint8(2), uint8(3), uint16(256), uint8(2), uint8(30), int64(1001), uint8(0))
-	f.Add(uint8(5), uint8(1), uint8(5), uint16(8), uint8(0), uint8(0), int64(7), uint8(40))
-	f.Add(uint8(12), uint8(3), uint8(2), uint16(1024), uint8(1), uint8(80), int64(-3), uint8(100))
-	f.Add(uint8(3), uint8(2), uint8(1), uint16(1), uint8(3), uint8(10), int64(42), uint8(75))
-	f.Fuzz(func(t *testing.T, nodes, ppn, algIdx uint8, msgKB uint16, segSel, noiseMil uint8, seed int64, pertCent uint8) {
+	f.Add(uint8(8), uint8(1), uint8(0), uint16(64), uint8(1), uint8(50), int64(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(16), uint8(2), uint8(3), uint16(256), uint8(2), uint8(30), int64(1001), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(5), uint8(1), uint8(5), uint16(8), uint8(0), uint8(0), int64(7), uint8(40), uint8(0), uint8(0))
+	f.Add(uint8(12), uint8(3), uint8(2), uint16(1024), uint8(1), uint8(80), int64(-3), uint8(100), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(2), uint8(1), uint16(1), uint8(3), uint8(10), int64(42), uint8(75), uint8(0), uint8(0))
+	f.Add(uint8(9), uint8(1), uint8(2), uint16(32), uint8(1), uint8(40), int64(5), uint8(0), uint8(0), uint8(1))
+	f.Add(uint8(7), uint8(2), uint8(0), uint16(4), uint8(2), uint8(0), int64(6), uint8(0), uint8(0), uint8(2))
+	f.Add(uint8(10), uint8(1), uint8(2), uint16(16), uint8(0), uint8(60), int64(11), uint8(0), uint8(1), uint8(0))
+	f.Add(uint8(6), uint8(2), uint8(1), uint16(2), uint8(0), uint8(20), int64(12), uint8(0), uint8(1), uint8(1))
+	f.Add(uint8(13), uint8(1), uint8(0), uint16(8), uint8(0), uint8(30), int64(13), uint8(50), uint8(2), uint8(0))
+	f.Add(uint8(4), uint8(1), uint8(1), uint16(3), uint8(0), uint8(0), int64(14), uint8(0), uint8(2), uint8(2))
+	f.Add(uint8(11), uint8(3), uint8(4), uint16(128), uint8(2), uint8(50), int64(15), uint8(0), uint8(3), uint8(1))
+	f.Add(uint8(2), uint8(1), uint8(0), uint16(0), uint8(0), uint8(0), int64(16), uint8(0), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, nodes, ppn, algIdx uint8, msgKB uint16, segSel, noiseMil uint8, seed int64, pertCent, family, cost uint8) {
 		nprocs := 2 + int(nodes)%15 // 2..16
 		cfg := simnet.Config{
 			Nodes:        nprocs,
@@ -374,6 +390,13 @@ func FuzzReplayMatchesScheduler(f *testing.F) {
 			ByteTimeRecv: 1e-9,
 			SendOverhead: 1e-6,
 			RecvOverhead: 1e-6,
+		}
+		switch cost % 3 {
+		case 2:
+			cfg.ByteTimeSend, cfg.ByteTimeRecv = 0, 0
+			fallthrough
+		case 1:
+			cfg.Latency, cfg.SendOverhead, cfg.RecvOverhead = 0, 0, 0
 		}
 		if p := 1 + int(ppn)%3; p > 1 {
 			cfg.ProcsPerNode = p
@@ -388,14 +411,10 @@ func FuzzReplayMatchesScheduler(f *testing.F) {
 			// Random specs are time-invariant, so replay must still match.
 			cfg.Perturb = perturb.Random(seed, intensity, cfg.NICs())
 		}
-		algs := coll.BcastAlgorithms()
-		alg := algs[int(algIdx)%len(algs)]
 		msg := 1024 * (1 + int(msgKB)%1024)
 		seg := []int{0, 8192, 16384, 65536}[int(segSel)%4]
+		op, label := fuzzOp(family, algIdx, nprocs, msg, seg)
 		set := Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 8, Warmup: 1}
-		op := func(p *mpi.Proc) {
-			coll.Bcast(p, alg, 0, coll.Synthetic(msg), seg)
-		}
 		run := func(e Engine) Measurement {
 			net, err := simnet.New(cfg)
 			if err != nil {
@@ -409,6 +428,40 @@ func FuzzReplayMatchesScheduler(f *testing.F) {
 			}
 			return m
 		}
-		sameMeasurement(t, alg.String(), run(EngineScheduler), run(EngineAuto))
+		ma := run(EngineAuto)
+		if ma.Fallback != FallbackNone {
+			t.Fatalf("%s: auto fell back (%q)", label, ma.Fallback)
+		}
+		sameMeasurement(t, label, run(EngineScheduler), ma)
 	})
+}
+
+// fuzzOp is FuzzReplayMatchesScheduler's operation: family%4 picks a
+// broadcast, an allreduce, an alltoall of msg/nprocs-byte blocks, or a
+// broadcast behind three barriers; algIdx picks the family's algorithm.
+func fuzzOp(family, algIdx uint8, nprocs, msg, seg int) (Op, string) {
+	switch family % 4 {
+	case 1:
+		algs := coll.AllreduceAlgorithms()
+		alg := algs[int(algIdx)%len(algs)]
+		return func(p *mpi.Proc) { coll.Allreduce(p, alg, coll.Synthetic(msg), nil, seg) }, "allreduce " + alg.String()
+	case 2:
+		algs := coll.AlltoallAlgorithms()
+		alg := algs[int(algIdx)%len(algs)]
+		blk := max(1, msg/nprocs)
+		return func(p *mpi.Proc) {
+			coll.Alltoall(p, alg, coll.Synthetic(blk*nprocs), coll.Synthetic(blk*nprocs), blk)
+		}, "alltoall " + alg.String()
+	}
+	algs := coll.BcastAlgorithms()
+	alg := algs[int(algIdx)%len(algs)]
+	if family%4 == 3 {
+		return func(p *mpi.Proc) {
+			p.Barrier()
+			p.Barrier()
+			p.Barrier()
+			coll.Bcast(p, alg, 0, coll.Synthetic(msg), seg)
+		}, "barriers+" + alg.String()
+	}
+	return func(p *mpi.Proc) { coll.Bcast(p, alg, 0, coll.Synthetic(msg), seg) }, alg.String()
 }

@@ -2,12 +2,13 @@ package mpi
 
 import "math"
 
-// frontier is the replay's set of schedulable ranks, ordered like the
-// scheduler's pending heap: smallest key first, ties by rank. A rank has
-// at most one entry, so the set is a winner tree indexed by rank rather
-// than a heap of entries: changing a rank's entry re-plays the matches on
-// its leaf's root-ward path, one compare per level, and the minimum is
-// always at the root.
+// frontier is the replay's set of ranks stopped at a send, each keyed by
+// the rank's clock and ordered like the scheduler's pending heap:
+// smallest key first, ties by rank. A rank that runs ahead stops at one
+// send at a time, so it has at most one entry and the set is a winner
+// tree indexed by rank rather than a heap of entries: changing a rank's
+// entry re-plays the matches on its leaf's root-ward path, one compare
+// per level, and the minimum is always at the root.
 //
 // win has 2·leaves nodes, leaves being the next power of two >= nprocs.
 // Leaf leaves+rank holds rank while the rank is schedulable and the
@@ -70,9 +71,10 @@ func (f *frontier) min() (rank int, key float64) {
 func (f *frontier) set(rank int, key float64) {
 	i := f.leaves + rank
 	if f.win[i] == int32(rank) && math.Float64bits(f.key[rank]) == math.Float64bits(key) {
-		// Already present at key (a receive post or a mark leaves the
-		// clock as it was): the tree does not change. Bits, not ==, so
-		// that a -0 key replaces +0 as the heap it mirrors would.
+		// Already present at key (a send's successor with no clock
+		// advance in between, as under zero send overhead): the tree
+		// does not change. Bits, not ==, so that a -0 key replaces +0 as
+		// the heap it mirrors would.
 		return
 	}
 	f.key[rank] = key

@@ -127,7 +127,7 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		panic(fmt.Errorf("mpi: rank %d: negative sleep %v", p.rank, d))
 	}
-	p.submit(operation{kind: opSleep, dur: d})
+	p.submit(&operation{kind: opSleep, dur: d})
 }
 
 // newRequest takes a request from the rank's freelist, or allocates one.
@@ -163,7 +163,7 @@ func (p *Proc) Isend(dst, tag int, data []byte, size int) *Request {
 		copy(payload, data)
 	}
 	req := p.newRequest(false)
-	p.submit(operation{kind: opIsend, peer: dst, tag: tag, data: payload, bytes: size, req: req})
+	p.submit(&operation{kind: opIsend, peer: dst, tag: tag, data: payload, bytes: size, req: req})
 	return req
 }
 
@@ -173,7 +173,7 @@ func (p *Proc) Isend(dst, tag int, data []byte, size int) *Request {
 func (p *Proc) Irecv(src, tag int, buf []byte) *Request {
 	p.checkPeer(src, "Irecv")
 	req := p.newRequest(true)
-	p.submit(operation{kind: opIrecv, peer: src, tag: tag, data: buf, req: req})
+	p.submit(&operation{kind: opIrecv, peer: src, tag: tag, data: buf, req: req})
 	return req
 }
 
@@ -202,7 +202,7 @@ func (p *Proc) waitAll(rs []*Request) {
 			panic(fmt.Errorf("mpi: rank %d: request waited on twice", p.rank))
 		}
 	}
-	p.submit(operation{kind: opWait, reqs: rs})
+	p.submit(&operation{kind: opWait, reqs: rs})
 	for _, r := range rs {
 		r.consumed = true
 		p.reqFree = append(p.reqFree, r)
@@ -239,7 +239,7 @@ func (p *Proc) Recv(src, tag int, buf []byte) int {
 // cost). The measurement harness uses it to separate repetitions, exactly
 // as the paper's γ(P) experiments do.
 func (p *Proc) Barrier() {
-	p.submit(operation{kind: opBarrier})
+	p.submit(&operation{kind: opBarrier})
 }
 
 // Mark records a timing-neutral marker in the Plan a compile pass builds
@@ -250,7 +250,7 @@ func (p *Proc) Barrier() {
 // no-op.
 func (p *Proc) Mark() {
 	if p.compile != nil {
-		p.submit(operation{kind: opMark})
+		p.submit(&operation{kind: opMark})
 	}
 }
 
@@ -266,16 +266,16 @@ func (p *Proc) checkPeer(peer int, op string) {
 // submit hands an operation to the scheduler and blocks for the reply.
 // A compile pass has no scheduler: it records the operation into a new
 // plan, with the clock frozen.
-func (p *Proc) submit(op operation) {
+func (p *Proc) submit(op *operation) {
 	op.rank = p.rank
 	if p.compile != nil {
-		p.compileStep(&op)
+		p.compileStep(op)
 		return
 	}
 	op.clock = p.clock
 	p.seq++
 	op.seq = p.seq
-	p.sched.ops <- op
+	p.sched.ops <- *op
 	rep := <-p.resume
 	if rep.abort {
 		panic(errAborted)

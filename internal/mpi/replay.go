@@ -11,13 +11,22 @@ import (
 // virtual-time arithmetic the scheduler would have — port occupancy
 // through simnet.Ports, request binding through plan-local slots, barrier
 // alignment through the plan's barrier cost — without goroutines,
-// channels, or message matching. The global processing order, which fixes
-// both the order jitter factors are drawn in and the order NIC ports are
-// claimed in, is recomputed per repetition with the scheduler's exact
-// discipline: every rank has at most one schedulable operation, and the
-// one with the smallest (virtual time, rank) is processed next — the root
-// of a winner tree over ranks (frontier). The replayed clocks are
-// therefore bit-identical to the scheduler's.
+// channels, or message matching.
+//
+// Only a send reads or writes state other ranks share (the NIC ports and
+// the jitter stream), so a rank runs ahead: run walks its events in
+// program order with its clock in a register — sleeps, marks, receive
+// posts, waits whose requests are bound, barrier arrivals — and stops at
+// its next send, which enters a winner tree over ranks (frontier) at the
+// rank's clock. The replay pops sends in the scheduler's (clock, rank)
+// order. That order is unchanged by running ahead: clocks never decrease,
+// so every event before a rank's next send has a key at most the send's;
+// the events run ahead touch only their own rank's state or commute (a
+// max, a decrement, a barrier's max); and a rank that is parked or in a
+// barrier resumes only through a send's delivery or a barrier's release,
+// both of which the scheduler orders the same way. So the jitter factors
+// are drawn and the ports claimed in the scheduler's order, and the
+// replayed clocks are bit-identical to its.
 //
 // Each Replay call re-times the next repetition: it takes the
 // repetition's Plan.Draws() jitter factors from the network's noise stream
@@ -33,13 +42,15 @@ type Replayer struct {
 	clocks []float64 // per-rank clocks
 	marks  []float64 // the repetition's mark clocks
 
-	// Per-repetition scratch, reset at the start of each walk.
+	// Per-repetition scratch, reset at the start of each walk. A rank's
+	// cursor stops at a send in the frontier, a parked wait, a barrier not
+	// yet released, or the end of the rank's events.
 	cursor []int32   // per-rank index of the next unprocessed event
 	reqAt  []float64 // per-slot bound completion time (max of its halves)
 	pend   []uint8   // per-slot halves still outstanding
-	parked []bool    // per-rank: cursor points at a wait with unbound slots
-	front  frontier  // schedulable ranks; the root is the next event's
+	front  frontier  // ranks stopped at a send; the root is the next send's
 
+	nmarks     int // marks recorded so far
 	barrierN   int
 	barrierMax float64
 }
@@ -61,7 +72,6 @@ func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64) err
 	r.cursor = grow(r.cursor, plan.nprocs)
 	r.reqAt = grow(r.reqAt, plan.slots)
 	r.pend = grow(r.pend, plan.slots)
-	r.parked = grow(r.parked, plan.nprocs)
 	r.front.size(plan.nprocs)
 	return nil
 }
@@ -76,14 +86,16 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Replay re-times the next repetition and returns its mark clocks, in the
-// marking rank's program order. The returned slice is owned by the
-// Replayer and valid until the next call.
+// Replay re-times the next repetition and returns its mark clocks, in
+// each marking rank's program order; the marks of different ranks
+// interleave in the order the ranks run ahead, so a plan that needs them
+// in time order marks on one rank (measurement plans do). The returned
+// slice is owned by the Replayer and valid until the next call.
 //
 // ok is false when the walk does not close over the plan (a rank left
-// parked or mid-program); that means the plan does not describe a
-// self-contained repetition, and the caller must fall back to the
-// scheduler engine.
+// parked, in a barrier, or mid-program); that means the plan does not
+// describe a self-contained repetition, and the caller must fall back to
+// the scheduler engine.
 func (r *Replayer) Replay() (marks []float64, ok bool) {
 	p := r.plan
 	n := p.nprocs
@@ -91,152 +103,127 @@ func (r *Replayer) Replay() (marks []float64, ok bool) {
 	jit := r.net.Jitter(p.draws)
 	copy(r.cursor, p.rankOff[:n])
 	copy(r.pend, p.slotPend)
-	for i := range r.reqAt {
-		r.reqAt[i] = 0
-	}
-	for i := range r.parked {
-		r.parked[i] = false
-	}
+	clear(r.reqAt)
 	r.front.reset()
-	r.barrierN = 0
-	r.barrierMax = 0
-	ji, mi := 0, 0 // next jitter factor, next mark
+	r.nmarks, r.barrierN, r.barrierMax = 0, 0, 0
 	for rank := 0; rank < n; rank++ {
-		r.advance(rank)
+		r.runAhead(rank)
 	}
-	// The root holds the next event's rank. Its leaf stays in the tree
-	// while the event is processed: wakes fix other ranks' paths against
-	// its unchanged key, and advance then re-enters or removes the rank
-	// with one root-ward walk.
+	ji := 0 // next jitter factor
+	// The root holds the next send's rank. Its leaf stays in the tree
+	// while the send is processed: a wake fixes the woken rank's path
+	// against its unchanged key, and runAhead then moves or removes the
+	// sender with one root-ward walk.
 	for {
 		rank, key := r.front.min()
 		if rank < 0 {
 			break
 		}
 		cur := r.cursor[rank]
-		r.cursor[rank] = cur + 1
 		e := &p.events[cur]
-		switch e.kind {
-		case evSleep:
-			key += p.durs[e.arg]
-			r.clocks[rank] = key
-		case evMark:
-			r.marks[mi] = key
-			mi++
-		case evWait:
-			r.clocks[rank] = key
-		case evRecv:
-			s := e.slot
-			r.reqAt[s] = math.Max(r.reqAt[s], key)
-			r.pend[s]--
-			// The receive's own rank is busy here, so no wait can be
-			// parked on it; no wake needed.
-		case evSend:
-			sd := &p.sends[e.arg]
-			var sc, delivered float64
-			if sd.lt.Local {
-				sc, delivered = r.ports.TransmitLocal(sd.lt, key)
-			} else {
-				f := 1.0
-				if sd.draws {
-					f = jit[ji]
-					ji++
-				}
-				sc, delivered = r.ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), sd.lt, key, f)
+		sd := &p.sends[e.arg]
+		var sc, delivered float64
+		if sd.lt.Local {
+			sc, delivered = r.ports.TransmitLocal(sd.lt, key)
+		} else {
+			f := 1.0
+			if sd.draws {
+				f = jit[ji]
+				ji++
 			}
-			r.reqAt[e.slot] = sc
-			r.pend[e.slot] = 0
-			if ps := sd.peerSlot; ps >= 0 {
-				r.reqAt[ps] = math.Max(r.reqAt[ps], delivered)
-				if r.pend[ps]--; r.pend[ps] == 0 {
-					r.wake(int(p.slotOwner[ps]))
-				}
-			}
-			key += sd.lt.SendOv
-			r.clocks[rank] = key
+			sc, delivered = r.ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), sd.lt, key, f)
 		}
-		r.advance(rank)
+		r.reqAt[e.slot] = sc
+		r.pend[e.slot] = 0
+		r.clocks[rank] = key + sd.lt.SendOv
+		r.cursor[rank] = cur + 1
+		if ps := sd.peerSlot; ps >= 0 {
+			r.reqAt[ps] = math.Max(r.reqAt[ps], delivered)
+			if r.pend[ps]--; r.pend[ps] == 0 {
+				r.wake(int(p.slotOwner[ps]))
+			}
+		}
+		r.runAhead(rank)
 	}
 	// A well-formed repetition ends with every rank's program exhausted.
-	if r.barrierN != 0 {
-		return nil, false
-	}
 	for rank := 0; rank < n; rank++ {
-		if r.parked[rank] || r.cursor[rank] != p.rankOff[rank+1] {
+		if r.cursor[rank] != p.rankOff[rank+1] {
 			return nil, false
 		}
 	}
 	return r.marks, true
 }
 
-// advance schedules rank's next event: barriers park the rank until all
-// have arrived, a wait with unbound requests parks until its last message
-// is delivered (wake), everything else sets the rank's frontier key to its
-// current clock. A rank that parks or runs out of events leaves the
-// frontier.
-func (r *Replayer) advance(rank int) {
+// run executes rank's events from its cursor in program order until the
+// rank reaches a send, which it enters in the frontier at its clock. It
+// also stops, leaving the frontier, when the rank parks on a wait with an
+// unbound request, arrives at a barrier, or runs out of events.
+func (r *Replayer) run(rank int) {
 	p := r.plan
-	cur := r.cursor[rank]
-	if cur == p.rankOff[rank+1] {
-		r.front.clear(rank)
-		return
-	}
-	e := &p.events[cur]
-	switch e.kind {
-	case evBarrier:
-		r.front.clear(rank)
-		r.cursor[rank] = cur + 1
-		r.barrierMax = math.Max(r.barrierMax, r.clocks[rank])
-		if r.barrierN++; r.barrierN == p.nprocs {
-			t := r.barrierMax + p.barrierCost
-			r.barrierN = 0
-			r.barrierMax = 0
-			for i := range r.clocks {
-				r.clocks[i] = t
-			}
-			for i := 0; i < p.nprocs; i++ {
-				r.advance(i)
-			}
-		}
-	case evWait:
-		for _, s := range p.waitSlots[e.arg : e.arg+e.slot] {
-			if r.pend[s] != 0 {
-				r.parked[rank] = true
-				r.front.clear(rank)
-				return
-			}
-		}
-		r.front.set(rank, r.waitKey(rank, e))
-	default:
-		r.front.set(rank, r.clocks[rank])
-	}
-}
-
-// waitKey is the virtual time a wait resolves at: the later of the rank's
-// clock and its requests' completion times — the scheduler's scheduleKey.
-func (r *Replayer) waitKey(rank int, e *planEvent) float64 {
 	t := r.clocks[rank]
-	for _, s := range r.plan.waitSlots[e.arg : e.arg+e.slot] {
-		if v := r.reqAt[s]; v > t {
-			t = v
+	cur, end := r.cursor[rank], p.rankOff[rank+1]
+loop:
+	for ; cur < end; cur++ {
+		e := &p.events[cur]
+		switch e.kind {
+		case evSleep:
+			t += p.durs[e.arg]
+		case evMark:
+			r.marks[r.nmarks] = t
+			r.nmarks++
+		case evRecv:
+			s := e.slot
+			r.reqAt[s] = math.Max(r.reqAt[s], t)
+			r.pend[s]--
+		case evWait:
+			// The wait resolves at the later of the clock and its
+			// requests' completion times, the scheduler's scheduleKey. A
+			// park keeps the partial max: re-taking it on wake is exact.
+			for _, s := range p.waitSlots[e.arg : e.arg+e.slot] {
+				if r.pend[s] != 0 {
+					break loop
+				}
+				if v := r.reqAt[s]; v > t {
+					t = v
+				}
+			}
+		case evSend:
+			r.clocks[rank], r.cursor[rank] = t, cur
+			r.front.set(rank, t)
+			return
+		case evBarrier:
+			r.barrierMax = math.Max(r.barrierMax, t)
+			r.barrierN++
+			break loop
 		}
 	}
-	return t
+	r.clocks[rank], r.cursor[rank] = t, cur
+	r.front.clear(rank)
 }
 
-// wake re-examines rank's parked wait after a request bound.
-func (r *Replayer) wake(rank int) {
-	if !r.parked[rank] {
-		return
-	}
-	e := &r.plan.events[r.cursor[rank]]
-	for _, s := range r.plan.waitSlots[e.arg : e.arg+e.slot] {
-		if r.pend[s] != 0 {
-			return
+// runAhead runs rank ahead and, each time that completes a barrier,
+// releases every rank from it at the latest arrival plus the barrier cost
+// and runs them all ahead. Only the last rank run can complete the next
+// barrier, so a chain of barriers loops here rather than recursing.
+func (r *Replayer) runAhead(rank int) {
+	r.run(rank)
+	for r.barrierN == r.plan.nprocs {
+		t := r.barrierMax + r.plan.barrierCost
+		r.barrierN, r.barrierMax = 0, 0
+		for i := range r.clocks {
+			r.clocks[i] = t
+			r.cursor[i]++
+			r.run(i)
 		}
 	}
-	r.parked[rank] = false
-	r.front.set(rank, r.waitKey(rank, e))
+}
+
+// wake resumes rank after one of its requests bound, if the rank is
+// parked on a wait; run re-checks the wait's other requests.
+func (r *Replayer) wake(rank int) {
+	if c := r.cursor[rank]; c < r.plan.rankOff[rank+1] && r.plan.events[c].kind == evWait {
+		r.runAhead(rank)
+	}
 }
 
 // Clocks returns the per-rank clocks after the most recently replayed

@@ -27,7 +27,7 @@ func TestRunnerNewReplayerMatchesFresh(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// Fresh reference: identical compile on an identical, fresh Runner.
-		fr, fplan, start := compileOneRep(t, cfg, tc.nprocs)
+		fr, fplan, start := compileOneRep(t, cfg, tc.nprocs, replayPattern)
 		want, err := fr.NewReplayer(fplan, start)
 		if err != nil {
 			t.Fatal(err)

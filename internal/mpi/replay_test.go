@@ -88,15 +88,15 @@ func preambleClocks(plan *Plan) []float64 {
 	return start
 }
 
-// compileOneRep compiles one marked repetition of replayPattern on a
-// fresh Runner, returning the plan and the clocks to replay it from.
-func compileOneRep(t testing.TB, cfg simnet.Config, nprocs int) (*Runner, *Plan, []float64) {
+// compileOneRep compiles one marked repetition of body on a fresh
+// Runner, returning the plan and the clocks to replay it from.
+func compileOneRep(t testing.TB, cfg simnet.Config, nprocs int, body func(*Proc)) (*Runner, *Plan, []float64) {
 	t.Helper()
 	r, err := NewRunner(cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := r.Compile(nprocs, markedRep(replayPattern))
+	plan, err := r.Compile(nprocs, markedRep(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,26 +155,64 @@ func replaySpans(t testing.TB, r *Runner, plan *Plan, start []float64, reps int)
 	return spans
 }
 
+// exchangePattern is a personalised exchange: every rank posts a receive
+// from and a send to every other rank, then waits for all of them in one
+// WaitAll that joins send and receive requests. Every third rank sends
+// zero bytes, which occupy no port time but still move the port's clock.
+func exchangePattern(p *Proc) {
+	n, r := p.Size(), p.Rank()
+	reqs := make([]*Request, 0, 2*(n-1))
+	for d := 1; d < n; d++ {
+		reqs = append(reqs, p.Irecv((r-d+n)%n, 7, nil), p.Isend((r+d)%n, 7, nil, 4096*(r%3)))
+	}
+	p.WaitAll(reqs...)
+}
+
+// barrierChainPattern releases three barriers in a row with no send
+// between them, then runs replayPattern.
+func barrierChainPattern(p *Proc) {
+	p.Barrier()
+	p.Sleep(float64(p.Rank()) * 1e-7)
+	p.Barrier()
+	p.Barrier()
+	replayPattern(p)
+}
+
 // TestReplayMatchesScheduler is the engine differential: replaying a
 // compiled repetition R times must produce per-repetition durations
 // bit-identical to a scheduler run executing the same repetition loop
-// R times, on both one-process-per-node and co-located clusters.
+// R times, on both one-process-per-node and co-located clusters, and on
+// a cluster with zero latency and CPU overheads, where a zero-byte
+// message is delivered at its sender's clock: the woken rank's wait ties
+// the sender, and the rank tie-break orders the sends that follow.
 func TestReplayMatchesScheduler(t *testing.T) {
 	const nprocs, reps = 8, 12
+	zero := replayTestConfig(nprocs)
+	zero.Latency, zero.SendOverhead, zero.RecvOverhead = 0, 0, 0
+	patterns := map[string]func(*Proc){
+		"pipeline":      replayPattern,
+		"exchange":      exchangePattern,
+		"barrier_chain": barrierChainPattern,
+	}
 	for name, cfg := range map[string]simnet.Config{
 		"one_per_node":  replayTestConfig(nprocs),
 		"two_per_node":  replayDualConfig(nprocs),
 		"noise_free":    testConfig(nprocs),
 		"dual_no_noise": func() simnet.Config { c := replayDualConfig(nprocs); c.NoiseAmplitude = 0; return c }(),
+		"zero_cost":     zero,
 	} {
 		t.Run(name, func(t *testing.T) {
-			want := schedulerSpans(t, cfg, nprocs, reps, replayPattern)
-			r, plan, start := compileOneRep(t, cfg, nprocs)
-			got := replaySpans(t, r, plan, start, reps)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("repetition %d: replay %x, scheduler %x", i, got[i], want[i])
-				}
+			for pname, body := range patterns {
+				t.Run(pname, func(t *testing.T) {
+					want := schedulerSpans(t, cfg, nprocs, reps, body)
+					r, plan, start := compileOneRep(t, cfg, nprocs, body)
+					got := replaySpans(t, r, plan, start, reps)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("repetition %d: replay %x, scheduler %x", i, got[i], want[i])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -263,7 +301,7 @@ func TestMarkIsTimingNeutral(t *testing.T) {
 // heap allocations: every buffer is sized at construction, and once the
 // noise memo holds a repetition's factors, a rewound stream re-reads them.
 func TestReplayZeroAllocsPerRep(t *testing.T) {
-	r, plan, start := compileOneRep(t, replayTestConfig(8), 8)
+	r, plan, start := compileOneRep(t, replayTestConfig(8), 8, replayPattern)
 	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +401,7 @@ func sendRecvPair(p *Proc) {
 // are not structural mismatches: a reference plan wider than the
 // Runner's network, and a program that no longer compiles.
 func TestEchoRunValidation(t *testing.T) {
-	_, plan, _ := compileOneRep(t, replayTestConfig(8), 8)
+	_, plan, _ := compileOneRep(t, replayTestConfig(8), 8, replayPattern)
 	narrow, err := NewRunner(replayTestConfig(4), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +409,7 @@ func TestEchoRunValidation(t *testing.T) {
 	if err := narrow.Verify(plan, markedRep(replayPattern)); err == nil {
 		t.Error("plan wider than the network accepted")
 	}
-	r, plan, _ := compileOneRep(t, replayTestConfig(4), 4)
+	r, plan, _ := compileOneRep(t, replayTestConfig(4), 4, replayPattern)
 	var ce *CompileError
 	if err := r.Verify(plan, func(p *Proc) error { _ = p.Now(); return nil }); !errors.As(err, &ce) {
 		t.Errorf("program reading Now: got %v, want a *CompileError", err)
@@ -386,7 +424,7 @@ func TestEchoRunValidation(t *testing.T) {
 // repetition long and each pass reads it warm.
 func BenchmarkReplayRep(b *testing.B) {
 	b.ReportAllocs()
-	r, plan, start := compileOneRep(b, replayTestConfig(16), 16)
+	r, plan, start := compileOneRep(b, replayTestConfig(16), 16, replayPattern)
 	rp, err := r.NewReplayer(plan, start)
 	if err != nil {
 		b.Fatal(err)

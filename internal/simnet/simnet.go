@@ -90,7 +90,7 @@ type Config struct {
 }
 
 // procsPerNode returns the effective co-location factor.
-func (c Config) procsPerNode() int {
+func (c *Config) procsPerNode() int {
 	if c.ProcsPerNode < 1 {
 		return 1
 	}
@@ -98,10 +98,10 @@ func (c Config) procsPerNode() int {
 }
 
 // nic returns the physical node (NIC index) of a process endpoint.
-func (c Config) nic(proc int) int { return proc / c.procsPerNode() }
+func (c *Config) nic(proc int) int { return proc / c.procsPerNode() }
 
 // NIC returns the physical node (NIC index) of a process endpoint.
-func (c Config) NIC(proc int) int { return c.nic(proc) }
+func (c *Config) NIC(proc int) int { return c.nic(proc) }
 
 // NICs returns the number of physical nodes, each with one send and one
 // receive port: ceil(Nodes/ProcsPerNode).
