@@ -34,7 +34,9 @@ perfbenchcheck:
 
 # Hot-path and sweep-engine benchmarks, recorded twice: BENCH_sched.json
 # forces the scheduler engine (SWEEP_ENGINE=scheduler) and covers the
-# scheduler micro-benchmarks; BENCH_replay.json runs the same sweep
+# scheduler micro-benchmarks (its BenchmarkSweep rows run three
+# iterations each, here and in benchdiff: one scheduler-engine sweep
+# takes seconds, and a single iteration's spread crosses the 20% gate); BENCH_replay.json runs the same sweep
 # benchmarks under the default auto engine (plan compile + replay) plus
 # the replay micro-benchmarks. The sweep benchmark names are identical in
 # both files, so `benchjson -baseline` can diff them directly. The same
@@ -44,7 +46,8 @@ perfbenchcheck:
 # temp file, not a pipe, so a benchmark failure fails the target.
 bench:
 	$(GO) test -bench=Scheduler -benchmem -run='^$$' ./internal/mpi/ > .bench_sched.txt
-	SWEEP_ENGINE=scheduler $(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ >> .bench_sched.txt
+	SWEEP_ENGINE=scheduler $(GO) test -bench='^BenchmarkSweep$$' -benchtime=3x -benchmem -run='^$$' ./internal/experiment/ >> .bench_sched.txt
+	SWEEP_ENGINE=scheduler $(GO) test -bench=SweepCached -benchmem -run='^$$' ./internal/experiment/ >> .bench_sched.txt
 	$(GO) run ./cmd/benchjson < .bench_sched.txt > BENCH_sched.json
 	@rm -f .bench_sched.txt
 	$(GO) test -bench=Replay -benchmem -run='^$$' ./internal/mpi/ > .bench_replay.txt
@@ -90,7 +93,8 @@ REPLAY_BASELINE ?= BENCH_replay.json
 SCALING_THRESHOLD ?= 0.5
 SCALING_MIN_SPEEDUP ?= 2.0
 benchdiff:
-	SWEEP_ENGINE=scheduler $(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
+	SWEEP_ENGINE=scheduler $(GO) test -bench='^BenchmarkSweep$$' -benchtime=3x -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
+	SWEEP_ENGINE=scheduler $(GO) test -bench=SweepCached -benchmem -run='^$$' ./internal/experiment/ >> .bench_diff.txt
 	$(GO) run ./cmd/benchjson -baseline $(BASELINE) < .bench_diff.txt
 	$(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_diff.txt
 	$(GO) run ./cmd/benchjson -baseline $(REPLAY_BASELINE) < .bench_diff.txt

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
@@ -153,23 +154,43 @@ func (s *Selector) BestFor(op string, P, m int) (OpChoice, error) {
 // CalibrateExtendedOp fits the named extended collective family ("gather",
 // "allreduce", ... — see estimate.AllSpecFamilies) on the selector's
 // platform, reusing the already-estimated γ, and attaches the result so
-// BestFor can answer queries for it. The family is measured as one sweep
-// (estimate.AlphaBetaFamily) under cfg's Workers, Cache, Progress and
-// Metrics; a cancelled ctx stops it within one chunk of grid points,
-// leaving the selector unchanged.
+// BestFor can answer queries for it. It is CalibrateExtendedOps for one
+// family.
 func (s *Selector) CalibrateExtendedOp(ctx context.Context, op string, cfg estimate.AlphaBetaConfig) error {
-	specs, ok := estimate.AllSpecFamilies()[op]
-	if !ok {
-		return fmt.Errorf("core: unknown collective family %q", op)
+	return s.CalibrateExtendedOps(ctx, []string{op}, cfg)
+}
+
+// CalibrateExtendedOps fits the named extended collective families on the
+// selector's platform, reusing the already-estimated γ, and attaches one
+// selector per family so BestFor can answer queries for them. All the
+// families' specs are measured as one sweep (estimate.AlphaBetaFamily)
+// under cfg's Workers, Cache, Progress and Metrics, and the fits are
+// split per family: each is bit-identical to the family's own
+// CalibrateExtendedOp. A cancelled ctx stops the sweep within one chunk
+// of grid points, leaving the selector unchanged.
+func (s *Selector) CalibrateExtendedOps(ctx context.Context, ops []string, cfg estimate.AlphaBetaConfig) error {
+	if len(ops) == 0 {
+		return nil
 	}
-	sel, _, err := selection.CalibrateExtendedCtx(ctx, s.Profile, specs, s.Models.Gamma, cfg)
+	all := estimate.AllSpecFamilies()
+	fams := make([][]estimate.CollectiveSpec, len(ops))
+	for i, op := range ops {
+		specs, ok := all[op]
+		if !ok {
+			return fmt.Errorf("core: unknown collective family %q", op)
+		}
+		fams[i] = specs
+	}
+	sels, err := selection.CalibrateExtendedFamilies(ctx, s.Profile, fams, s.Models.Gamma, cfg)
 	if err != nil {
-		return fmt.Errorf("core: calibrating %s: %w", op, err)
+		return fmt.Errorf("core: calibrating %s: %w", strings.Join(ops, ", "), err)
 	}
 	if s.Extended == nil {
 		s.Extended = make(map[string]*selection.ExtendedSelector)
 	}
-	s.Extended[op] = sel
+	for i, op := range ops {
+		s.Extended[op] = sels[i]
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -130,6 +131,46 @@ func TestCalibrateExtendedOpSharedCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(params[0], params[1]) {
 		t.Fatalf("cached calibration fitted %v, cold %v", params[1], params[0])
+	}
+}
+
+// TestCalibrateExtendedOpsMatchesPerFamily checks that fitting several
+// families in one sweep attaches, for each, bit-identical parameters to
+// the family's own CalibrateExtendedOp sweep, and that an unknown family
+// fails the call before anything is measured or attached.
+func TestCalibrateExtendedOpsMatchesPerFamily(t *testing.T) {
+	sel := calibrateSmall(t)
+	cfg := estimate.AlphaBetaConfig{Procs: 8, Sizes: []int{4096, 65536}, Settings: fastSettings(), Workers: 2}
+	ops := []string{"gather", "allreduce", "alltoall"}
+	joint := *sel
+	if err := joint.CalibrateExtendedOps(context.Background(), ops, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		single := *sel
+		if err := single.CalibrateExtendedOp(context.Background(), op, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, want := joint.Extended[op], single.Extended[op]
+		if len(got.Specs) != len(want.Specs) || len(got.Params) != len(want.Specs) {
+			t.Fatalf("%s: %d specs and %d fits in one sweep, want %d", op, len(got.Specs), len(got.Params), len(want.Specs))
+		}
+		for i, p := range got.Params {
+			if got.Specs[i].Name != want.Specs[i].Name ||
+				math.Float64bits(p.Alpha) != math.Float64bits(want.Params[i].Alpha) ||
+				math.Float64bits(p.Beta) != math.Float64bits(want.Params[i].Beta) {
+				t.Errorf("%s: one sweep fits %s %+v, its own sweep %s %+v", op, got.Specs[i].Name, p, want.Specs[i].Name, want.Params[i])
+			}
+		}
+	}
+	bad := *sel
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	if err := bad.CalibrateExtendedOps(context.Background(), []string{"gather", "frobnicate"}, cfg); err == nil {
+		t.Fatal("an unknown family must fail the call")
+	}
+	if bad.Extended != nil || reg.Counter("sweep_points_measured_total").Value() != 0 {
+		t.Fatal("a failed call must measure nothing and attach nothing")
 	}
 }
 

@@ -99,7 +99,7 @@ func (p *Proc) compileStep(op *operation) {
 	case opSleep:
 		pe.kind = evSleep
 		pe.arg = int32(len(pl.durs))
-		pl.durs = append(pl.durs, op.dur)
+		pl.durs = push(pl.durs, op.dur)
 	case opMark:
 		pe.kind = evMark
 		pl.marks++
@@ -113,18 +113,13 @@ func (p *Proc) compileStep(op *operation) {
 		pe.kind = evSend
 		pe.slot = pl.newSlot(p.rank, 1, op.bytes)
 		pe.arg = int32(len(pl.sends))
-		ps := planSend{
-			lt:       c.r.net.TimingFor(p.rank, op.peer, op.bytes),
-			srcNIC:   int32(c.cfg.NIC(p.rank)),
-			dstNIC:   int32(c.cfg.NIC(op.peer)),
-			peerSlot: -1,
-		}
-		if !ps.lt.Local && c.cfg.NoiseAmplitude > 0 && ps.lt.TxTime > 0 {
-			ps.draws = true
+		srcNIC, dstNIC := int32(c.cfg.NIC(p.rank)), int32(c.cfg.NIC(op.peer))
+		t := c.timing(p.rank, op.peer, srcNIC, dstNIC, op.bytes)
+		if pl.timings[t].draws {
 			pl.draws++
 		}
-		pl.sends = append(pl.sends, ps)
-		c.r.sendKeys = append(c.r.sendKeys, sendKey{
+		pl.sends = push(pl.sends, planSend{timing: t, srcNIC: srcNIC, dstNIC: dstNIC, peerSlot: -1})
+		c.r.sendKeys = push(c.r.sendKeys, sendKey{
 			pair: int32(p.rank*pl.nprocs + op.peer), slot: pe.slot, tag: op.tag,
 		})
 		op.req.slot = pe.slot
@@ -137,27 +132,61 @@ func (p *Proc) compileStep(op *operation) {
 			op.req.bytes = ref.slotBytes[pe.slot]
 		}
 		s := c.r.stream(int32(op.peer*pl.nprocs+p.rank), op.tag)
-		s.slots = append(s.slots, pe.slot)
+		s.slots = push(s.slots, pe.slot)
 	case opWait:
 		pe.kind = evWait
 		pe.slot = int32(len(op.reqs))
 		pe.arg = int32(len(pl.waitSlots))
 		for _, r := range op.reqs {
-			pl.waitSlots = append(pl.waitSlots, r.slot)
+			pl.waitSlots = push(pl.waitSlots, r.slot)
 		}
 	default:
 		panic(&CompileError{Rank: p.rank, Why: fmt.Sprintf("%v is not replayable", op.kind)})
 	}
-	pl.events = append(pl.events, pe)
+	pl.events = push(pl.events, pe)
+}
+
+// timingMemoBits sizes the Runner's timing memo: 1<<timingMemoBits
+// direct-mapped entries. The calibration's largest plan uses 88 keys.
+const timingMemoBits = 8
+
+// timingKey is one entry of the Runner's timing memo: the Plan.timings
+// index of the timing of a send of bytes from srcNIC to dstNIC. The zero
+// entry is empty (idx holds the index plus one).
+type timingKey struct {
+	src, dst int32
+	idx      int32
+	bytes    int
+}
+
+// timing returns the index into the plan's timing table of the timing
+// of a send of bytes from rank src (on srcNIC) to rank dst (on dstNIC),
+// appending the timing on a memo miss. simnet.Network.TimingFor is a
+// function of the two NICs and the byte count alone, and the draw flag a
+// function of the timing and the network's noise amplitude, so a memo hit
+// can skip both. A collision evicts the older key: its next send appends
+// its timing again, a duplicate entry that replays the same.
+func (c *compileRank) timing(src, dst int, srcNIC, dstNIC int32, bytes int) int32 {
+	h := (uint32(srcNIC)*0x9e3779b1 ^ uint32(dstNIC)*0x85ebca77 ^ uint32(bytes)*0xc2b2ae3d) >> (32 - timingMemoBits)
+	e := &c.r.timingMemo[h]
+	if e.idx != 0 && e.src == srcNIC && e.dst == dstNIC && e.bytes == bytes {
+		return e.idx - 1
+	}
+	pl := c.plan
+	t := planTiming{lt: c.r.net.TimingFor(src, dst, bytes)}
+	t.draws = !t.lt.Local && c.cfg.NoiseAmplitude > 0 && t.lt.TxTime > 0
+	pl.timings = push(pl.timings, t)
+	*e = timingKey{src: srcNIC, dst: dstNIC, idx: int32(len(pl.timings)), bytes: bytes}
+	return e.idx - 1
 }
 
 // newSlot introduces the next canonical request slot, owned by rank,
 // with pend halves to complete and bytes as its message size.
 func (p *Plan) newSlot(rank int, pend uint8, bytes int) int32 {
 	s := int32(len(p.slotOwner))
-	p.slotOwner = append(p.slotOwner, int32(rank))
-	p.slotPend = append(p.slotPend, pend)
-	p.slotBytes = append(p.slotBytes, bytes)
+	p.slotOwner = push(p.slotOwner, int32(rank))
+	p.slotPend = push(p.slotPend, pend)
+	p.slotBytes = push(p.slotBytes, bytes)
 	return s
 }
 
@@ -178,7 +207,7 @@ func (r *Runner) stream(pair int32, tag int) *recvStream {
 	if cap(r.streams) > len(r.streams) {
 		r.streams = r.streams[:i+1]
 	} else {
-		r.streams = append(r.streams, recvStream{})
+		r.streams = push(r.streams, recvStream{})
 	}
 	s := &r.streams[i]
 	*s = recvStream{pair: pair, next: r.pairStream[pair], tag: tag, slots: s.slots[:0]}
@@ -251,6 +280,7 @@ func (r *Runner) compileInto(p *Plan, ref *Plan, nprocs int, fn func(*Proc) erro
 		rankOff:     grow(p.rankOff, nprocs+1),
 		events:      p.events[:0],
 		sends:       p.sends[:0],
+		timings:     p.timings[:0],
 		durs:        p.durs[:0],
 		waitSlots:   p.waitSlots[:0],
 		slotOwner:   p.slotOwner[:0],
@@ -262,6 +292,7 @@ func (r *Runner) compileInto(p *Plan, ref *Plan, nprocs int, fn func(*Proc) erro
 	}
 	r.streams = r.streams[:0]
 	r.sendKeys = r.sendKeys[:0]
+	clear(r.timingMemo[:])
 	if len(r.pairStream) < nprocs*nprocs {
 		r.pairStream = make([]int32, nprocs*nprocs)
 		for i := range r.pairStream {

@@ -248,6 +248,7 @@ func clonePlan(p *Plan) *Plan {
 	q.rankOff = slices.Clone(p.rankOff)
 	q.events = slices.Clone(p.events)
 	q.sends = slices.Clone(p.sends)
+	q.timings = slices.Clone(p.timings)
 	q.durs = slices.Clone(p.durs)
 	q.waitSlots = slices.Clone(p.waitSlots)
 	q.slotOwner = slices.Clone(p.slotOwner)
@@ -258,10 +259,11 @@ func clonePlan(p *Plan) *Plan {
 
 // TestPlanEquivalentToDetectsEveryField: Verify's soundness rests on
 // EquivalentTo comparing every table replay reads, so changing exactly
-// one entry of any of them — a send's timing, NICs, bound receive or
-// jitter draw, a sleep's duration, one slot a wait joins or its length,
-// a slot's bytes, owner or pend count, a rank's event offset — must make
-// two otherwise identical plans differ.
+// one entry of any of them — a timing-table entry's tx time, locality or
+// jitter draw, a send's timing index, NICs or bound receive, a sleep's
+// duration, one slot a wait joins or its length, a slot's bytes, owner or
+// pend count, a rank's event offset — must make two otherwise identical
+// plans differ.
 func TestPlanEquivalentToDetectsEveryField(t *testing.T) {
 	const nprocs = 8
 	r, err := NewRunner(replayDualConfig(nprocs), Options{})
@@ -281,20 +283,25 @@ func TestPlanEquivalentToDetectsEveryField(t *testing.T) {
 	if lastSleep < 0 || wait < 0 || matched < 0 || plan.durs[lastSleep] == 0 {
 		t.Fatal("the program compiled no nonzero sleep, wait or matched send")
 	}
+	if len(plan.timings) < 2 {
+		t.Fatalf("the program compiled %d timings, want at least 2", len(plan.timings))
+	}
+	timing := plan.sends[send].timing
 	mutations := map[string]func(q *Plan){
-		"send timing":    func(q *Plan) { q.sends[send].lt.TxTime *= 2 },
-		"send local":     func(q *Plan) { q.sends[send].lt.Local = !q.sends[send].lt.Local },
-		"send src NIC":   func(q *Plan) { q.sends[send].srcNIC++ },
-		"send dst NIC":   func(q *Plan) { q.sends[send].dstNIC++ },
-		"send peer slot": func(q *Plan) { q.sends[matched].peerSlot = -1 },
-		"send draws":     func(q *Plan) { q.sends[send].draws = !q.sends[send].draws },
-		"sleep duration": func(q *Plan) { q.durs[lastSleep] *= 2 },
-		"wait slot":      func(q *Plan) { q.waitSlots[q.events[wait].arg]++ },
-		"wait length":    func(q *Plan) { q.events[wait].slot-- },
-		"slot bytes":     func(q *Plan) { q.slotBytes[0]++ },
-		"slot owner":     func(q *Plan) { q.slotOwner[0]++ },
-		"slot pend":      func(q *Plan) { q.slotPend[0]++ },
-		"rank offset":    func(q *Plan) { q.rankOff[1]++ },
+		"timing tx time":    func(q *Plan) { q.timings[timing].lt.TxTime *= 2 },
+		"timing local":      func(q *Plan) { q.timings[timing].lt.Local = !q.timings[timing].lt.Local },
+		"timing draws":      func(q *Plan) { q.timings[timing].draws = !q.timings[timing].draws },
+		"send timing index": func(q *Plan) { q.sends[send].timing = (timing + 1) % int32(len(q.timings)) },
+		"send src NIC":      func(q *Plan) { q.sends[send].srcNIC++ },
+		"send dst NIC":      func(q *Plan) { q.sends[send].dstNIC++ },
+		"send peer slot":    func(q *Plan) { q.sends[matched].peerSlot = -1 },
+		"sleep duration":    func(q *Plan) { q.durs[lastSleep] *= 2 },
+		"wait slot":         func(q *Plan) { q.waitSlots[q.events[wait].arg]++ },
+		"wait length":       func(q *Plan) { q.events[wait].slot-- },
+		"slot bytes":        func(q *Plan) { q.slotBytes[0]++ },
+		"slot owner":        func(q *Plan) { q.slotOwner[0]++ },
+		"slot pend":         func(q *Plan) { q.slotPend[0]++ },
+		"rank offset":       func(q *Plan) { q.rankOff[1]++ },
 	}
 	for name, mutate := range mutations {
 		q := clonePlan(plan)

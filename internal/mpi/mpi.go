@@ -94,9 +94,10 @@ type Proc struct {
 	// reqFree recycles waited-on requests; it persists across the runs of
 	// a Runner, so a warm rank allocates no request objects.
 	reqFree []*Request
-	// waitBuf backs the single-request Wait fast path, avoiding the
-	// variadic slice allocation of WaitAll.
-	waitBuf [1]*Request
+	// waitBuf holds the requests of the wait in flight: Wait and WaitAll
+	// copy their arguments into it, so the slice the operation carries is
+	// rank-owned and a caller's variadic arguments never escape.
+	waitBuf []*Request
 	// reqBuf backs Requests; it persists across runs like reqFree.
 	reqBuf []*Request
 
@@ -180,17 +181,29 @@ func (p *Proc) Irecv(src, tag int, buf []byte) *Request {
 // Wait blocks until the request completes, advancing the rank's clock to
 // the completion time.
 func (p *Proc) Wait(r *Request) {
-	p.waitBuf[0] = r
-	p.waitAll(p.waitBuf[:1])
-	p.waitBuf[0] = nil
+	p.waitBuf = append(p.waitBuf[:0], r)
+	p.waitAll()
 }
 
 // WaitAll blocks until every request completes, advancing the rank's clock
 // to the latest completion time. Requests may be waited on only once;
 // after the wait returns, the handles are recycled and must not be reused.
-func (p *Proc) WaitAll(rs ...*Request) { p.waitAll(rs) }
+func (p *Proc) WaitAll(rs ...*Request) {
+	// Element by element: a wait joins a request or two, too few to pay
+	// for a bulk copy of pointers.
+	buf := p.waitBuf[:0]
+	for _, r := range rs {
+		buf = append(buf, r)
+	}
+	p.waitBuf = buf
+	p.waitAll()
+}
 
-func (p *Proc) waitAll(rs []*Request) {
+// waitAll waits on the requests in waitBuf. The buffer keeps its handles
+// until the next wait overwrites them: they are in the rank's freelist
+// anyway.
+func (p *Proc) waitAll() {
+	rs := p.waitBuf
 	for _, r := range rs {
 		if r == nil {
 			panic(fmt.Errorf("mpi: rank %d: wait on nil request", p.rank))

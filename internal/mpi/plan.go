@@ -67,20 +67,29 @@ type planEvent struct {
 	arg  int32
 }
 
-// planSend is the per-send record replay reads at a send event. The
-// timing is a precomputed constant (the send's effective LinkTiming from
-// simnet.Network.TimingFor, which folds in any time-invariant
-// perturbations); virtual times are produced only at replay.
+// planSend is the per-send record replay reads at a send event, 16
+// bytes: the send's timing is an index into Plan.timings, which holds
+// the timings a plan's sends share, so the records the replay pops in
+// time order stay dense and the timings stay in cache.
 type planSend struct {
-	// lt is the send's effective timing parameters; lt.Local marks a
-	// co-located send: shared NIC, no ports, no jitter.
-	lt     simnet.LinkTiming
+	timing int32 // index into Plan.timings
 	srcNIC int32
 	dstNIC int32
 	// peerSlot is the receive slot the message binds, -1 if never
 	// received.
 	peerSlot int32
-	// draws reports that the send consumes one jitter factor.
+}
+
+// planTiming is one entry of Plan.timings. The timing is a precomputed
+// constant (a send's effective LinkTiming from
+// simnet.Network.TimingFor, which folds in any time-invariant
+// perturbations); virtual times are produced only at replay.
+type planTiming struct {
+	// lt is the effective timing parameters; lt.Local marks a co-located
+	// send: shared NIC, no ports, no jitter.
+	lt simnet.LinkTiming
+	// draws reports that a send with this timing consumes one jitter
+	// factor.
 	draws bool
 }
 
@@ -106,9 +115,11 @@ type Plan struct {
 	// rankOff[r]..rankOff[r+1] bound rank r's events; len nprocs+1.
 	rankOff []int32
 	// events is the walk; sends, durs and waitSlots are the side tables
-	// its send, sleep and wait events index.
+	// its send, sleep and wait events index, and timings the table the
+	// sends index.
 	events    []planEvent
 	sends     []planSend
+	timings   []planTiming
 	durs      []float64
 	waitSlots []int32
 	// slotOwner is the rank whose send/recv introduced each slot; slotPend
@@ -151,6 +162,7 @@ func (p *Plan) EquivalentTo(q *Plan) bool {
 		slices.Equal(p.rankOff, q.rankOff) &&
 		slices.Equal(p.events, q.events) &&
 		slices.Equal(p.sends, q.sends) &&
+		slices.Equal(p.timings, q.timings) &&
 		slices.Equal(p.durs, q.durs) &&
 		slices.Equal(p.waitSlots, q.waitSlots) &&
 		slices.Equal(p.slotOwner, q.slotOwner) &&

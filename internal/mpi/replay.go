@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 
 	"mpicollperf/internal/simnet"
 )
@@ -45,14 +44,26 @@ type Replayer struct {
 	// Per-repetition scratch, reset at the start of each walk. A rank's
 	// cursor stops at a send in the frontier, a parked wait, a barrier not
 	// yet released, or the end of the rank's events.
-	cursor []int32   // per-rank index of the next unprocessed event
-	reqAt  []float64 // per-slot bound completion time (max of its halves)
-	pend   []uint8   // per-slot halves still outstanding
-	front  frontier  // ranks stopped at a send; the root is the next send's
+	cursor []int32 // per-rank index of the next unprocessed event
+	// next is, per rank in the frontier, the send its cursor rests on.
+	// run copies the record when it stops there, right after the rank's
+	// previous send, whose record is its neighbour in Plan.sends; the
+	// pop, which comes in time order rather than storage order, then
+	// reads this small table instead of the plan.
+	next  []nextSend
+	reqAt []float64 // per-slot bound completion time (max of its halves)
+	pend  []uint8   // per-slot halves still outstanding
+	front frontier  // ranks stopped at a send; the root is the next send's
 
 	nmarks     int // marks recorded so far
 	barrierN   int
 	barrierMax float64
+}
+
+// nextSend is a rank's next send: its plan record and request slot.
+type nextSend struct {
+	planSend
+	slot int32
 }
 
 // reinit (re)shapes r for plan, reusing every backing buffer that is
@@ -70,6 +81,7 @@ func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64) err
 	r.clocks = append(r.clocks[:0], clocks...)
 	r.marks = grow(r.marks, plan.marks)
 	r.cursor = grow(r.cursor, plan.nprocs)
+	r.next = grow(r.next, plan.nprocs)
 	r.reqAt = grow(r.reqAt, plan.slots)
 	r.pend = grow(r.pend, plan.slots)
 	r.front.size(plan.nprocs)
@@ -84,6 +96,17 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// push appends v to s like append, but a full s doubles its capacity
+// where append grows a large slice by a quarter: a table grown from
+// empty allocates about twice its final capacity on the way, not five
+// times.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(16, 2*cap(s))), s...)
+	}
+	return append(s, v)
 }
 
 // Replay re-times the next repetition and returns its mark clocks, in
@@ -119,26 +142,25 @@ func (r *Replayer) Replay() (marks []float64, ok bool) {
 		if rank < 0 {
 			break
 		}
-		cur := r.cursor[rank]
-		e := &p.events[cur]
-		sd := &p.sends[e.arg]
+		sd := &r.next[rank]
+		tm := &p.timings[sd.timing]
 		var sc, delivered float64
-		if sd.lt.Local {
-			sc, delivered = r.ports.TransmitLocal(sd.lt, key)
+		if tm.lt.Local {
+			sc, delivered = r.ports.TransmitLocal(tm.lt, key)
 		} else {
 			f := 1.0
-			if sd.draws {
+			if tm.draws {
 				f = jit[ji]
 				ji++
 			}
-			sc, delivered = r.ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), sd.lt, key, f)
+			sc, delivered = r.ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), tm.lt, key, f)
 		}
-		r.reqAt[e.slot] = sc
-		r.pend[e.slot] = 0
-		r.clocks[rank] = key + sd.lt.SendOv
-		r.cursor[rank] = cur + 1
+		r.reqAt[sd.slot] = sc
+		r.pend[sd.slot] = 0
+		r.clocks[rank] = key + tm.lt.SendOv
+		r.cursor[rank]++
 		if ps := sd.peerSlot; ps >= 0 {
-			r.reqAt[ps] = math.Max(r.reqAt[ps], delivered)
+			r.reqAt[ps] = max(r.reqAt[ps], delivered)
 			if r.pend[ps]--; r.pend[ps] == 0 {
 				r.wake(int(p.slotOwner[ps]))
 			}
@@ -173,7 +195,7 @@ loop:
 			r.nmarks++
 		case evRecv:
 			s := e.slot
-			r.reqAt[s] = math.Max(r.reqAt[s], t)
+			r.reqAt[s] = max(r.reqAt[s], t)
 			r.pend[s]--
 		case evWait:
 			// The wait resolves at the later of the clock and its
@@ -189,10 +211,11 @@ loop:
 			}
 		case evSend:
 			r.clocks[rank], r.cursor[rank] = t, cur
+			r.next[rank] = nextSend{planSend: p.sends[e.arg], slot: e.slot}
 			r.front.set(rank, t)
 			return
 		case evBarrier:
-			r.barrierMax = math.Max(r.barrierMax, t)
+			r.barrierMax = max(r.barrierMax, t)
 			r.barrierN++
 			break loop
 		}

@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mpicollperf/internal/cluster"
@@ -34,15 +35,6 @@ func BenchmarkReplayWide(b *testing.B) {
 			b.ReportMetric(float64(plan.Sends()), "sends/op")
 		})
 	}
-	const calibP, calibM, mg = 45, 4 << 20, 256
-	calib := func(p *mpi.Proc) {
-		coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(calibM), pr.SegmentSize)
-		if p.Rank() == 0 {
-			coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg*p.Size()), mg)
-		} else {
-			coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg), mg)
-		}
-	}
 	b.Run("calib/op=compile", func(b *testing.B) {
 		r, plan := compileWide(b, calibP, false, calib)
 		rep := wideRep(false, calib)
@@ -60,6 +52,22 @@ func BenchmarkReplayWide(b *testing.B) {
 		benchReplay(b, r, plan, calibP)
 		reportPlan(b, plan)
 	})
+}
+
+// calibP is the process count of the calibration's largest plan.
+const calibP = 45
+
+// calib is the operation of the calibration's largest plan: the §4.2
+// estimation experiment, a binomial broadcast of 4 MiB in grisou's 8 KiB
+// segments, then a linear gather of 256 B per rank.
+func calib(p *mpi.Proc) {
+	const m, mg = 4 << 20, 256
+	coll.Bcast(p, coll.BcastBinomial, 0, coll.Synthetic(m), cluster.Grisou().SegmentSize)
+	if p.Rank() == 0 {
+		coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg*p.Size()), mg)
+	} else {
+		coll.Gather(p, coll.GatherLinearNoSync, 0, coll.Synthetic(mg), mg)
+	}
 }
 
 // wideRep is one repetition of op as the measurement harness spans it:
@@ -129,9 +137,11 @@ func reportPlan(b *testing.B, plan *mpi.Plan) {
 }
 
 // TestCompileSteadyStateAllocs: a warm Runner compiles and replays a
-// point without allocating — for a hand-written pipeline and for the tree
+// point without allocating — for a hand-written pipeline, for the tree
 // broadcasts, whose trees are shared across ranks and calls and whose
-// WaitAll arguments come from Proc.Requests.
+// WaitAll arguments come from Proc.Requests, and for the ring and
+// pairwise exchanges, whose two-request WaitAll arguments stay on the
+// caller's stack.
 func TestCompileSteadyStateAllocs(t *testing.T) {
 	pr := cluster.Grisou()
 	const nprocs, reps = 16, 4
@@ -161,6 +171,19 @@ func TestCompileSteadyStateAllocs(t *testing.T) {
 		{"binomial", bcast(coll.BcastBinomial)},
 		{"chain", bcast(coll.BcastChain)},
 		{"split_binary", bcast(coll.BcastSplitBinary)},
+		{"allgather_ring", func(p *mpi.Proc) {
+			coll.Allgather(p, coll.AllgatherRing, coll.Synthetic(4096*p.Size()), 4096)
+		}},
+		{"allreduce_ring", func(p *mpi.Proc) {
+			coll.Allreduce(p, coll.AllreduceRing, coll.Synthetic(64<<10), nil, pr.SegmentSize)
+		}},
+		{"reduce_scatter_ring", func(p *mpi.Proc) {
+			coll.ReduceScatter(p, coll.ReduceScatterRing, coll.Synthetic(4096*p.Size()), nil, 4096)
+		}},
+		{"alltoall_pairwise", func(p *mpi.Proc) {
+			n := 4096 * p.Size()
+			coll.Alltoall(p, coll.AlltoallPairwise, coll.Synthetic(n), coll.Synthetic(n), 4096)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net, err := pr.Network()
@@ -191,5 +214,34 @@ func TestCompileSteadyStateAllocs(t *testing.T) {
 				t.Errorf("steady-state compile+replay allocates %v times per point, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestFirstCompileAllocBytes: a fresh Runner's first Compile of the
+// calibration's largest plan allocates at most 2.5 times the bytes its
+// tables (the plan's and the compile's scratch) hold at their final
+// capacity. The tables grow by doubling, so the copies on the way sum to
+// about that capacity once more; growing them by append's quarter steps
+// would allocate about five times it.
+func TestFirstCompileAllocBytes(t *testing.T) {
+	net, err := cluster.Grisou().Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mpi.NewRunnerOn(net, mpi.Options{})
+	rep := wideRep(false, calib)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan, err := r.Compile(calibP, rep)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, capBytes := after.TotalAlloc-before.TotalAlloc, uint64(mpi.CompileCapBytes(r, plan))
+	t.Logf("first compile allocates %d B: %.2fx the %d B its tables hold at capacity, %.2fx the plan's %d B",
+		alloc, float64(alloc)/float64(capBytes), capBytes,
+		float64(alloc)/float64(mpi.PlanBytes(plan)), mpi.PlanBytes(plan))
+	if alloc*2 > capBytes*5 {
+		t.Errorf("first compile allocates %d B, more than 2.5x the %d B its tables hold at capacity", alloc, capBytes)
 	}
 }

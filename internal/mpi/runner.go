@@ -34,13 +34,14 @@ type Runner struct {
 	// each builds, the pass's rank state, and its matching scratch — the
 	// per-(src, dst, tag) receive streams, each (src, dst) pair's first
 	// stream (-1 if none), every send's stream key, and the matched-slot
-	// flags.
+	// flags — and the pass's timing memo, emptied at every pass.
 	plan, check Plan
 	compileCur  compileRank
 	streams     []recvStream
 	pairStream  []int32
 	sendKeys    []sendKey
 	bound       []bool
+	timingMemo  [1 << timingMemoBits]timingKey
 }
 
 // NewRunner builds a Runner with a fresh network from cfg.

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -254,7 +253,7 @@ func (s *scheduler) loop() (Result, error) {
 	copy(ft, s.finish[:s.nprocs])
 	res := Result{FinishTimes: ft, Transfers: s.net.Transfers(), Ops: s.nops}
 	for _, t := range ft {
-		res.MakeSpan = math.Max(res.MakeSpan, t)
+		res.MakeSpan = max(res.MakeSpan, t)
 	}
 	return res, nil
 }
@@ -487,7 +486,7 @@ func (s *scheduler) bindRecv(recvOp *operation, msg inFlight) bool {
 		}
 	}
 	recvOp.req.bound = true
-	recvOp.req.at = math.Max(msg.delivered, recvOp.clock)
+	recvOp.req.at = max(msg.delivered, recvOp.clock)
 	recvOp.req.bytes = msg.bytes
 	return true
 }
@@ -510,7 +509,7 @@ func (s *scheduler) maybeReleaseBarrier() {
 	}
 	t := 0.0
 	for _, op := range s.inBarrier {
-		t = math.Max(t, op.clock)
+		t = max(t, op.clock)
 	}
 	t += s.barrierCost()
 	for i, op := range s.inBarrier {

@@ -45,6 +45,38 @@ func CalibrateExtendedCtx(ctx context.Context, pr cluster.Profile, specs []estim
 	if err != nil {
 		return nil, nil, err
 	}
+	return newExtendedSelector(pr, specs, g, res), res, nil
+}
+
+// CalibrateExtendedFamilies fits several collective families in one
+// estimate.AlphaBetaFamily sweep over all their specs, so their grid
+// points share one pool of workers, and returns one selector per family,
+// indexed like fams. Every point of a sweep is measured on its own, so
+// each family's parameters are bit-identical to CalibrateExtendedCtx's
+// for it alone.
+func CalibrateExtendedFamilies(ctx context.Context, pr cluster.Profile, fams [][]estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) ([]*ExtendedSelector, error) {
+	var specs []estimate.CollectiveSpec
+	for _, f := range fams {
+		specs = append(specs, f...)
+	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("selection: no specs to calibrate")
+	}
+	res, err := estimate.AlphaBetaFamily(ctx, pr, specs, g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sels := make([]*ExtendedSelector, len(fams))
+	for i, f := range fams {
+		sels[i] = newExtendedSelector(pr, f, g, res[:len(f)])
+		res = res[len(f):]
+	}
+	return sels, nil
+}
+
+// newExtendedSelector builds the selector of specs from their fits,
+// indexed like specs.
+func newExtendedSelector(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, res []estimate.AlphaBetaResult) *ExtendedSelector {
 	sel := &ExtendedSelector{
 		Cluster: pr.Name,
 		SegSize: pr.SegmentSize,
@@ -55,7 +87,7 @@ func CalibrateExtendedCtx(ctx context.Context, pr cluster.Profile, specs []estim
 	for i, r := range res {
 		sel.Params[i] = r.Params
 	}
-	return sel, res, nil
+	return sel
 }
 
 // Predict returns the modelled time of spec i for (P, m).

@@ -326,10 +326,11 @@ func resolveProfile(req wire.CalibrationRequest) (cluster.Profile, error) {
 }
 
 // runJob executes one calibration job: the broadcast pipeline, then one
-// sweep per requested extended family, then persistence and hot-table
-// publication. The job's progress spans every sweep: total is the size of
-// all the grids together, fixed before the first measurement, and done
-// counts completed points across them, so it never goes backwards.
+// sweep over every requested extended family, then persistence and
+// hot-table publication. The job's progress spans both sweeps: total is
+// the size of all the grids together, fixed before the first
+// measurement, and done counts completed points across them, so it never
+// goes backwards.
 // Extended-family selectors live in memory only — the store's schema
 // persists the broadcast models; a daemon restart re-runs extended
 // calibrations.
@@ -363,10 +364,8 @@ func (s *Server) runJob(ctx context.Context, j *job) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, op := range j.req.Ops {
-		if err := sel.CalibrateExtendedOp(ctx, op, cfg); err != nil {
-			return "", err
-		}
+	if err := sel.CalibrateExtendedOps(ctx, j.req.Ops, cfg); err != nil {
+		return "", err
 	}
 	digest := ProfileDigest(pr)
 	if err := s.store.Put(digest, sel); err != nil {
