@@ -4,7 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 
@@ -20,7 +20,7 @@ import (
 // perturbation × (P, m) grid, renders the per-guideline summary, writes
 // the structured JSON artifact, and fails (non-zero exit) when any
 // guideline is violated — the shape `make guidelines` gates CI on.
-func runVerifyGuidelines(args []string) error {
+func runVerifyGuidelines(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("verify-guidelines", flag.ContinueOnError)
 	clusterFlag := fs.String("cluster", "both", "grisou, gros or both")
 	quick := fs.Bool("quick", false, "reduced grid for a fast smoke gate")
@@ -103,25 +103,25 @@ func runVerifyGuidelines(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := rep.Render(os.Stdout); err != nil {
+	if err := rep.Render(out); err != nil {
 		return err
 	}
 	if *outPath != "" {
 		if err := rep.WriteJSON(*outPath); err != nil {
 			return err
 		}
-		fmt.Printf("(wrote %s)\n", *outPath)
+		fmt.Fprintf(out, "(wrote %s)\n", *outPath)
 	}
 	if *metricsPath != "" {
 		if err := h.Metrics.WriteJSONFile(*metricsPath); err != nil {
 			return err
 		}
-		fmt.Printf("(wrote %s)\n", *metricsPath)
+		fmt.Fprintf(out, "(wrote %s)\n", *metricsPath)
 	}
 	if viol := rep.Violations(); len(viol) > 0 {
 		return fmt.Errorf("%d of %d guideline checks violated", len(viol), len(rep.Checks))
 	}
-	fmt.Printf("%d checks across %d families: all guidelines hold\n", len(rep.Checks), rep.FamilyCount())
+	fmt.Fprintf(out, "%d checks across %d families: all guidelines hold\n", len(rep.Checks), rep.FamilyCount())
 	return nil
 }
 

@@ -1,47 +1,62 @@
-// Command mpicollperf regenerates the paper's evaluation artifacts on the
-// simulated clusters.
+// Command mpicollperf runs the paper's pipeline on the simulated
+// clusters: calibrate per-algorithm α/β/γ, select an algorithm for
+// (P, m), compile the selection into a static decision table, and
+// regenerate the paper's evaluation artifacts.
 //
 // Usage:
 //
-//	mpicollperf reproduce [flags] {fig1|table1|table2|fig5|table3|robustness|metrics|all}
+//	mpicollperf reproduce [-cluster both] [-quick] [-csv] [-out DIR] \
+//	          {fig1|table1|table2|fig5|table3|ext|robustness|metrics|all}
+//	mpicollperf verify-guidelines [flags]
+//	mpicollperf calibrate [-cluster grisou] [-procs 40] [-save grisou.json] \
+//	          [-workers 0] [-engine auto] [-cache DIR] [-metrics metrics.json] \
+//	          [-cpuprofile F] [-memprofile F] [-mutexprofile F] [-blockprofile F]
+//	mpicollperf select [-cluster grisou] [-cal grisou.json] -np 90 -m 1048576
+//	mpicollperf decisiontable [-cluster grisou] [-cal grisou.json] [-maxprocs 90] \
+//	          [-json table.json] [-gofunc selectBcastGrisou] [-workers 0] [-cache DIR]
+//	mpicollperf analyze [-cluster grisou] [-np 16] [-alg binomial] [-m 1048576] \
+//	          [-seg 8192] [-width 72]
+//	mpicollperf serve {submit|status|wait|list|cancel|select} [flags]
 //
-// Flags:
+// reproduce runs at the paper's parameters: up to 90 (Grisou) / 124
+// (Gros) processes, 10 message sizes from 8 KB to 4 MB, estimation with
+// 40 (Grisou) / 124 (Gros) processes, 95%/2.5% measurement methodology;
+// -quick shrinks all of it for a smoke run, and -out DIR writes each
+// artifact's CSV. `all` is fig1, table1, table2, fig5 and table3;
+// results/ holds the CSVs of `reproduce all ext`. Beyond the paper, ext
+// scores model-based selection for the seven extended collective
+// families (calibrated in one sweep); robustness re-scores the
+// model-based and Open MPI fixed selectors on deterministically
+// perturbed variants of each cluster (see package perturb); metrics
+// calibrates each cluster twice over a shared cache with an
+// observability registry attached, plus a small guideline check, and
+// prints the counters, gauges and span histograms (-csv adds the JSON
+// snapshot, -out DIR writes DIR/metrics_<cluster>.json).
 //
-//	-cluster grisou|gros|both   platform(s) to run on (default both)
-//	-quick                      reduced scale (fewer procs/sizes) for a
-//	                            fast smoke run
-//	-csv                        also print CSV blocks after each artifact
-//	-out DIR                    write per-artifact CSV files into DIR
+// calibrate runs the paper's offline calibration (§4), γ(P) then
+// per-algorithm α/β, as one parallel sweep; -save keeps it for select,
+// decisiontable or a library consumer, and -cache DIR persists the
+// measurements so a later run over the same grid skips them. Every
+// -engine gives a bit-identical calibration. select prints the
+// model-based broadcast algorithm for (-np, -m), Open MPI 3.1's fixed
+// decision and every algorithm's prediction. decisiontable compiles the
+// models into the static table an MPI library would ship (Open MPI's
+// coll_tuned_decision_fixed.c, regenerated from models). Both load -cal,
+// or calibrate first without it.
 //
-// The full-scale run uses the paper's parameters: up to 90 (Grisou) / 124
-// (Gros) processes, 10 message sizes from 8 KB to 4 MB, estimation with 40
-// (Grisou) / 124 (Gros) processes, 95%/2.5% measurement methodology.
+// analyze traces one noise-free broadcast and explains where the time
+// went: per-port bottlenecks, a send-port timeline and the critical
+// path. -seg 0 means the platform's segment size.
 //
-// The robustness target goes beyond the paper: it re-scores the
-// model-based and Open MPI fixed selectors against the oracle on
-// deterministically perturbed variants of each cluster (random stragglers,
-// degraded links, and heavy-tailed jitter of increasing intensity; see
-// package perturb), reporting each selector's penalty as the platform
-// degrades.
-//
-// The metrics target runs one calibration per cluster with an
-// observability registry attached (see internal/obs) and emits the
-// collected counters, gauges, and span histograms — sweep points measured
-// vs cached, per-engine repetition counts, simulator run/transfer totals,
-// plan compile counts, per-algorithm fit
-// statistics, and the guideline-verification counters
-// (guideline_checks_total, guideline_violations_total, per-guideline
-// ratio histograms) from a small invariant check. The calibration runs
-// twice against a shared measurement cache so the cache-hit counters are
-// exercised too.
-// The artifact prints as a human-readable table; -csv adds the JSON
-// snapshot, and -out DIR writes it to DIR/metrics_<cluster>.json.
+// serve is a client of the mpicollperfd daemon.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -69,34 +84,58 @@ type runConfig struct {
 	settings experiment.Settings
 	csv      bool
 	outDir   string
+	out      io.Writer
 }
 
+const usage = `usage: mpicollperf reproduce [flags] {fig1|table1|table2|fig5|table3|ext|robustness|metrics|all}
+       mpicollperf verify-guidelines [flags]
+       mpicollperf calibrate [flags]
+       mpicollperf select [flags] -np N -m BYTES
+       mpicollperf decisiontable [flags]
+       mpicollperf analyze [flags]
+       mpicollperf serve {submit|status|wait|list|cancel|select} [flags]`
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mpicollperf:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run dispatches one subcommand; every subcommand parses its own flags
+// and writes its report to out.
+func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: mpicollperf {reproduce|verify-guidelines|serve} [flags] ...")
+		return errors.New(usage)
 	}
-	if args[0] == "verify-guidelines" {
-		return runVerifyGuidelines(args[1:])
+	switch args[0] {
+	case "reproduce":
+		return runReproduce(args[1:], out)
+	case "verify-guidelines":
+		return runVerifyGuidelines(args[1:], out)
+	case "calibrate":
+		return runCalibrate(args[1:], out)
+	case "select":
+		return runSelect(args[1:], out)
+	case "decisiontable":
+		return runDecisionTable(args[1:], out)
+	case "analyze":
+		return runAnalyze(args[1:], out)
+	case "serve":
+		return runServe(args[1:], out)
 	}
-	if args[0] == "serve" {
-		return runServe(args[1:], os.Stdout)
-	}
-	if args[0] != "reproduce" {
-		return fmt.Errorf("usage: mpicollperf reproduce [flags] {fig1|table1|table2|fig5|table3|robustness|metrics|all}\n       mpicollperf verify-guidelines [flags]\n       mpicollperf serve {submit|status|wait|list|cancel|select} [flags]")
-	}
+	return errors.New(usage)
+}
+
+// runReproduce is the `mpicollperf reproduce` subcommand: it regenerates
+// the named artifacts in order.
+func runReproduce(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
 	clusterFlag := fs.String("cluster", "both", "grisou, gros or both")
 	quick := fs.Bool("quick", false, "reduced scale for a fast run")
 	csv := fs.Bool("csv", false, "print CSV blocks after each artifact")
 	outDir := fs.String("out", "", "directory for per-artifact CSV files")
-	if err := fs.Parse(args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	targets := fs.Args()
@@ -110,6 +149,7 @@ func run(args []string) error {
 	}
 	cfg.csv = *csv
 	cfg.outDir = *outDir
+	cfg.out = out
 	if cfg.outDir != "" {
 		if err := os.MkdirAll(cfg.outDir, 0o755); err != nil {
 			return err
@@ -148,7 +188,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", target, err)
 		}
-		fmt.Printf("[%s done in %v]\n\n", target, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[%s done in %v]\n\n", target, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -196,17 +236,17 @@ func buildConfig(clusterFlag string, quick bool) (runConfig, error) {
 
 // emit prints an artifact and optionally writes/prints its CSV.
 func emit(cfg runConfig, name, text, csv string) error {
-	fmt.Print(text)
-	fmt.Println()
+	fmt.Fprint(cfg.out, text)
+	fmt.Fprintln(cfg.out)
 	if cfg.csv {
-		fmt.Println(csv)
+		fmt.Fprintln(cfg.out, csv)
 	}
 	if cfg.outDir != "" {
 		path := filepath.Join(cfg.outDir, name+".csv")
 		if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("(wrote %s)\n", path)
+		fmt.Fprintf(cfg.out, "(wrote %s)\n", path)
 	}
 	return nil
 }
@@ -224,7 +264,7 @@ func runFig1(cfg runConfig) error {
 		if err := emit(cfg, fmt.Sprintf("fig1_%s", pr.Name), fig.Render(), fig.CSV()); err != nil {
 			return err
 		}
-		fmt.Println(fig.PlotFig1(64, 16))
+		fmt.Fprintln(cfg.out, fig.PlotFig1(64, 16))
 	}
 	return nil
 }
@@ -246,7 +286,7 @@ func runExt(cfg runConfig) error {
 		if err := emit(cfg, fmt.Sprintf("ext_%s", pr.Name), tab.Render(), tab.CSV()); err != nil {
 			return err
 		}
-		fmt.Printf("worst extension degradation: %.1f%%\n\n", tab.MaxDegradation())
+		fmt.Fprintf(cfg.out, "worst extension degradation: %.1f%%\n\n", tab.MaxDegradation())
 	}
 	return nil
 }
@@ -323,23 +363,23 @@ func runMetrics(cfg runConfig) error {
 		if _, err := gh.Run(context.Background()); err != nil {
 			return err
 		}
-		fmt.Printf("observability metrics: calibration of %s (P=%d, two passes over a shared cache) plus a guideline check\n\n", pr.Name, p)
-		if err := reg.WriteTable(os.Stdout); err != nil {
+		fmt.Fprintf(cfg.out, "observability metrics: calibration of %s (P=%d, two passes over a shared cache) plus a guideline check\n\n", pr.Name, p)
+		if err := reg.WriteTable(cfg.out); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(cfg.out)
 		if cfg.csv {
-			if err := reg.WriteJSON(os.Stdout); err != nil {
+			if err := reg.WriteJSON(cfg.out); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(cfg.out)
 		}
 		if cfg.outDir != "" {
 			path := filepath.Join(cfg.outDir, fmt.Sprintf("metrics_%s.json", pr.Name))
 			if err := reg.WriteJSONFile(path); err != nil {
 				return err
 			}
-			fmt.Printf("(wrote %s)\n", path)
+			fmt.Fprintf(cfg.out, "(wrote %s)\n", path)
 		}
 	}
 	return nil
@@ -386,7 +426,7 @@ func runFig5Table3(cfg runConfig, fig5, table3 bool) error {
 				if err := emit(cfg, name, panel.Render(), panel.CSV()); err != nil {
 					return err
 				}
-				fmt.Println(panel.PlotFig5(64, 16))
+				fmt.Fprintln(cfg.out, panel.PlotFig5(64, 16))
 			}
 		}
 		if table3 {
@@ -402,7 +442,7 @@ func runFig5Table3(cfg runConfig, fig5, table3 bool) error {
 			if err := emit(cfg, name, tab3.Render(), tab3.CSV()); err != nil {
 				return err
 			}
-			fmt.Printf("worst model-based degradation: %.1f%%\n\n", tab3.MaxModelDegradation())
+			fmt.Fprintf(cfg.out, "worst model-based degradation: %.1f%%\n\n", tab3.MaxModelDegradation())
 		}
 	}
 	return nil

@@ -181,7 +181,7 @@ func (s *Selector) CalibrateExtendedOps(ctx context.Context, ops []string, cfg e
 		}
 		fams[i] = specs
 	}
-	sels, err := selection.CalibrateExtendedFamilies(ctx, s.Profile, fams, s.Models.Gamma, cfg)
+	sels, _, err := selection.CalibrateExtendedFamilies(ctx, s.Profile, fams, s.Models.Gamma, cfg)
 	if err != nil {
 		return fmt.Errorf("core: calibrating %s: %w", strings.Join(ops, ", "), err)
 	}

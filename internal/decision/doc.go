@@ -12,7 +12,7 @@
 // point. Save/Load give the table a JSON wire form and GoSource emits it
 // as a compilable Go function, the moral equivalent of regenerating
 // coll_tuned_decision_fixed.c from models instead of hand tuning
-// (cmd/decisiongen is the CLI wrapper).
+// (`mpicollperf decisiontable` is the CLI wrapper).
 //
 // The compiled table is exact on the grid by construction; between grid
 // points it inherits the models' piecewise regularity (algorithm regions

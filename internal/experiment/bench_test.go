@@ -134,7 +134,7 @@ func BenchmarkPlanCache(b *testing.B) {
 
 // BenchmarkSweepCached measures a fully warm sweep: every point served
 // from the in-memory cache. The delta against BenchmarkSweep is what the
-// cache saves a repeated pipeline stage (fitparams then decisiongen).
+// cache saves a repeated pipeline stage (calibrate then decisiontable).
 func BenchmarkSweepCached(b *testing.B) {
 	b.ReportAllocs()
 	pr, grid := benchGrid(b)

@@ -77,7 +77,7 @@ type cacheShard struct {
 // locked stripes so concurrent sweep workers do not serialise on one
 // mutex; NewDiskCache additionally persists each entry as a JSON file
 // named <key>.json in a directory, so separate process invocations
-// (fitparams, then decisiongen over the same grid) skip already-measured
+// (calibrate, then decisiontable over the same grid) skip already-measured
 // points. All methods are safe for concurrent use.
 type Cache struct {
 	shards [cacheShards]cacheShard

@@ -62,7 +62,7 @@
 // experiment identity (cluster profile including the noise seed, the
 // normalised Settings, and the point), in memory via NewCache or spilled
 // to a directory of JSON files via NewDiskCache, so repeated pipeline
-// stages — fitparams then decisiongen over the same grid — skip
+// stages — calibrate then decisiontable over the same grid — skip
 // already-measured points. The Progress hook reports per-point
 // completion for CLI front-ends.
 package experiment

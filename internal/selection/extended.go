@@ -28,16 +28,28 @@ type ExtendedSelector struct {
 }
 
 // CalibrateExtended fits per-algorithm parameters for a collective family
-// on a platform, reusing an already-estimated γ.
+// on a platform, reusing an already-estimated γ. It is
+// CalibrateExtendedFamilies for one family.
 func CalibrateExtended(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, error) {
-	sel, _, err := CalibrateExtendedCtx(context.Background(), pr, specs, g, cfg)
-	return sel, err
+	sels, _, err := CalibrateExtendedFamilies(context.Background(), pr, [][]estimate.CollectiveSpec{specs}, g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sels[0], nil
 }
 
-// CalibrateExtendedCtx is CalibrateExtended with cancellation (the family
-// is measured as one estimate.AlphaBetaFamily sweep), additionally
-// returning every spec's fitted system, indexed like specs.
-func CalibrateExtendedCtx(ctx context.Context, pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, []estimate.AlphaBetaResult, error) {
+// CalibrateExtendedFamilies fits several collective families in one
+// estimate.AlphaBetaFamily sweep over all their specs, so their grid
+// points share one pool of workers. It returns one selector per family,
+// indexed like fams, and every spec's fitted system, family after family
+// in fams order. Every point of a sweep is measured on its own, so each
+// family's parameters are bit-identical to a sweep of it alone. A
+// cancelled ctx stops the sweep within one chunk of grid points.
+func CalibrateExtendedFamilies(ctx context.Context, pr cluster.Profile, fams [][]estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) ([]*ExtendedSelector, []estimate.AlphaBetaResult, error) {
+	var specs []estimate.CollectiveSpec
+	for _, f := range fams {
+		specs = append(specs, f...)
+	}
 	if len(specs) == 0 {
 		return nil, nil, fmt.Errorf("selection: no specs to calibrate")
 	}
@@ -45,33 +57,13 @@ func CalibrateExtendedCtx(ctx context.Context, pr cluster.Profile, specs []estim
 	if err != nil {
 		return nil, nil, err
 	}
-	return newExtendedSelector(pr, specs, g, res), res, nil
-}
-
-// CalibrateExtendedFamilies fits several collective families in one
-// estimate.AlphaBetaFamily sweep over all their specs, so their grid
-// points share one pool of workers, and returns one selector per family,
-// indexed like fams. Every point of a sweep is measured on its own, so
-// each family's parameters are bit-identical to CalibrateExtendedCtx's
-// for it alone.
-func CalibrateExtendedFamilies(ctx context.Context, pr cluster.Profile, fams [][]estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) ([]*ExtendedSelector, error) {
-	var specs []estimate.CollectiveSpec
-	for _, f := range fams {
-		specs = append(specs, f...)
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("selection: no specs to calibrate")
-	}
-	res, err := estimate.AlphaBetaFamily(ctx, pr, specs, g, cfg)
-	if err != nil {
-		return nil, err
-	}
 	sels := make([]*ExtendedSelector, len(fams))
+	rest := res
 	for i, f := range fams {
-		sels[i] = newExtendedSelector(pr, f, g, res[:len(f)])
-		res = res[len(f):]
+		sels[i] = newExtendedSelector(pr, f, g, rest[:len(f)])
+		rest = rest[len(f):]
 	}
-	return sels, nil
+	return sels, res, nil
 }
 
 // newExtendedSelector builds the selector of specs from their fits,

@@ -38,7 +38,7 @@ type ExtTable struct {
 // GenerateExtTable calibrates every extended collective family on the
 // platform and evaluates its model-based selection against exhaustive
 // measurement over the given sizes. The calibration grid is the
-// evaluation grid, so each family is measured once, as one sweep: the
+// evaluation grid, so all families are measured once, as one sweep: the
 // measured times are the fitted equations' right-hand sides.
 func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Settings) (ExtTable, error) {
 	if len(sizes) == 0 {
@@ -48,29 +48,33 @@ func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Set
 	if err != nil {
 		return ExtTable{}, err
 	}
-	out := ExtTable{Cluster: pr.Name, P: P}
+	names := []string{"allgather", "allreduce", "alltoall", "reduce", "gather", "scatter", "reduce_scatter"}
+	all := estimate.AllSpecFamilies()
+	fams := make([][]estimate.CollectiveSpec, len(names))
+	for i, family := range names {
+		fams[i] = all[family]
+	}
 	cfg := estimate.AlphaBetaConfig{Procs: P, Sizes: sizes, Settings: set}
-	families := estimate.AllSpecFamilies()
-	for _, family := range []string{
-		"allgather", "allreduce", "alltoall", "reduce", "gather", "scatter", "reduce_scatter",
-	} {
-		specs := families[family]
-		sel, fits, err := selection.CalibrateExtendedCtx(context.Background(), pr, specs, gr.Gamma, cfg)
-		if err != nil {
-			return ExtTable{}, fmt.Errorf("tables: ext %s: %w", family, err)
-		}
+	sels, fits, err := selection.CalibrateExtendedFamilies(context.Background(), pr, fams, gr.Gamma, cfg)
+	if err != nil {
+		return ExtTable{}, fmt.Errorf("tables: ext: %w", err)
+	}
+	out := ExtTable{Cluster: pr.Name, P: P}
+	for f, family := range names {
+		specs, famFits := fams[f], fits[:len(fams[f])]
+		fits = fits[len(specs):]
 		for j, m := range sizes {
 			row := ExtRow{Family: family, M: m, Times: make(map[string]float64, len(specs))}
 			best := math.Inf(1)
 			for i, spec := range specs {
-				tm := fits[i].Equations[j].T
+				tm := famFits[i].Equations[j].T
 				row.Times[spec.Name] = tm
 				if tm < best {
 					best = tm
 					row.Best = spec.Name
 				}
 			}
-			_, row.Pick = sel.Best(P, m)
+			_, row.Pick = sels[f].Best(P, m)
 			row.Degradation = selection.Degradation(row.Times[row.Pick], best)
 			out.Rows = append(out.Rows, row)
 		}
