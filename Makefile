@@ -38,8 +38,9 @@ perfbenchcheck:
 # iterations each, here and in benchdiff: one scheduler-engine sweep
 # takes seconds, and a single iteration's spread crosses the 20% gate); BENCH_replay.json runs the same sweep
 # benchmarks under the default auto engine (plan compile + replay) plus
-# the replay micro-benchmarks. The sweep benchmark names are identical in
-# both files, so `benchjson -baseline` can diff them directly. The same
+# the replay micro-benchmarks and the simulator's transfer primitives
+# (BenchmarkNetworkTransmit, BenchmarkPortsTransmit). The sweep benchmark
+# names are identical in both files, so `benchjson -baseline` can diff them directly. The same
 # replay-engine sweep run also yields BENCH_sweepscale.json, the
 # workers=1-relative scaling curve (`benchjson -scaling`; threshold -1 =
 # record only, the gate lives in benchdiff). The raw text goes through a
@@ -51,6 +52,7 @@ bench:
 	$(GO) run ./cmd/benchjson < .bench_sched.txt > BENCH_sched.json
 	@rm -f .bench_sched.txt
 	$(GO) test -bench=Replay -benchmem -run='^$$' ./internal/mpi/ > .bench_replay.txt
+	$(GO) test -bench=Transmit -benchmem -run='^$$' ./internal/simnet/ >> .bench_replay.txt
 	$(GO) test -bench=Sweep -benchmem -run='^$$' ./internal/experiment/ > .bench_sweep.txt
 	cat .bench_sweep.txt >> .bench_replay.txt
 	$(GO) run ./cmd/benchjson < .bench_replay.txt > BENCH_replay.json
@@ -112,11 +114,11 @@ benchdiff:
 benchpaper:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of every scheduler/replay/sweep/estimation benchmark: catches
-# benchmarks that no longer compile or crash without paying for stable
-# timings.
+# One iteration of every simulator/scheduler/replay/sweep/estimation
+# benchmark: catches benchmarks that no longer compile or crash without
+# paying for stable timings.
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./internal/mpi/ ./internal/experiment/ ./internal/estimate/
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./internal/simnet/ ./internal/mpi/ ./internal/experiment/ ./internal/estimate/
 
 # Run the fuzz targets over their seed corpus only (no fuzzing time):
 # each f.Add seed must keep the replay, compile and scheduler engines

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"mpicollperf/internal/cluster"
@@ -258,7 +259,8 @@ type calibrationFile struct {
 	} `json:"params"`
 }
 
-// SaveModels writes the calibrated models to a JSON file.
+// SaveModels writes the calibrated models to a JSON file, atomically: a
+// concurrent reader sees the old file or the new one.
 func (s *Selector) SaveModels(path string) error {
 	var f calibrationFile
 	f.Version = CalibrationSchemaVersion
@@ -284,7 +286,35 @@ func (s *Selector) SaveModels(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return writeFileAtomic(path, data)
+}
+
+// writeFileAtomic writes data to a temporary file in path's directory,
+// syncs it and renames it over path, so a concurrent reader or a crash
+// sees the old file or the new one, never a partial write. The temporary
+// file is removed on any error.
+func writeFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // LoadModels reads a calibration JSON and attaches it to the profile,

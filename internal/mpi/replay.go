@@ -8,9 +8,9 @@ import (
 
 // Replayer re-times a compiled Plan: one replay pass evaluates the same
 // virtual-time arithmetic the scheduler would have — port occupancy
-// through simnet.Ports, request binding through plan-local slots, barrier
-// alignment through the plan's barrier cost — without goroutines,
-// channels, or message matching.
+// through the network's own simnet.Ports, request binding through
+// plan-local slots, barrier alignment through the plan's barrier cost —
+// without goroutines, channels, or message matching.
 //
 // Only a send reads or writes state other ranks share (the NIC ports and
 // the jitter stream), so a rank runs ahead: run walks its events in
@@ -30,14 +30,14 @@ import (
 // Each Replay call re-times the next repetition: it takes the
 // repetition's Plan.Draws() jitter factors from the network's noise stream
 // as a view of the stream's memo (simnet.Network.Jitter), in the order the
-// scheduler would have consumed them, and walks one port state and one set
-// of rank clocks that carry over from the repetition before. The
-// steady-state pass allocates nothing: every buffer is sized at
-// construction.
+// scheduler would have consumed them, and reserves on the network's ports
+// (simnet.Network.Ports) through the scheduler's own reservation, so a
+// replay advances the network like a scheduler run: ports and rank clocks
+// carry over from the repetition before. The steady-state pass allocates
+// nothing: every buffer is sized at construction.
 type Replayer struct {
 	plan   *Plan
 	net    *simnet.Network
-	ports  *simnet.Ports
 	clocks []float64 // per-rank clocks
 	marks  []float64 // the repetition's mark clocks
 
@@ -77,7 +77,6 @@ func (r *Replayer) reinit(net *simnet.Network, plan *Plan, clocks []float64) err
 		return fmt.Errorf("mpi: %d start clocks for a %d-rank plan", len(clocks), plan.nprocs)
 	}
 	r.plan, r.net = plan, net
-	r.ports = net.SnapshotPortsInto(r.ports)
 	r.clocks = append(r.clocks[:0], clocks...)
 	r.marks = grow(r.marks, plan.marks)
 	r.cursor = grow(r.cursor, plan.nprocs)
@@ -124,6 +123,7 @@ func (r *Replayer) Replay() (marks []float64, ok bool) {
 	n := p.nprocs
 	// The repetition's jitter factors: a view of the network's memo.
 	jit := r.net.Jitter(p.draws)
+	ports := r.net.Ports()
 	copy(r.cursor, p.rankOff[:n])
 	copy(r.pend, p.slotPend)
 	clear(r.reqAt)
@@ -144,17 +144,12 @@ func (r *Replayer) Replay() (marks []float64, ok bool) {
 		}
 		sd := &r.next[rank]
 		tm := &p.timings[sd.timing]
-		var sc, delivered float64
-		if tm.lt.Local {
-			sc, delivered = r.ports.TransmitLocal(tm.lt, key)
-		} else {
-			f := 1.0
-			if tm.draws {
-				f = jit[ji]
-				ji++
-			}
-			sc, delivered = r.ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), tm.lt, key, f)
+		f := 1.0
+		if tm.draws {
+			f = jit[ji]
+			ji++
 		}
+		sc, delivered := ports.Transmit(0, int(sd.srcNIC), int(sd.dstNIC), tm.lt, key, f)
 		r.reqAt[sd.slot] = sc
 		r.pend[sd.slot] = 0
 		r.clocks[rank] = key + tm.lt.SendOv

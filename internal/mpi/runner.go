@@ -104,15 +104,16 @@ func (r *Runner) Run(nprocs int, fn func(*Proc) error) (Result, error) {
 }
 
 // NewReplayer builds a Replayer for plan continuing the execution state
-// of the Runner's network (whose ports are snapshotted now and whose
-// noise stream the replays will read) with the given per-rank clocks —
-// the clocks the ranks reach before the plan's first repetition (the
-// measurement harness starts from its two calibration barriers). The
-// Runner recycles one Replayer's buffers, so the result is valid only
-// until the next NewReplayer on this Runner; replays are bit-identical to
-// a fresh Replayer's. A measurement sweep builds one replayer per grid
-// point, so the recycled buffers flatten what was the largest per-point
-// allocation.
+// of the Runner's network, whose ports the replays advance and whose
+// noise stream they read, with the given per-rank clocks — the clocks the
+// ranks reach before the plan's first repetition (the measurement harness
+// starts from its two calibration barriers). The first replay starts
+// from the network's current ports and stream position: Reset the
+// network first for an idle start. The Runner recycles one Replayer's
+// buffers, so the result is valid only until the next NewReplayer on this
+// Runner; replays are bit-identical to a fresh Replayer's. A measurement
+// sweep builds one replayer per grid point, so the recycled buffers
+// flatten what was the largest per-point allocation.
 func (r *Runner) NewReplayer(plan *Plan, clocks []float64) (*Replayer, error) {
 	if r.replayer == nil {
 		r.replayer = &Replayer{}

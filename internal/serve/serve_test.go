@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -492,6 +493,53 @@ func TestStoreLRUAndMiss(t *testing.T) {
 	// Unknown digests report ErrNotCalibrated.
 	if _, err := st.Get(pr, "sha256-missing"); !errors.Is(err, core.ErrNotCalibrated) {
 		t.Fatalf("missing digest error = %v", err)
+	}
+}
+
+// TestStorePutIsAtomic rewrites one digest's file while another goroutine
+// loads it: a reader must see a whole calibration every time, never a
+// truncated or half-written file.
+func TestStorePutIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, pr := calibrateGrisou(t)
+	d := ProfileDigest(pr)
+	if err := st.Put(d, sel); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if err := st.Put(d, sel); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 {
+				t.Fatalf("store holds %d files after the puts, want 1 (no temporaries left)", len(entries))
+			}
+			t.Logf("%d loads during 200 puts", reads)
+			return
+		default:
+		}
+		if _, err := core.LoadModels(pr, st.path(d)); err != nil {
+			t.Fatalf("load %d during puts: %v", reads, err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package simnet
 import (
 	"math/rand"
 	"testing"
+
+	"mpicollperf/internal/perturb"
 )
 
 func portsConfig(procs int) Config {
@@ -34,8 +36,8 @@ func TestPortArraysSizedByNICs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.sendFree) != 5 || len(n.recvFree) != 5 {
-		t.Fatalf("port arrays sized %d/%d, want 5 (NIC count)", len(n.sendFree), len(n.recvFree))
+	if len(n.ports.sendFree) != 5 || len(n.ports.recvFree) != 5 {
+		t.Fatalf("port arrays sized %d/%d, want 5 (NIC count)", len(n.ports.sendFree), len(n.ports.recvFree))
 	}
 	p, err := n.NewPorts(3)
 	if err != nil {
@@ -50,55 +52,84 @@ func TestPortArraysSizedByNICs(t *testing.T) {
 }
 
 // TestPortsTransmitMatchesNetwork drives the same randomized transfer
-// sequence through Network.Transmit and Ports.Transmit/TransmitLocal and
-// asserts bit-identical send-completion and delivery times — the
-// arithmetic the replay engine depends on never drifting from the
-// scheduler's.
+// sequence through Network.Transmit and Ports.Transmit and asserts
+// bit-identical send-completion and delivery times, on quiet, perturbed
+// and co-located configs: the replay engine's wrapper draws its jitter in
+// the scheduler's order, times local transfers and perturbed links alike,
+// and never drifts from the scheduler's reservation.
 func TestPortsTransmitMatchesNetwork(t *testing.T) {
-	cfg := portsConfig(8)
-	cfg.NoiseAmplitude = 0.05
-	cfg.NoiseSeed = 99
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	perturbed := &perturb.Spec{
+		Stragglers: []perturb.Straggler{{Node: 1, Compute: 1.5, NIC: 2}},
+		Links:      []perturb.LinkRule{{Src: 0, Dst: 2, Latency: 3, Bandwidth: 1.7}},
 	}
-	ports, err := net.NewPorts(1)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		procs int
+		ppn   int
+		spec  *perturb.Spec
+	}{
+		{"dual-socket", 8, 2, nil},
+		{"one-per-node", 8, 1, nil},
+		{"perturbed", 8, 1, perturbed},
+		{"perturbed-dual-socket", 8, 2, perturbed},
+		{"dual-socket-odd", 9, 2, nil},
 	}
-	// Pre-draw the jitter a fresh stream with the same seed will produce,
-	// in order; inter-NIC transfers consume it one factor at a time.
-	rng := rand.New(rand.NewSource(cfg.NoiseSeed))
-	order := rand.New(rand.NewSource(7))
-	now := 0.0
-	for i := 0; i < 200; i++ {
-		src := order.Intn(cfg.Nodes)
-		dst := order.Intn(cfg.Nodes)
-		if src == dst {
-			continue
-		}
-		bytes := order.Intn(1 << 16)
-		tr, err := net.Transmit(src, dst, bytes, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sc, delivered float64
-		lt := net.TimingFor(src, dst, bytes)
-		if lt.Local {
-			sc, delivered = ports.TransmitLocal(lt, now)
-		} else {
-			jitter := 1.0
-			if lt.TxTime > 0 {
-				jitter = 1 + cfg.NoiseAmplitude*rng.Float64()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := portsConfig(tc.procs)
+			cfg.ProcsPerNode = tc.ppn
+			cfg.NoiseAmplitude = 0.05
+			cfg.NoiseSeed = 99
+			cfg.Perturb = tc.spec
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sc, delivered = ports.Transmit(0, cfg.NIC(src), cfg.NIC(dst), lt, now, jitter)
-		}
-		if sc != tr.SendComplete || delivered != tr.Delivered {
-			t.Fatalf("transfer %d (%d->%d, %dB): ports %x/%x, network %x/%x",
-				i, src, dst, bytes, sc, delivered, tr.SendComplete, tr.Delivered)
-		}
-		// Non-decreasing issue times, as the scheduler guarantees.
-		now += float64(order.Intn(3)) * 1e-6
+			ports, err := net.NewPorts(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A twin network's stream yields the factors a fresh stream
+			// with the same seed and distribution produces, in order;
+			// inter-NIC transfers of positive size consume them one at a
+			// time.
+			twin, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := rand.New(rand.NewSource(7))
+			now := 0.0
+			for i := 0; i < 400; i++ {
+				src := order.Intn(cfg.Nodes)
+				dst := order.Intn(cfg.Nodes)
+				if src == dst {
+					continue
+				}
+				bytes := order.Intn(1 << 16)
+				if i%17 == 0 {
+					bytes = 0
+				}
+				tr, err := net.Transmit(src, dst, bytes, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lt := net.TimingFor(src, dst, bytes)
+				jitter := 1.0
+				if !lt.Local && lt.TxTime > 0 {
+					jitter = twin.Jitter(1)[0]
+				}
+				sc, delivered := ports.Transmit(0, cfg.NIC(src), cfg.NIC(dst), lt, now, jitter)
+				if sc != tr.SendComplete || delivered != tr.Delivered {
+					t.Fatalf("transfer %d (%d->%d, %dB): ports %x/%x, network %x/%x",
+						i, src, dst, bytes, sc, delivered, tr.SendComplete, tr.Delivered)
+				}
+				// Non-decreasing issue times, as the scheduler guarantees.
+				now += float64(order.Intn(3)) * 1e-6
+			}
+			if len(net.memo) != len(twin.memo) {
+				t.Fatalf("network drew %d factors, the wrapper's callers %d", len(net.memo), len(twin.memo))
+			}
+		})
 	}
 }
 

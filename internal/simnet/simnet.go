@@ -22,14 +22,18 @@
 // Timing of one transfer of m bytes from s to d issued at sender time t:
 //
 //	startTx   = max(t + SendOverhead, sendPortFree[s])
-//	txTime    = m·ByteTimeSend·(1+ε)         (ε optional seeded noise)
+//	txTime    = m·ByteTimeSend·(1+ε)·b(startTx)
 //	arrival   = startTx + txTime + Latency
 //	startRx   = max(arrival, recvPortFree[d])
 //	delivered = startRx + m·ByteTimeRecv + RecvOverhead
 //
+// where ε is optional seeded noise and b(startTx) the link's brownout
+// factor at the send port's grant time (1 outside a brownout).
+//
 // The caller (the mpi runtime) must initiate transfers in non-decreasing
-// virtual-time order; under that contract, and with homogeneous latency,
-// the greedy port bookkeeping above is globally consistent.
+// virtual-time order. Receive ports are reserved in that issue order, so a
+// transfer issued later that arrives earlier, over a faster link or being
+// smaller, still queues behind the earlier one (DESIGN.md §5).
 package simnet
 
 import (
@@ -151,13 +155,12 @@ type Transfer struct {
 	Delivered float64
 }
 
-// Network is the live simulator state: per-node port bookkeeping plus the
-// jitter stream. It is not safe for concurrent use; the mpi scheduler is
-// single-threaded by design.
+// Network is the live simulator state: per-NIC port bookkeeping (a Ports)
+// plus the jitter stream. It is not safe for concurrent use; the mpi
+// scheduler is single-threaded by design.
 type Network struct {
-	cfg      Config
-	sendFree []float64
-	recvFree []float64
+	cfg   Config
+	ports Ports
 	// memo holds every (1+ε) factor the noise stream has produced so far,
 	// in stream order, and cur is the position of the next factor to read.
 	// gen, the seeded generator, always sits at the memo's end: factors
@@ -182,11 +185,8 @@ func New(cfg Config) (*Network, error) {
 	// Ports exist per NIC, not per process endpoint: with co-location
 	// (ProcsPerNode > 1) only ceil(Nodes/ProcsPerNode) NICs are ever
 	// indexed.
-	n := &Network{
-		cfg:      cfg,
-		sendFree: make([]float64, cfg.NICs()),
-		recvFree: make([]float64, cfg.NICs()),
-	}
+	nics := cfg.NICs()
+	n := &Network{cfg: cfg, ports: Ports{nics: nics, sendFree: make([]float64, nics), recvFree: make([]float64, nics)}}
 	if cfg.NoiseAmplitude > 0 {
 		n.gen = rand.New(rand.NewSource(cfg.NoiseSeed))
 	}
@@ -226,37 +226,16 @@ func (n *Network) Transmit(src, dst, bytes int, now float64) (Transfer, error) {
 	t := Transfer{Src: src, Dst: dst, Bytes: bytes, Issued: now}
 	srcNIC, dstNIC := n.cfg.nic(src), n.cfg.nic(dst)
 	lt := n.TimingFor(src, dst, bytes)
-	if lt.Local {
-		// Co-located processes: shared-memory transfer, no NIC involved.
-		t.StartTx = now + lt.SendOv
-		t.SendComplete = t.StartTx + lt.TxTime
-		t.Arrival = t.SendComplete + lt.Latency
-		t.Delivered = t.Arrival + lt.RecvOv
-		n.nTx++
-		if n.trace != nil {
-			n.trace(t)
-		}
-		return t, nil
+	jitter, brown := 1.0, 1.0
+	if n.gen != nil && lt.TxTime > 0 && !lt.Local {
+		jitter = n.Jitter(1)[0]
 	}
-	txTime := lt.TxTime
-	if n.gen != nil && txTime > 0 {
-		txTime *= n.Jitter(1)[0]
-	}
-	t.StartTx = max(now+lt.SendOv, n.sendFree[srcNIC])
 	if n.pert != nil && n.pert.brown != nil {
 		// Brownout membership is decided by the (jitter-free) port grant
 		// time, so it is deterministic for a given seed and spec.
-		if f := n.pert.brownFactor(srcNIC, dstNIC, t.StartTx); f != 1 {
-			txTime *= f
-		}
+		brown = n.pert.brownFactor(srcNIC, dstNIC, n.ports.grant(srcNIC, now+lt.SendOv))
 	}
-	t.SendComplete = t.StartTx + txTime
-	n.sendFree[srcNIC] = t.SendComplete
-	t.Arrival = t.SendComplete + lt.Latency
-	startRx := max(t.Arrival, n.recvFree[dstNIC])
-	drained := startRx + lt.RxTime
-	n.recvFree[dstNIC] = drained
-	t.Delivered = drained + lt.RecvOv
+	t.StartTx, t.SendComplete, t.Arrival, t.Delivered = n.ports.reserve(0, srcNIC, dstNIC, lt, now, jitter, brown)
 	n.nTx++
 	if n.trace != nil {
 		n.trace(t)
@@ -279,8 +258,8 @@ func (c Config) PointToPointTime(bytes int) float64 {
 // the first factor: nothing is reseeded or redrawn, and Reset allocates
 // nothing.
 func (n *Network) Reset() {
-	clear(n.sendFree)
-	clear(n.recvFree)
+	clear(n.ports.sendFree)
+	clear(n.ports.recvFree)
 	n.cur = 0
 	n.nTx = 0
 }

@@ -48,40 +48,3 @@ func TestResetFastPathPreservesDeterminism(t *testing.T) {
 		t.Fatalf("Transfers() = %d after Reset+1, want 1", n.Transfers())
 	}
 }
-
-// TestSnapshotPortsIntoReuse checks that re-snapshotting into a recycled
-// Ports — across networks of different widths, growing and shrinking its
-// stripes — is indistinguishable from a fresh single-lane NewPorts.
-func TestSnapshotPortsIntoReuse(t *testing.T) {
-	var recycled *Ports
-	for _, nodes := range []int{8, 4, 12} {
-		cfg := testConfig()
-		cfg.Nodes = nodes
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Occupy some ports so snapshots carry real state.
-		for i := 0; i < 3; i++ {
-			if _, err := n.Transmit(0, 1, 1<<16, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fresh, err := n.NewPorts(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycled = n.SnapshotPortsInto(recycled)
-		if recycled.NICs() != fresh.NICs() || len(recycled.sendFree) != nodes {
-			t.Fatalf("nodes=%d: %d NICs, %d send ports; want %d", nodes, recycled.NICs(), len(recycled.sendFree), fresh.NICs())
-		}
-		lt := n.TimingFor(0, 1, 8192)
-		for i := 0; i < 3; i++ {
-			s1, d1 := fresh.Transmit(0, 0, 1+i, lt, float64(i)*1e-6, 1.01)
-			s2, d2 := recycled.Transmit(0, 0, 1+i, lt, float64(i)*1e-6, 1.01)
-			if s1 != s2 || d1 != d2 {
-				t.Fatalf("nodes=%d transfer %d: (%v,%v) != (%v,%v)", nodes, i, s2, d2, s1, d1)
-			}
-		}
-	}
-}
