@@ -155,9 +155,15 @@ func BenchmarkTable2AlphaBeta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var spec []estimate.CollectiveSpec
+	for i, alg := range coll.BcastAlgorithms() {
+		if alg == coll.BcastBinomial {
+			spec = estimate.BcastSpecs(256)[i : i+1]
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := estimate.AlphaBeta(pr, coll.BcastBinomial, gr.Gamma, estimate.AlphaBetaConfig{
+		fits, err := estimate.AlphaBetaFamily(context.Background(), pr, spec, gr.Gamma, estimate.AlphaBetaConfig{
 			Procs:    benchEstP,
 			Sizes:    benchSizes,
 			Settings: benchSettings(),
@@ -165,6 +171,7 @@ func BenchmarkTable2AlphaBeta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := fits[0]
 		b.ReportMetric(res.Params.Alpha*1e6, "alpha_us")
 		b.ReportMetric(res.Params.Beta*1e9, "beta_ns_per_B")
 	}
@@ -359,16 +366,16 @@ func BenchmarkAblationNoGamma(b *testing.B) {
 		Gamma:   unit,
 		Params:  make(map[coll.BcastAlgorithm]model.Hockney),
 	}
-	for _, alg := range coll.BcastAlgorithms() {
-		res, err := estimate.AlphaBeta(pr, alg, unit, estimate.AlphaBetaConfig{
-			Procs:    benchEstP,
-			Sizes:    benchSizes,
-			Settings: benchSettings(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bm.Params[alg] = res.Params
+	fits, err := estimate.AlphaBetaFamily(context.Background(), pr, estimate.BcastSpecs(256), unit, estimate.AlphaBetaConfig{
+		Procs:    benchEstP,
+		Sizes:    benchSizes,
+		Settings: benchSettings(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, alg := range coll.BcastAlgorithms() {
+		bm.Params[alg] = fits[i].Params
 	}
 	ablationWorstDegradation(b, bm)
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"mpicollperf/internal/cluster"
 	"mpicollperf/internal/coll"
@@ -54,9 +53,10 @@ type Selector struct {
 	// GammaDetail keeps the raw γ estimation diagnostics.
 	GammaDetail estimate.GammaResult
 	// Extended holds per-family extended-collective selectors keyed by
-	// family name ("allgather", "reduce", ...), populated by
-	// CalibrateExtendedOp. BestFor consults it for every non-broadcast
-	// collective; nil or missing entries report ErrNotCalibrated.
+	// family name ("allgather", "reduce", ...), populated by CalibrateCtx's
+	// ops and by CalibrateExtendedOp. BestFor consults it for every
+	// non-broadcast collective; nil or missing entries report
+	// ErrNotCalibrated.
 	Extended map[string]*selection.ExtendedSelector
 }
 
@@ -67,17 +67,39 @@ func Calibrate(pr cluster.Profile, cfg estimate.AlphaBetaConfig) (*Selector, err
 	return CalibrateCtx(context.Background(), pr, cfg)
 }
 
-// CalibrateCtx is Calibrate with cancellation: a cancelled ctx stops the
-// calibration sweep promptly.
-func CalibrateCtx(ctx context.Context, pr cluster.Profile, cfg estimate.AlphaBetaConfig) (*Selector, error) {
+// CalibrateCtx is Calibrate with cancellation and extended families: it
+// also fits every family named in ops (see estimate.AllSpecFamilies) and
+// attaches it as CalibrateExtendedOp does. γ, the broadcast experiments
+// and every family's grid are measured in one sweep
+// (estimate.Calibrate), so cfg.Progress sees that sweep's own
+// (done, total); each family's fit is bit-identical to a
+// CalibrateExtendedOp after a plain CalibrateCtx. An unknown family fails
+// the call before anything is measured. A cancelled ctx stops the sweep
+// after each worker's current point.
+func CalibrateCtx(ctx context.Context, pr cluster.Profile, cfg estimate.AlphaBetaConfig, ops ...string) (*Selector, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	bm, gr, err := estimate.ModelsCtx(ctx, pr, cfg)
+	all := estimate.AllSpecFamilies()
+	var specs []estimate.CollectiveSpec
+	for _, op := range ops {
+		fam, ok := all[op]
+		if !ok {
+			return nil, fmt.Errorf("core: unknown collective family %q", op)
+		}
+		specs = append(specs, fam...)
+	}
+	bm, gr, fits, err := estimate.Calibrate(ctx, pr, specs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Selector{Profile: pr, Models: bm, GammaDetail: gr}, nil
+	s := &Selector{Profile: pr, Models: bm, GammaDetail: gr}
+	for _, op := range ops {
+		n := len(all[op])
+		s.attach(op, all[op], fits[:n])
+		fits = fits[n:]
+	}
+	return s, nil
 }
 
 // Best returns the algorithm with the minimal predicted broadcast time for
@@ -155,44 +177,29 @@ func (s *Selector) BestFor(op string, P, m int) (OpChoice, error) {
 // CalibrateExtendedOp fits the named extended collective family ("gather",
 // "allreduce", ... — see estimate.AllSpecFamilies) on the selector's
 // platform, reusing the already-estimated γ, and attaches the result so
-// BestFor can answer queries for it. It is CalibrateExtendedOps for one
-// family.
+// BestFor can answer queries for it. The family's grid is measured as one
+// sweep (estimate.AlphaBetaFamily) under cfg's Workers, Cache, Progress
+// and Metrics. A cancelled ctx stops the sweep after each worker's
+// current point, leaving the selector unchanged.
 func (s *Selector) CalibrateExtendedOp(ctx context.Context, op string, cfg estimate.AlphaBetaConfig) error {
-	return s.CalibrateExtendedOps(ctx, []string{op}, cfg)
+	specs, ok := estimate.AllSpecFamilies()[op]
+	if !ok {
+		return fmt.Errorf("core: unknown collective family %q", op)
+	}
+	fits, err := estimate.AlphaBetaFamily(ctx, s.Profile, specs, s.Models.Gamma, cfg)
+	if err != nil {
+		return fmt.Errorf("core: calibrating %s: %w", op, err)
+	}
+	s.attach(op, specs, fits)
+	return nil
 }
 
-// CalibrateExtendedOps fits the named extended collective families on the
-// selector's platform, reusing the already-estimated γ, and attaches one
-// selector per family so BestFor can answer queries for them. All the
-// families' specs are measured as one sweep (estimate.AlphaBetaFamily)
-// under cfg's Workers, Cache, Progress and Metrics, and the fits are
-// split per family: each is bit-identical to the family's own
-// CalibrateExtendedOp. A cancelled ctx stops the sweep within one chunk
-// of grid points, leaving the selector unchanged.
-func (s *Selector) CalibrateExtendedOps(ctx context.Context, ops []string, cfg estimate.AlphaBetaConfig) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	all := estimate.AllSpecFamilies()
-	fams := make([][]estimate.CollectiveSpec, len(ops))
-	for i, op := range ops {
-		specs, ok := all[op]
-		if !ok {
-			return fmt.Errorf("core: unknown collective family %q", op)
-		}
-		fams[i] = specs
-	}
-	sels, _, err := selection.CalibrateExtendedFamilies(ctx, s.Profile, fams, s.Models.Gamma, cfg)
-	if err != nil {
-		return fmt.Errorf("core: calibrating %s: %w", strings.Join(ops, ", "), err)
-	}
+// attach installs the selector of family op, built from its specs' fits.
+func (s *Selector) attach(op string, specs []estimate.CollectiveSpec, fits []estimate.AlphaBetaResult) {
 	if s.Extended == nil {
 		s.Extended = make(map[string]*selection.ExtendedSelector)
 	}
-	for i, op := range ops {
-		s.Extended[op] = sels[i]
-	}
-	return nil
+	s.Extended[op] = selection.NewExtendedSelector(s.Profile, specs, s.Models.Gamma, fits)
 }
 
 // Predict returns the modelled time of one algorithm.

@@ -134,43 +134,65 @@ func TestCalibrateExtendedOpSharedCache(t *testing.T) {
 	}
 }
 
-// TestCalibrateExtendedOpsMatchesPerFamily checks that fitting several
-// families in one sweep attaches, for each, bit-identical parameters to
-// the family's own CalibrateExtendedOp sweep, and that an unknown family
-// fails the call before anything is measured or attached.
-func TestCalibrateExtendedOpsMatchesPerFamily(t *testing.T) {
-	sel := calibrateSmall(t)
-	cfg := estimate.AlphaBetaConfig{Procs: 8, Sizes: []int{4096, 65536}, Settings: fastSettings(), Workers: 2}
-	ops := []string{"gather", "allreduce", "alltoall"}
-	joint := *sel
-	if err := joint.CalibrateExtendedOps(context.Background(), ops, cfg); err != nil {
+// TestCalibrateCtxOpsMatchesPerFamily checks that calibrating broadcast
+// and two extended families in one sweep gives γ, the broadcast α/β and
+// every family's α/β bit-identical to a plain CalibrateCtx followed by
+// one CalibrateExtendedOp per family, and that an unknown family fails
+// the call before anything is measured.
+func TestCalibrateCtxOpsMatchesPerFamily(t *testing.T) {
+	pr, err := cluster.Grisou().WithNodes(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := estimate.AlphaBetaConfig{Procs: 8, Sizes: []int{4096, 65536, 524288}, Settings: fastSettings(), Workers: 2}
+	ops := []string{"gather", "allreduce"}
+	joint, err := CalibrateCtx(context.Background(), pr, cfg, ops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := CalibrateCtx(context.Background(), pr, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range ops {
-		single := *sel
-		if err := single.CalibrateExtendedOp(context.Background(), op, cfg); err != nil {
+		if err := split.CalibrateExtendedOp(context.Background(), op, cfg); err != nil {
 			t.Fatal(err)
 		}
-		got, want := joint.Extended[op], single.Extended[op]
-		if len(got.Specs) != len(want.Specs) || len(got.Params) != len(want.Specs) {
-			t.Fatalf("%s: %d specs and %d fits in one sweep, want %d", op, len(got.Specs), len(got.Params), len(want.Specs))
+	}
+	same := func(a, b model.Hockney) bool {
+		return math.Float64bits(a.Alpha) == math.Float64bits(b.Alpha) && math.Float64bits(a.Beta) == math.Float64bits(b.Beta)
+	}
+	if len(joint.Models.Gamma.Table) != len(split.Models.Gamma.Table) {
+		t.Fatalf("γ tables of %d and %d entries", len(joint.Models.Gamma.Table), len(split.Models.Gamma.Table))
+	}
+	for p, g := range split.Models.Gamma.Table {
+		if math.Float64bits(joint.Models.Gamma.Table[p]) != math.Float64bits(g) {
+			t.Errorf("γ(%d): one sweep %v, separate %v", p, joint.Models.Gamma.Table[p], g)
+		}
+	}
+	for alg, want := range split.Models.Params {
+		if got := joint.Models.Params[alg]; !same(got, want) {
+			t.Errorf("%v: one sweep %+v, separate %+v", alg, got, want)
+		}
+	}
+	for _, op := range ops {
+		got, want := joint.Extended[op], split.Extended[op]
+		if got == nil || len(got.Specs) != len(want.Specs) || len(got.Params) != len(want.Params) {
+			t.Fatalf("%s: one sweep attached %+v, want %d specs", op, got, len(want.Specs))
 		}
 		for i, p := range got.Params {
-			if got.Specs[i].Name != want.Specs[i].Name ||
-				math.Float64bits(p.Alpha) != math.Float64bits(want.Params[i].Alpha) ||
-				math.Float64bits(p.Beta) != math.Float64bits(want.Params[i].Beta) {
+			if got.Specs[i].Name != want.Specs[i].Name || !same(p, want.Params[i]) {
 				t.Errorf("%s: one sweep fits %s %+v, its own sweep %s %+v", op, got.Specs[i].Name, p, want.Specs[i].Name, want.Params[i])
 			}
 		}
 	}
-	bad := *sel
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
-	if err := bad.CalibrateExtendedOps(context.Background(), []string{"gather", "frobnicate"}, cfg); err == nil {
+	if _, err := CalibrateCtx(context.Background(), pr, cfg, "gather", "frobnicate"); err == nil {
 		t.Fatal("an unknown family must fail the call")
 	}
-	if bad.Extended != nil || reg.Counter("sweep_points_measured_total").Value() != 0 {
-		t.Fatal("a failed call must measure nothing and attach nothing")
+	if reg.Counter("sweep_points_measured_total").Value() != 0 {
+		t.Fatal("a failed call must measure nothing")
 	}
 }
 

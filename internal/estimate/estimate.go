@@ -101,8 +101,9 @@ type AlphaBetaConfig struct {
 	// uses about half the cluster on Grisou (40) and the full cluster on
 	// Gros (124). Zero means half the platform (minimum 4).
 	Procs int
-	// Sizes are the broadcast message sizes; zero-length means the paper's
-	// grid of 10 log-spaced sizes from 8 KB to 4 MB.
+	// Sizes are the values of every spec's size parameter (the broadcast
+	// message sizes); zero-length means the paper's grid of 10 log-spaced
+	// sizes from 8 KB to 4 MB.
 	Sizes []int
 	// GatherBytes is m_g, the per-rank gather contribution; it must differ
 	// from the segment size (the paper's m_g ≠ m_s) and should be small —
@@ -125,9 +126,9 @@ type AlphaBetaConfig struct {
 	// Progress, if non-nil, observes every completed measurement.
 	Progress experiment.Progress
 	// Metrics, if non-nil, receives the calibration sweep's counters plus
-	// per-algorithm fit spans, Huber iteration counts, and residual norms
-	// (see fitAlphaBeta). Purely observational: fitted parameters are
-	// bit-identical with or without it.
+	// per-spec fit spans, Huber iteration counts, and residual norms,
+	// labelled by spec name (see solve). Purely observational: fitted
+	// parameters are bit-identical with or without it.
 	Metrics *obs.Registry
 }
 
@@ -173,10 +174,9 @@ func (c AlphaBetaConfig) withDefaults(pr cluster.Profile) (AlphaBetaConfig, erro
 
 // Equation is one row of the Fig. 4 system, kept for inspection.
 type Equation struct {
-	MsgBytes    int
-	GatherBytes int
-	// A and B are the α and β coefficients of the full experiment
-	// (broadcast + gather).
+	MsgBytes int
+	// A and B are the α and β coefficients of the experiment (for
+	// broadcast, the algorithm's plus the gather's).
 	A, B float64
 	// T is the measured experiment time.
 	T float64
@@ -191,52 +191,61 @@ type AlphaBetaResult struct {
 	Fit stats.LinearFit
 }
 
-// alphaBetaPoints builds the §4.2 grid for one algorithm: the modelled
-// broadcast followed by the small gather, one point per message size.
-func alphaBetaPoints(pr cluster.Profile, alg coll.BcastAlgorithm, cfg AlphaBetaConfig) []experiment.Point {
-	st := experiment.BcastThenGatherStage(alg, cfg.GatherBytes)
-	points := make([]experiment.Point, 0, len(cfg.Sizes))
-	for _, m := range cfg.Sizes {
-		points = append(points, experiment.Point{Stage: st, Procs: cfg.Procs, MsgBytes: m, SegSize: pr.SegmentSize})
-	}
-	return points
-}
-
-// AlphaBeta estimates the algorithm-specific Hockney parameters for alg on
-// the profile, given the platform's γ. The per-size experiments are
-// independent and fan out over cfg.Workers; results are identical to the
-// serial loop.
-func AlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cfg AlphaBetaConfig) (AlphaBetaResult, error) {
+// calibrate is the one measure-and-fit path of the package. It measures,
+// in one sweep, the §4.1 γ grid when g is nil and then every spec's size
+// grid, and solves each spec's system with γ — the measured one, or *g.
+// It returns the γ diagnostics (zero when g is given) and the fits,
+// indexed like specs.
+func calibrate(ctx context.Context, pr cluster.Profile, cfg AlphaBetaConfig, g *model.Gamma, specs []CollectiveSpec) (GammaResult, []AlphaBetaResult, error) {
 	cfg, err := cfg.withDefaults(pr)
 	if err != nil {
-		return AlphaBetaResult{}, err
+		return GammaResult{}, nil, err
 	}
-	measured, err := cfg.sweep(pr).Run(context.Background(), alphaBetaPoints(pr, alg, cfg))
-	if err != nil {
-		return AlphaBetaResult{}, fmt.Errorf("estimate: α/β for %v: %w", alg, err)
+	var points []experiment.Point
+	maxP := 0
+	if g == nil {
+		if maxP, err = gammaMaxP(pr); err != nil {
+			return GammaResult{}, nil, err
+		}
+		points = gammaPoints(pr, maxP)
 	}
-	return fitAlphaBeta(pr, alg, g, cfg, measured)
-}
-
-// fitAlphaBeta solves the Fig. 4 system for one algorithm from its
-// measured §4.2 grid (measured[i] is the cfg.Sizes[i] experiment).
-func fitAlphaBeta(pr cluster.Profile, alg coll.BcastAlgorithm, g model.Gamma, cfg AlphaBetaConfig, measured []experiment.Result) (AlphaBetaResult, error) {
-	eqs := make([]Equation, len(cfg.Sizes))
-	for i, m := range cfg.Sizes {
-		ab, bb := model.Coefficients(alg, cfg.Procs, m, pr.SegmentSize, g)
-		ag, bg := model.GatherLinearCoefficients(cfg.Procs, cfg.GatherBytes)
-		eqs[i] = Equation{
-			MsgBytes:    m,
-			GatherBytes: cfg.GatherBytes,
-			A:           ab + ag,
-			B:           bb + bg,
-			T:           measured[i].Meas.Mean,
+	gammaN := len(points)
+	for i, spec := range specs {
+		if spec.Coefficients == nil || spec.Run == nil {
+			return GammaResult{}, nil, fmt.Errorf("estimate: incomplete spec %q", spec.Name)
+		}
+		for _, m := range cfg.Sizes {
+			points = append(points, experiment.Point{Stage: &specs[i].Stage, Procs: cfg.Procs, MsgBytes: m, SegSize: pr.SegmentSize})
 		}
 	}
-	return solve(alg.String(), eqs, cfg.Metrics)
+	measured, err := cfg.sweep(pr).Run(ctx, points)
+	if err != nil {
+		return GammaResult{}, nil, fmt.Errorf("estimate: calibration: %w", err)
+	}
+	var gr GammaResult
+	if g == nil {
+		if gr, err = gammaFromResults(maxP, measured[:gammaN]); err != nil {
+			return GammaResult{}, nil, err
+		}
+		g = &gr.Gamma
+	}
+	measured = measured[gammaN:]
+	n := len(cfg.Sizes)
+	fits := make([]AlphaBetaResult, len(specs))
+	for i, spec := range specs {
+		eqs := make([]Equation, n)
+		for j, m := range cfg.Sizes {
+			a, b := spec.Coefficients(cfg.Procs, m, pr.SegmentSize, *g)
+			eqs[j] = Equation{MsgBytes: m, A: a, B: b, T: measured[i*n+j].Meas.Mean}
+		}
+		if fits[i], err = solve(spec.Name, eqs, cfg.Metrics); err != nil {
+			return GammaResult{}, nil, err
+		}
+	}
+	return gr, fits, nil
 }
 
-// solve fits the Hockney parameters of the named algorithm to its system
+// solve fits the Hockney parameters of the named spec to its system
 // of equations a_i·α + b_i·β = T_i. Metrics, if non-nil, receives a fit
 // span, the Huber iteration count and the residual norm, labelled by
 // name.
@@ -290,43 +299,25 @@ func solve(name string, eqs []Equation, metrics *obs.Registry) (AlphaBetaResult,
 	return res, nil
 }
 
-// Models runs the full §4 pipeline for a platform: γ estimation followed
-// by per-algorithm α/β estimation for every broadcast algorithm, producing
-// the BcastModels used by the run-time selector.
-//
-// The whole calibration is dispatched as one sweep: the γ(P) experiments
-// and every algorithm's per-size experiments are measurement-independent
-// (γ only enters the coefficient computation after the fact), so all
-// (maxP-1) + algorithms × sizes grid points fan out over cfg.Workers at
-// once. Results are bit-identical to the serial pipeline.
-func Models(pr cluster.Profile, cfg AlphaBetaConfig) (model.BcastModels, GammaResult, error) {
-	return ModelsCtx(context.Background(), pr, cfg)
-}
-
-// ModelsCtx is Models with cancellation: a cancelled ctx stops the
-// calibration sweep promptly.
-func ModelsCtx(ctx context.Context, pr cluster.Profile, cfg AlphaBetaConfig) (model.BcastModels, GammaResult, error) {
+// Calibrate runs the whole §4 calibration of a platform in one sweep: the
+// §4.1 γ(P) grid, the §4.2 broadcast experiments of
+// BcastSpecs(cfg.GatherBytes), and the size grid of every spec in specs
+// (extended families, typically) fan out over cfg.Workers at once — γ
+// only enters the coefficients after the measurements. It returns the
+// broadcast models the run-time selector uses, the γ diagnostics, and
+// the fit of each spec in specs, indexed like specs. Every fit is
+// bit-identical to the serial pipeline's and to AlphaBetaFamily's with
+// the same γ. A cancelled ctx stops the sweep after each worker's
+// current point.
+func Calibrate(ctx context.Context, pr cluster.Profile, specs []CollectiveSpec, cfg AlphaBetaConfig) (model.BcastModels, GammaResult, []AlphaBetaResult, error) {
 	cfg, err := cfg.withDefaults(pr)
 	if err != nil {
-		return model.BcastModels{}, GammaResult{}, err
-	}
-	maxP, err := gammaMaxP(pr)
-	if err != nil {
-		return model.BcastModels{}, GammaResult{}, err
+		return model.BcastModels{}, GammaResult{}, nil, err
 	}
 	algs := coll.BcastAlgorithms()
-	points := gammaPoints(pr, maxP)
-	gammaN := len(points)
-	for _, alg := range algs {
-		points = append(points, alphaBetaPoints(pr, alg, cfg)...)
-	}
-	measured, err := cfg.sweep(pr).Run(ctx, points)
+	gr, fits, err := calibrate(ctx, pr, cfg, nil, append(BcastSpecs(cfg.GatherBytes), specs...))
 	if err != nil {
-		return model.BcastModels{}, GammaResult{}, fmt.Errorf("estimate: calibration: %w", err)
-	}
-	gr, err := gammaFromResults(maxP, measured[:gammaN])
-	if err != nil {
-		return model.BcastModels{}, GammaResult{}, err
+		return model.BcastModels{}, GammaResult{}, nil, err
 	}
 	bm := model.BcastModels{
 		Cluster: pr.Name,
@@ -335,36 +326,21 @@ func ModelsCtx(ctx context.Context, pr cluster.Profile, cfg AlphaBetaConfig) (mo
 		Params:  make(map[coll.BcastAlgorithm]model.Hockney, len(algs)),
 	}
 	for i, alg := range algs {
-		ab, err := fitAlphaBeta(pr, alg, gr.Gamma, cfg, measured[gammaN+i*len(cfg.Sizes):gammaN+(i+1)*len(cfg.Sizes)])
-		if err != nil {
-			return model.BcastModels{}, GammaResult{}, err
-		}
-		bm.Params[alg] = ab.Params
+		bm.Params[alg] = fits[i].Params
 	}
-	return bm, gr, nil
+	return bm, gr, fits[len(algs):], nil
 }
 
-// CalibrationPoints returns the size of the measurement grids a full
-// calibration of pr under cfg runs: the ModelsCtx sweep plus one
-// AlphaBetaFamily sweep per named extended family. Progress observers
-// spanning all of those sweeps use it as their total.
-func CalibrationPoints(pr cluster.Profile, cfg AlphaBetaConfig, families []string) (int, error) {
-	cfg, err := cfg.withDefaults(pr)
-	if err != nil {
-		return 0, err
-	}
-	maxP, err := gammaMaxP(pr)
-	if err != nil {
-		return 0, err
-	}
-	specs := len(coll.BcastAlgorithms())
-	fams := AllSpecFamilies()
-	for _, name := range families {
-		f, ok := fams[name]
-		if !ok {
-			return 0, fmt.Errorf("estimate: unknown collective family %q", name)
-		}
-		specs += len(f)
-	}
-	return maxP - 1 + specs*len(cfg.Sizes), nil
+// Models runs the broadcast calibration of a platform — Calibrate with no
+// extended specs — producing the BcastModels used by the run-time
+// selector.
+func Models(pr cluster.Profile, cfg AlphaBetaConfig) (model.BcastModels, GammaResult, error) {
+	return ModelsCtx(context.Background(), pr, cfg)
+}
+
+// ModelsCtx is Models with cancellation: a cancelled ctx stops the
+// calibration sweep after each worker's current point.
+func ModelsCtx(ctx context.Context, pr cluster.Profile, cfg AlphaBetaConfig) (model.BcastModels, GammaResult, error) {
+	bm, gr, _, err := Calibrate(ctx, pr, nil, cfg)
+	return bm, gr, err
 }

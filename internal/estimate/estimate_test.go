@@ -2,7 +2,11 @@ package estimate
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"mpicollperf/internal/cluster"
@@ -67,20 +71,41 @@ func TestGammaTooSmallPlatform(t *testing.T) {
 	}
 }
 
+// bcastSpec returns alg's §4.2 spec at the default m_g.
+func bcastSpec(alg coll.BcastAlgorithm) CollectiveSpec {
+	for i, a := range coll.BcastAlgorithms() {
+		if a == alg {
+			return BcastSpecs(256)[i]
+		}
+	}
+	panic("unknown broadcast algorithm")
+}
+
+// fitSpec fits one spec against a known γ.
+func fitSpec(pr cluster.Profile, spec CollectiveSpec, g model.Gamma, cfg AlphaBetaConfig) (AlphaBetaResult, error) {
+	res, err := AlphaBetaFamily(context.Background(), pr, []CollectiveSpec{spec}, g, cfg)
+	if err != nil {
+		return AlphaBetaResult{}, err
+	}
+	return res[0], nil
+}
+
 func TestAlphaBetaConfigValidation(t *testing.T) {
 	pr := smallProfile(t, 16)
-	g := model.UnitGamma()
-	if _, err := AlphaBeta(pr, coll.BcastBinomial, g, AlphaBetaConfig{GatherBytes: pr.SegmentSize}); err == nil {
+	if _, _, err := Models(pr, AlphaBetaConfig{GatherBytes: pr.SegmentSize}); err == nil {
 		t.Fatal("m_g == m_s must be rejected (paper requires m_g ≠ m_s)")
 	}
-	if _, err := AlphaBeta(pr, coll.BcastBinomial, g, AlphaBetaConfig{Procs: 99}); err == nil {
+	if _, _, err := Models(pr, AlphaBetaConfig{Procs: 99}); err == nil {
 		t.Fatal("too many procs should fail")
 	}
-	if _, err := AlphaBeta(pr, coll.BcastBinomial, g, AlphaBetaConfig{Sizes: []int{8192}}); err == nil {
+	if _, _, err := Models(pr, AlphaBetaConfig{Sizes: []int{8192}}); err == nil {
 		t.Fatal("single size should fail")
 	}
-	if _, err := AlphaBeta(pr, coll.BcastBinomial, g, AlphaBetaConfig{GatherBytes: -1}); err == nil {
+	if _, _, err := Models(pr, AlphaBetaConfig{GatherBytes: -1}); err == nil {
 		t.Fatal("negative gather size should fail")
+	}
+	if _, err := fitSpec(pr, bcastSpec(coll.BcastBinomial), model.UnitGamma(), AlphaBetaConfig{Procs: 99}); err == nil {
+		t.Fatal("too many procs should fail with γ given")
 	}
 }
 
@@ -95,7 +120,7 @@ func TestAlphaBetaProducesUsableParameters(t *testing.T) {
 		Sizes:    []int{8192, 32768, 131072, 524288, 1 << 20},
 		Settings: fastSettings(),
 	}
-	res, err := AlphaBeta(pr, coll.BcastBinomial, gr.Gamma, cfg)
+	res, err := fitSpec(pr, bcastSpec(coll.BcastBinomial), gr.Gamma, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +202,11 @@ func TestAlphaBetaDeterministic(t *testing.T) {
 	pr := smallProfile(t, 12)
 	g := model.UnitGamma()
 	cfg := AlphaBetaConfig{Procs: 6, Sizes: []int{8192, 65536, 262144}, Settings: fastSettings()}
-	a, err := AlphaBeta(pr, coll.BcastChain, g, cfg)
+	a, err := fitSpec(pr, bcastSpec(coll.BcastChain), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AlphaBeta(pr, coll.BcastChain, g, cfg)
+	b, err := fitSpec(pr, bcastSpec(coll.BcastChain), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +218,8 @@ func TestAlphaBetaDeterministic(t *testing.T) {
 // TestModelsCombinedSweepMatchesComponents checks that Models — which
 // submits the γ grid and every algorithm's α/β grid as one combined
 // parallel sweep — produces exactly the parameters of running Gamma and
-// AlphaBeta separately, i.e. that batching and concurrency change
-// nothing about the estimation.
+// then each algorithm's spec alone against its γ, i.e. that batching and
+// concurrency change nothing about the estimation.
 func TestModelsCombinedSweepMatchesComponents(t *testing.T) {
 	pr := smallProfile(t, 12)
 	cfg := AlphaBetaConfig{Procs: 6, Sizes: []int{8192, 65536, 262144}, Settings: fastSettings(), Workers: 8}
@@ -218,7 +243,7 @@ func TestModelsCombinedSweepMatchesComponents(t *testing.T) {
 	}
 
 	for _, alg := range coll.BcastAlgorithms() {
-		ab, err := AlphaBeta(pr, alg, grAlone.Gamma, cfg)
+		ab, err := fitSpec(pr, bcastSpec(alg), grAlone.Gamma, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,5 +261,51 @@ func TestModelsCtxCancellation(t *testing.T) {
 	cancel()
 	if _, _, err := ModelsCtx(ctx, pr, AlphaBetaConfig{Procs: 6, Sizes: []int{8192, 65536}, Settings: fastSettings()}); err == nil {
 		t.Fatal("cancelled calibration succeeded")
+	}
+}
+
+// goldenBcastDigest pins the broadcast calibration bit for bit: the γ
+// table and the six algorithms' fitted α/β on goldenExtendedConfig's
+// grid. It was recorded while broadcast still had its own estimator, so
+// it also pins the spec-family path's equivalence to that one.
+const goldenBcastDigest = "936e4135e2b07671"
+
+// bcastDigest calibrates broadcast with cfg and fingerprints the γ table
+// (ascending P) and every algorithm's α/β bits.
+func bcastDigest(t *testing.T, pr cluster.Profile, cfg AlphaBetaConfig) string {
+	t.Helper()
+	bm, _, err := ModelsCtx(context.Background(), pr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	ps := make([]int, 0, len(bm.Gamma.Table))
+	for p := range bm.Gamma.Table {
+		ps = append(ps, p)
+	}
+	sort.Ints(ps)
+	for _, p := range ps {
+		fmt.Fprintf(h, "γ(%d)=%016x;", p, math.Float64bits(bm.Gamma.Table[p]))
+	}
+	for _, alg := range coll.BcastAlgorithms() {
+		par := bm.Params[alg]
+		fmt.Fprintf(h, "%v=%016x,%016x;", alg, math.Float64bits(par.Alpha), math.Float64bits(par.Beta))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestGoldenBcastDeterminism pins the broadcast calibration across worker
+// counts and both engines.
+func TestGoldenBcastDeterminism(t *testing.T) {
+	pr, base := goldenExtendedConfig(t)
+	for _, engine := range []experiment.Engine{experiment.EngineAuto, experiment.EngineScheduler} {
+		for _, workers := range []int{1, 4} {
+			cfg := base
+			cfg.Workers = workers
+			cfg.Settings.Engine = engine
+			if got := bcastDigest(t, pr, cfg); got != goldenBcastDigest {
+				t.Errorf("engine=%v workers=%d: digest %s, want %s", engine, workers, got, goldenBcastDigest)
+			}
+		}
 	}
 }

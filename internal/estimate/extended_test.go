@@ -42,9 +42,35 @@ func TestAllSpecFamiliesComplete(t *testing.T) {
 			if !strings.HasPrefix(s.Name, name+"/") {
 				t.Errorf("spec %q not under family %q", s.Name, name)
 			}
-			if s.Run == nil || s.Coefficients == nil || !s.TimingIndependent {
+			if s.Run == nil || s.Coefficients == nil || !s.TimingIndependent || s.Mode != experiment.Completion {
 				t.Errorf("spec %q incomplete", s.Name)
 			}
+		}
+	}
+}
+
+// TestBcastSpecs checks that the broadcast specs are the §4.2 stages —
+// same names (and so the same measurement cache keys) and the root-timed
+// mode — in coll.BcastAlgorithms order, with the gather's coefficients
+// added to the algorithm's.
+func TestBcastSpecs(t *testing.T) {
+	const mg, P, m, seg = 256, 8, 1 << 20, 8192
+	g := model.UnitGamma()
+	specs := BcastSpecs(mg)
+	algs := coll.BcastAlgorithms()
+	if len(specs) != len(algs) {
+		t.Fatalf("%d specs, want %d", len(specs), len(algs))
+	}
+	for i, alg := range algs {
+		st := experiment.BcastThenGatherStage(alg, mg)
+		s := specs[i]
+		if s.Name != st.Name || s.Mode != experiment.RootTime || !s.TimingIndependent || s.Run == nil {
+			t.Errorf("%v: spec %q mode %v, want stage %q", alg, s.Name, s.Mode, st.Name)
+		}
+		ab, bb := model.Coefficients(alg, P, m, seg, g)
+		ag, bg := model.GatherLinearCoefficients(P, mg)
+		if a, b := s.Coefficients(P, m, seg, g); a != ab+ag || b != bb+bg {
+			t.Errorf("%v: coefficients (%v, %v), want (%v, %v)", alg, a, b, ab+ag, bb+bg)
 		}
 	}
 }
@@ -60,11 +86,12 @@ func TestEverySpecRunsAndFits(t *testing.T) {
 	g := model.UnitGamma()
 	cfg := AlphaBetaConfig{Procs: 8, Sizes: []int{2048, 16384, 131072}, Settings: fastSettings()}
 	for name, specs := range AllSpecFamilies() {
-		for _, spec := range specs {
-			res, err := AlphaBetaCollective(pr, spec, g, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", spec.Name, err)
-			}
+		fits, err := AlphaBetaFamily(context.Background(), pr, specs, g, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, spec := range specs {
+			res := fits[i]
 			if res.Params.Beta <= 0 {
 				t.Errorf("%s: β = %v", spec.Name, res.Params.Beta)
 			}
@@ -77,7 +104,6 @@ func TestEverySpecRunsAndFits(t *testing.T) {
 				}
 			}
 		}
-		_ = name
 	}
 }
 
@@ -103,7 +129,7 @@ func TestSpecPredictionAccuracy(t *testing.T) {
 		ScatterSpecs()[1],       // binomial
 		ReduceScatterSpecs()[0], // ring
 	} {
-		res, err := AlphaBetaCollective(pr, spec, gr.Gamma, cfg)
+		res, err := fitSpec(pr, spec, gr.Gamma, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +157,11 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 	pr, _ := cluster.Grisou().WithNodes(8)
 	g := model.UnitGamma()
 	good := AllgatherSpecs()[0]
-	if _, err := AlphaBetaCollective(pr, CollectiveSpec{Stage: experiment.Stage{Name: "nil"}}, g,
+	if _, err := fitSpec(pr, CollectiveSpec{Stage: experiment.Stage{Name: "nil"}}, g,
 		AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("nil spec members should fail")
 	}
-	if _, err := AlphaBetaCollective(pr, good, g,
+	if _, err := fitSpec(pr, good, g,
 		AlphaBetaConfig{Procs: 999, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("bad procs should fail")
 	}
@@ -144,7 +170,7 @@ func TestAlphaBetaCollectiveValidation(t *testing.T) {
 		Stage:        experiment.Stage{Name: "degenerate", Run: good.Run},
 		Coefficients: func(P, m, segSize int, g model.Gamma) (float64, float64) { return 0, 0 },
 	}
-	if _, err := AlphaBetaCollective(pr, degenerate, g,
+	if _, err := fitSpec(pr, degenerate, g,
 		AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("zero coefficient should fail")
 	}
@@ -244,30 +270,5 @@ func TestExtendedCompileAccounting(t *testing.T) {
 		if got := reg.Counter(`experiment_fallbacks_total{reason="compile"}`).Value(); got != 0 {
 			t.Errorf("%s: %d compile fallbacks, want 0", name, got)
 		}
-	}
-}
-
-// TestCalibrationPoints checks the grid-size arithmetic against the
-// sweeps it describes and rejects unknown families.
-func TestCalibrationPoints(t *testing.T) {
-	pr := smallProfile(t, 16)
-	cfg := AlphaBetaConfig{Procs: 8, Sizes: []int{8192, 65536}}
-	got, err := CalibrationPoints(pr, cfg, []string{"gather", "reduce"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxP, err := gammaMaxP(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := maxP - 1 + (len(coll.BcastAlgorithms())+len(GatherSpecs())+len(ReduceSpecs()))*len(cfg.Sizes)
-	if got != want {
-		t.Fatalf("CalibrationPoints = %d, want %d", got, want)
-	}
-	if _, err := CalibrationPoints(pr, cfg, []string{"frobnicate"}); err == nil {
-		t.Fatal("unknown family must fail")
-	}
-	if _, err := CalibrationPoints(pr, AlphaBetaConfig{Procs: 99}, nil); err == nil {
-		t.Fatal("invalid config must fail")
 	}
 }

@@ -443,7 +443,7 @@ func TestSweepStageMatchesMeasure(t *testing.T) {
 
 // TestSweepClassGroupedGridOrder pins the sweep's output contract on a
 // grid whose same-shaped points (one algorithm, neighbouring sizes) are
-// strided across the workers' chunks, plus two §4.2 bcast+gather points:
+// strided across the workers' claims, plus two §4.2 bcast+gather points:
 // under the auto and replay engines, serial and concurrent, the results
 // slice lines up with the input grid, index for index, bit-identical to
 // a serial scheduler-engine sweep — deterministic grid-order results are

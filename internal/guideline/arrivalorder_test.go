@@ -159,7 +159,7 @@ func TestArrivalOrderCheckerCatchesInversion(t *testing.T) {
 }
 
 // calibrationPoints is the broadcast calibration's default grid on pr
-// (estimate.Gamma and estimate.AlphaBeta): the §4.1 linear broadcasts of
+// (estimate.Models: the γ grid and BcastSpecs): the §4.1 linear broadcasts of
 // one segment at P = 2..MaxLinearFanout, and the §4.2 broadcast+gather of
 // every algorithm at half the platform over 10 sizes from 8 KiB to 4 MiB.
 func calibrationPoints(pr cluster.Profile) []experiment.Point {

@@ -44,7 +44,7 @@ func FuzzGuidelines(f *testing.F) {
 		procs := 2 + int(pSel)%(n-1)            // 2..n
 		m := procs * (1 + int(mScale)%64) * 128 // P | m, up to P·8 KiB
 		set := experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 8, Warmup: 1}
-		rep, err := Check(context.Background(), pr, Invariant(), []int{procs}, []int{m}, set)
+		rep, err := Harness{Profiles: []cluster.Profile{pr}, Guidelines: Invariant(), Procs: []int{procs}, Sizes: []int{m}, Settings: set}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func TestGoldenInvertedComparator(t *testing.T) {
 	if len(inverted) != 3 {
 		t.Fatalf("expected 3 pattern guidelines, got %d", len(inverted))
 	}
-	rep, err := Check(context.Background(), pr, inverted, []int{8}, []int{64 << 10}, goldenSettings)
+	rep, err := Harness{Profiles: []cluster.Profile{pr}, Guidelines: inverted, Procs: []int{8}, Sizes: []int{64 << 10}, Settings: goldenSettings}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,8 @@ func TestHarnessContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	set := experiment.Settings{Confidence: 0.95, Precision: 0.025, MinReps: 3, MaxReps: 10, Warmup: 1}
-	if _, err := Check(ctx, pr, Invariant(), []int{4}, []int{1 << 10}, set); err == nil {
+	h := Harness{Profiles: []cluster.Profile{pr}, Guidelines: Invariant(), Procs: []int{4}, Sizes: []int{1 << 10}, Settings: set}
+	if _, err := h.Run(ctx); err == nil {
 		t.Fatal("cancelled context did not stop the run")
 	}
 }

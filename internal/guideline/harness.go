@@ -285,19 +285,6 @@ func (h Harness) observe(rep *Report) {
 	}
 }
 
-// Check is the one-call form: verify gls over a (procs × sizes) grid on a
-// single platform with default harness wiring.
-func Check(ctx context.Context, pr cluster.Profile, gls []Guideline, procs, sizes []int, set experiment.Settings) (*Report, error) {
-	h := Harness{
-		Profiles:   []cluster.Profile{pr},
-		Guidelines: gls,
-		Procs:      procs,
-		Sizes:      sizes,
-		Settings:   set,
-	}
-	return h.Run(ctx)
-}
-
 // defaultProfiles is the canonical platform pair, truncated to 16 nodes
 // so the default grid matches the repository's golden profile scale.
 func defaultProfiles() ([]cluster.Profile, error) {

@@ -19,7 +19,7 @@
 // Table 3 — reporting each selector's measured time and its degradation
 // relative to the oracle. ExtendedSelector (extended.go) applies the
 // model-based selection to the beyond-broadcast collective families
-// calibrated through estimate.AlphaBetaFamily.
+// calibrated through estimate.Calibrate or estimate.AlphaBetaFamily.
 //
 // In the paper's terms: internal/model supplies the analytical models
 // (§3), internal/estimate their parameters (§4), and this package the

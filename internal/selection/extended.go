@@ -11,7 +11,8 @@ import (
 )
 
 // ExtendedSelector applies the paper's model-based selection to any
-// collective family calibrated through estimate.AlphaBetaFamily —
+// collective family calibrated through estimate.Calibrate or
+// estimate.AlphaBetaFamily —
 // allgather, allreduce, alltoall, ... — realising the paper's future-work
 // claim that the approach generalises beyond broadcast.
 type ExtendedSelector struct {
@@ -28,47 +29,22 @@ type ExtendedSelector struct {
 }
 
 // CalibrateExtended fits per-algorithm parameters for a collective family
-// on a platform, reusing an already-estimated γ. It is
-// CalibrateExtendedFamilies for one family.
+// on a platform, reusing an already-estimated γ, in one
+// estimate.AlphaBetaFamily sweep.
 func CalibrateExtended(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) (*ExtendedSelector, error) {
-	sels, _, err := CalibrateExtendedFamilies(context.Background(), pr, [][]estimate.CollectiveSpec{specs}, g, cfg)
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("selection: no specs to calibrate")
+	}
+	fits, err := estimate.AlphaBetaFamily(context.Background(), pr, specs, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sels[0], nil
+	return NewExtendedSelector(pr, specs, g, fits), nil
 }
 
-// CalibrateExtendedFamilies fits several collective families in one
-// estimate.AlphaBetaFamily sweep over all their specs, so their grid
-// points share one pool of workers. It returns one selector per family,
-// indexed like fams, and every spec's fitted system, family after family
-// in fams order. Every point of a sweep is measured on its own, so each
-// family's parameters are bit-identical to a sweep of it alone. A
-// cancelled ctx stops the sweep within one chunk of grid points.
-func CalibrateExtendedFamilies(ctx context.Context, pr cluster.Profile, fams [][]estimate.CollectiveSpec, g model.Gamma, cfg estimate.AlphaBetaConfig) ([]*ExtendedSelector, []estimate.AlphaBetaResult, error) {
-	var specs []estimate.CollectiveSpec
-	for _, f := range fams {
-		specs = append(specs, f...)
-	}
-	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("selection: no specs to calibrate")
-	}
-	res, err := estimate.AlphaBetaFamily(ctx, pr, specs, g, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sels := make([]*ExtendedSelector, len(fams))
-	rest := res
-	for i, f := range fams {
-		sels[i] = newExtendedSelector(pr, f, g, rest[:len(f)])
-		rest = rest[len(f):]
-	}
-	return sels, res, nil
-}
-
-// newExtendedSelector builds the selector of specs from their fits,
-// indexed like specs.
-func newExtendedSelector(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, res []estimate.AlphaBetaResult) *ExtendedSelector {
+// NewExtendedSelector builds the selector of specs on pr from their fits
+// under γ, indexed like specs.
+func NewExtendedSelector(pr cluster.Profile, specs []estimate.CollectiveSpec, g model.Gamma, fits []estimate.AlphaBetaResult) *ExtendedSelector {
 	sel := &ExtendedSelector{
 		Cluster: pr.Name,
 		SegSize: pr.SegmentSize,
@@ -76,7 +52,7 @@ func newExtendedSelector(pr cluster.Profile, specs []estimate.CollectiveSpec, g 
 		Specs:   specs,
 		Params:  make([]model.Hockney, len(specs)),
 	}
-	for i, r := range res {
+	for i, r := range fits {
 		sel.Params[i] = r.Params
 	}
 	return sel

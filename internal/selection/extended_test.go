@@ -84,7 +84,7 @@ func TestExtendedSelectorValidation(t *testing.T) {
 	if _, err := CalibrateExtended(pr, nil, gr.Gamma, estimate.AlphaBetaConfig{}); err == nil {
 		t.Fatal("empty specs should fail")
 	}
-	if _, err := estimate.AlphaBetaCollective(pr, estimate.CollectiveSpec{Stage: experiment.Stage{Name: "x"}}, gr.Gamma,
+	if _, err := CalibrateExtended(pr, []estimate.CollectiveSpec{{Stage: experiment.Stage{Name: "x"}}}, gr.Gamma,
 		estimate.AlphaBetaConfig{Procs: 4, Sizes: []int{1024, 2048}, Settings: fastSettings()}); err == nil {
 		t.Fatal("incomplete spec should fail")
 	}

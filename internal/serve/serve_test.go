@@ -221,11 +221,18 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad_nodes", `{"profile":"grisou","nodes":5000}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"bad_op", `{"profile":"grisou","ops":["scan"]}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"bad_size", `{"profile":"grisou","sizes":[0]}`, http.StatusBadRequest, wire.CodeBadRequest},
+		// Every duplicate would be measured again, so a body of repeats
+		// could queue an arbitrarily long job.
+		{"dup_op", `{"profile":"grisou","ops":["gather","reduce","gather"]}`, http.StatusBadRequest, wire.CodeBadRequest},
+		{"dup_size", `{"profile":"grisou","sizes":[8192,65536,8192]}`, http.StatusBadRequest, wire.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wantError(t, do(t, s, http.MethodPost, "/v1/calibrations", tc.body), tc.status, tc.code)
 		})
+	}
+	if jobs := s.jobs.List().Jobs; len(jobs) != 0 {
+		t.Fatalf("rejected submissions queued %d jobs", len(jobs))
 	}
 	wantError(t, do(t, s, http.MethodPut, "/v1/calibrations", ""),
 		http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed)
@@ -568,11 +575,12 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestJobProgressSpansAllSweeps checks a job's progress across the
-// broadcast sweep and every extended family's sweep: total is the size
-// of all the grids from the first report on, done never goes backwards,
-// and the finished job reports done == total.
-func TestJobProgressSpansAllSweeps(t *testing.T) {
+// TestJobProgressIsOneSweep checks that a job with extended families runs
+// the whole calibration as one sweep and reports that sweep's progress:
+// the server registry records exactly one more sweep_run span, total is
+// the size of every grid together from the first report on, done never
+// goes backwards, and the finished job reports done == total.
+func TestJobProgressIsOneSweep(t *testing.T) {
 	s := newTestServer(t)
 	req := wire.CalibrationRequest{Profile: "grisou", Nodes: 16, Procs: 8, Sizes: []int{8192, 65536, 524288},
 		Ops: []string{"gather", "allreduce"}, Fast: true}
@@ -583,6 +591,8 @@ func TestJobProgressSpansAllSweeps(t *testing.T) {
 	fams := estimate.AllSpecFamilies()
 	specs := len(coll.BcastAlgorithms()) + len(fams["gather"]) + len(fams["allreduce"])
 	want := int64(min(pr.MaxLinearFanout, pr.Nodes) - 1 + specs*len(req.Sizes))
+	sweeps := s.metrics.Histogram("sweep_run_seconds")
+	before := sweeps.Count()
 
 	j := &job{req: req}
 	errc := make(chan error, 1)
@@ -603,7 +613,7 @@ func TestJobProgressSpansAllSweeps(t *testing.T) {
 		}
 		done, total := j.done.Load(), j.total.Load()
 		if total != 0 && total != want {
-			t.Fatalf("total = %d, want %d (every sweep's grid)", total, want)
+			t.Fatalf("total = %d, want %d (every grid in one sweep)", total, want)
 		}
 		if done < last {
 			t.Fatalf("done went backwards: %d after %d", done, last)
@@ -612,5 +622,8 @@ func TestJobProgressSpansAllSweeps(t *testing.T) {
 	}
 	if done, total := j.done.Load(), j.total.Load(); done != want || total != want {
 		t.Fatalf("finished job at %d/%d, want %d/%d", done, total, want, want)
+	}
+	if n := sweeps.Count() - before; n != 1 {
+		t.Fatalf("job ran %d sweeps, want 1", n)
 	}
 }

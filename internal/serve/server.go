@@ -325,12 +325,11 @@ func resolveProfile(req wire.CalibrationRequest) (cluster.Profile, error) {
 	return pr, nil
 }
 
-// runJob executes one calibration job: the broadcast pipeline, then one
-// sweep over every requested extended family, then persistence and
-// hot-table publication. The job's progress spans both sweeps: total is
-// the size of all the grids together, fixed before the first
-// measurement, and done counts completed points across them, so it never
-// goes backwards.
+// runJob executes one calibration job: one sweep over the broadcast
+// calibration and every requested extended family (core.CalibrateCtx),
+// then persistence and hot-table publication. The job's progress is that
+// sweep's own (done, total), so it never goes backwards and ends at
+// done == total.
 // Extended-family selectors live in memory only — the store's schema
 // persists the broadcast models; a daemon restart re-runs extended
 // calibrations.
@@ -340,31 +339,17 @@ func (s *Server) runJob(ctx context.Context, j *job) (string, error) {
 		return "", err
 	}
 	cfg := estimate.AlphaBetaConfig{
-		Procs:   j.req.Procs,
-		Sizes:   j.req.Sizes,
-		Workers: s.cfg.MeasureWorkers,
-		Metrics: s.metrics,
-	}
-	total, err := estimate.CalibrationPoints(pr, cfg, j.req.Ops)
-	if err != nil {
-		return "", err
-	}
-	// The sweeps run one after another and each serialises its Progress
-	// calls, so done needs no lock.
-	done := 0
-	j.progress(done, total)
-	cfg.Progress = func(int, int, experiment.Result) {
-		done++
-		j.progress(done, total)
+		Procs:    j.req.Procs,
+		Sizes:    j.req.Sizes,
+		Workers:  s.cfg.MeasureWorkers,
+		Progress: func(done, total int, _ experiment.Result) { j.progress(done, total) },
+		Metrics:  s.metrics,
 	}
 	if j.req.Fast {
 		cfg.Settings = fastServeSettings
 	}
-	sel, err := core.CalibrateCtx(ctx, pr, cfg)
+	sel, err := core.CalibrateCtx(ctx, pr, cfg, j.req.Ops...)
 	if err != nil {
-		return "", err
-	}
-	if err := sel.CalibrateExtendedOps(ctx, j.req.Ops, cfg); err != nil {
 		return "", err
 	}
 	digest := ProfileDigest(pr)
@@ -412,21 +397,10 @@ func (s *Server) handleCalibrations(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		fams := estimate.AllSpecFamilies()
-		for _, op := range req.Ops {
-			if _, ok := fams[op]; !ok {
-				s.mCals.errs.Inc()
-				s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
-					"unknown collective family "+op)
-				return
-			}
-		}
-		for _, m := range req.Sizes {
-			if m < 1 {
-				s.mCals.errs.Inc()
-				s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "sizes must be positive")
-				return
-			}
+		if msg := checkCalibrationLists(req); msg != "" {
+			s.mCals.errs.Inc()
+			s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, msg)
+			return
 		}
 		job, err := s.jobs.Submit(req.Profile, req)
 		if err != nil {
@@ -439,6 +413,36 @@ func (s *Server) handleCalibrations(w http.ResponseWriter, r *http.Request) {
 		s.mCals.errs.Inc()
 		s.writeError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET or POST")
 	}
+}
+
+// checkCalibrationLists validates a calibration request's ops and sizes:
+// every op a known extended family, every size positive, and neither
+// list holding a duplicate — a duplicate would be measured again, so a
+// body of repeated entries could queue an arbitrarily long job. It
+// returns the reason for rejecting the request, or "".
+func checkCalibrationLists(req wire.CalibrationRequest) string {
+	fams := estimate.AllSpecFamilies()
+	seenOp := make(map[string]bool, len(req.Ops))
+	for _, op := range req.Ops {
+		if _, ok := fams[op]; !ok {
+			return "unknown collective family " + op
+		}
+		if seenOp[op] {
+			return "duplicate collective family " + op
+		}
+		seenOp[op] = true
+	}
+	seenSize := make(map[int]bool, len(req.Sizes))
+	for _, m := range req.Sizes {
+		if m < 1 {
+			return "sizes must be positive"
+		}
+		if seenSize[m] {
+			return fmt.Sprintf("duplicate size %d", m)
+		}
+		seenSize[m] = true
+	}
+	return ""
 }
 
 // handleCalibration serves GET (status) and DELETE (cancel) on

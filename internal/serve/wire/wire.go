@@ -101,7 +101,9 @@ const (
 
 // Job reports one calibration job: identity, state, sweep progress, and
 // — once done — the content digest under which the calibration is
-// stored and selectable.
+// stored and selectable. A job is one measurement sweep: points_done
+// and points_total are that sweep's completed and total grid points,
+// and points_total reads 0 until the first point completes.
 type Job struct {
 	Version int      `json:"version"`
 	ID      string   `json:"id"`

@@ -50,19 +50,20 @@ func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Set
 	}
 	names := []string{"allgather", "allreduce", "alltoall", "reduce", "gather", "scatter", "reduce_scatter"}
 	all := estimate.AllSpecFamilies()
-	fams := make([][]estimate.CollectiveSpec, len(names))
-	for i, family := range names {
-		fams[i] = all[family]
+	var specs []estimate.CollectiveSpec
+	for _, family := range names {
+		specs = append(specs, all[family]...)
 	}
 	cfg := estimate.AlphaBetaConfig{Procs: P, Sizes: sizes, Settings: set}
-	sels, fits, err := selection.CalibrateExtendedFamilies(context.Background(), pr, fams, gr.Gamma, cfg)
+	fits, err := estimate.AlphaBetaFamily(context.Background(), pr, specs, gr.Gamma, cfg)
 	if err != nil {
 		return ExtTable{}, fmt.Errorf("tables: ext: %w", err)
 	}
 	out := ExtTable{Cluster: pr.Name, P: P}
-	for f, family := range names {
-		specs, famFits := fams[f], fits[:len(fams[f])]
+	for _, family := range names {
+		specs, famFits := all[family], fits[:len(all[family])]
 		fits = fits[len(specs):]
+		sel := selection.NewExtendedSelector(pr, specs, gr.Gamma, famFits)
 		for j, m := range sizes {
 			row := ExtRow{Family: family, M: m, Times: make(map[string]float64, len(specs))}
 			best := math.Inf(1)
@@ -74,7 +75,7 @@ func GenerateExtTable(pr cluster.Profile, P int, sizes []int, set experiment.Set
 					row.Best = spec.Name
 				}
 			}
-			_, row.Pick = sels[f].Best(P, m)
+			_, row.Pick = sel.Best(P, m)
 			row.Degradation = selection.Degradation(row.Times[row.Pick], best)
 			out.Rows = append(out.Rows, row)
 		}

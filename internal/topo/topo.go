@@ -205,17 +205,6 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// MaxChildren returns the largest number of children of any rank.
-func (t *Tree) MaxChildren() int {
-	m := 0
-	for _, cs := range t.Children {
-		if len(cs) > m {
-			m = len(cs)
-		}
-	}
-	return m
-}
-
 // IsLeaf reports whether rank r has no children.
 func (t *Tree) IsLeaf(r int) bool { return len(t.Children[r]) == 0 }
 

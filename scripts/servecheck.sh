@@ -40,13 +40,20 @@ echo "servecheck: daemon at $URL"
 ID=$("$TMP/mpicollperf" serve submit -server "$URL" -profile grisou \
     -nodes 16 -procs 8 -sizes 8192,65536,524288 -ops gather -fast -id-only)
 echo "servecheck: submitted $ID"
-"$TMP/mpicollperf" serve wait -server "$URL" -id "$ID" -timeout 2m
+# The job is one sweep, so the finished job reports that sweep's
+# progress=N/N with N > 0.
+LINE=$("$TMP/mpicollperf" serve wait -server "$URL" -id "$ID" -timeout 2m)
+echo "$LINE"
+if ! echo "$LINE" | grep -Eq ' progress=([1-9][0-9]*)/\1( |$)'; then
+    echo "servecheck: finished job did not report progress=N/N with N > 0" >&2
+    exit 1
+fi
 "$TMP/mpicollperf" serve select -server "$URL" -profile grisou -p 16 -m 1048576
 "$TMP/mpicollperf" serve select -server "$URL" -profile grisou -op gather -p 16 -m 8192
 
 # Cancellation: a full-scale gros calibration takes far longer than the
-# quick one; cancelling right after submit must be observed within one
-# sweep chunk, long before the sweep could finish.
+# quick one; cancelling right after submit stops its sweep after each
+# worker's current point, long before the sweep could finish.
 ID2=$("$TMP/mpicollperf" serve submit -server "$URL" -profile gros -procs 64 -id-only)
 echo "servecheck: submitted $ID2 (full scale), cancelling"
 "$TMP/mpicollperf" serve cancel -server "$URL" -id "$ID2" > /dev/null
